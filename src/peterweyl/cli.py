@@ -3,8 +3,7 @@
 Orchestration only; all mathematics lives in the library modules.  Exit
 codes: 0 success, 1 usage, 2 validation (bad files, unknown names), 3
 numeric consistency failure (including an ergodic check missing its
-tolerance).  Outputs are byte-identical across runs for a fixed config and
-seed.
+tolerance).  Outputs are byte-identical across runs for a fixed config.
 """
 
 from __future__ import annotations
@@ -12,15 +11,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError
-from .fusion import (FiniteDualRing, FolnerSchedule, FusionRing, LatticeRing, SU2Ring,
-                     boundary, weighted_cardinality)
+from .fusion import FolnerSchedule, FusionRing, boundary, weighted_cardinality
 from .groups import resolve
 from .ergodic import ergodic_limit_check, gns_rep, group_rep, point_rep
 from .measures import measure_from_json, measure_to_json, scalar_from_json, total_mass
@@ -57,11 +57,16 @@ class RunConfig:
     emit_canonical: str | None = None
     ground_truth: bool = False
     tol: float = field(default=None)  # type: ignore[assignment]
-    seed: int = 0
 
     def __post_init__(self):
         if self.tol is None:
-            self.tol = float(os.environ.get(DEFAULT_TOL_ENV, "1e-8"))
+            text = os.environ.get(DEFAULT_TOL_ENV, "1e-8")
+            try:
+                self.tol = float(text)
+            except ValueError as exc:
+                raise InvalidInputError(f"${DEFAULT_TOL_ENV}={text!r} is not a number") from exc
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InvalidInputError(f"tolerance must be finite and positive, got {self.tol!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,24 +84,12 @@ def _split_labels(text: str, ring: FusionRing) -> list:
     return [ring.parse_label(c.strip()) for c in chunks]
 
 
-def _default_schedule_name(ring: FusionRing) -> str:
-    if isinstance(ring, LatticeRing):
-        return "boxes"
-    if isinstance(ring, SU2Ring):
-        return "spins"
-    if isinstance(ring, FiniteDualRing):
-        return "full"
-    raise InvalidInputError(f"ring {ring.name} has no named schedules")
-
-
 def load_schedule(ring: FusionRing, spec: str | None, steps: int) -> FolnerSchedule:
     """A named per-ring default ('default', 'boxes', 'spins', 'full') or a
     JSON file {"description": ..., "sets": [[label literal, ...], ...]}."""
     name = spec or "default"
-    if name == "default":
-        name = _default_schedule_name(ring)
-    if name in ("boxes", "spins", "full"):
-        if name != _default_schedule_name(ring):
+    if name in ("default", "boxes", "spins", "full"):
+        if name not in ("default", ring.schedule_name):
             raise InvalidInputError(f"schedule {name!r} does not apply to ring {ring.name}")
         if steps < 1:
             raise InvalidInputError("steps must be >= 1")
@@ -106,8 +99,8 @@ def load_schedule(ring: FusionRing, spec: str | None, steps: int) -> FolnerSched
         sets = obj["sets"]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError("schedule file needs a 'sets' field") from exc
-    parsed = [frozenset(ring.parse_label(l) for l in F) for F in sets]
-    return FolnerSchedule(tuple(parsed), description=str(obj.get("description", name)))
+    parsed = [[ring.parse_label(l) for l in F] for F in sets]
+    return FolnerSchedule(ring, parsed, description=str(obj.get("description", name)))
 
 
 def _load_json(path: str):
@@ -122,41 +115,33 @@ def _load_json(path: str):
         ) from exc
 
 
+@contextmanager
 def _open_out(path: str | None):
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
-def _write_csv(path: str | None, header: list[str], rows):
-    fh, owned = _open_out(path)
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if owned:
-            fh.close()
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
 
 
 def _write_tables(config: RunConfig, header: list[str], rows):
     rows = list(rows)
-    _write_csv(config.out, header, rows)
+    with _open_out(config.out) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     if config.gnuplot is not None:
         # same table, whitespace-separated with a commented header
-        fh, owned = _open_out(config.gnuplot)
-        try:
+        with _open_out(config.gnuplot) as fh:
             fh.write("# " + " ".join(header) + "\n")
-            for row in rows:
-                fh.write(" ".join(str(x) for x in row) + "\n")
-        finally:
-            if owned:
-                fh.close()
+            fh.writelines(" ".join(str(x) for x in row) + "\n" for row in rows)
 
 
 def _fmt(x: float) -> str:
-    return repr(float(x))
+    value = float(x)
+    if not math.isfinite(value):
+        raise ConsistencyError(f"non-finite value {value!r} in the output")
+    return repr(value)
 
 
 def _run_fusion(config: RunConfig) -> int:
@@ -181,8 +166,8 @@ def _run_folner(config: RunConfig) -> int:
     S = frozenset(_split_labels(config.s_labels, ring))
     schedule = load_schedule(ring, config.schedule, config.steps)
     rows = []
-    for step, F in enumerate(schedule, start=1):
-        wf = weighted_cardinality(F, ring)
+    for step, (F, wf) in enumerate(zip(schedule, schedule.weighted_cardinalities.tolist()),
+                                   start=1):
         wb = weighted_cardinality(boundary(F, S, ring), ring)
         rows.append([step, wf, wb, _fmt(wb / wf)])
     _write_tables(config, ["step", "wcard", "boundary_wcard", "ratio"], rows)
@@ -202,13 +187,9 @@ def _run_wiener(config: RunConfig) -> int:
     if not total_mass(mu) > 0:
         raise InvalidInputError("measure must have positive total mass")
     if config.emit_canonical is not None:
-        fh, owned = _open_out(config.emit_canonical)
-        try:
+        with _open_out(config.emit_canonical) as fh:
             json.dump(measure_to_json(mu), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        finally:
-            if owned:
-                fh.close()
     ring = mu.model.ring
     at = None
     if config.kind == "atom":
@@ -232,18 +213,6 @@ def _run_wiener(config: RunConfig) -> int:
 
 def _matrix_from_json(rows) -> np.ndarray:
     return np.array([[scalar_from_json(e) for e in row] for row in rows], dtype=complex)
-
-
-def _default_generating_labels(ring: FusionRing) -> list:
-    if isinstance(ring, LatticeRing):
-        if ring.rank == 1:
-            return [1]
-        return [tuple(1 if i == j else 0 for i in range(ring.rank)) for j in range(ring.rank)]
-    if isinstance(ring, SU2Ring):
-        return [1]
-    if isinstance(ring, FiniteDualRing):
-        return list(ring.full_dual())
-    raise InvalidInputError(f"no default generating labels for ring {ring.name}")
 
 
 def _run_ergodic(config: RunConfig) -> int:
@@ -274,7 +243,7 @@ def _run_ergodic(config: RunConfig) -> int:
     if config.labels is not None:
         gens = _split_labels(config.labels, ring)
     else:
-        gens = _default_generating_labels(ring)
+        gens = ring.generating_labels()
     schedule = load_schedule(ring, config.schedule, config.steps)
     report = ergodic_limit_check(rep, schedule, gens, tol=config.tol)
     rows = [
@@ -327,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write a gnuplot-compatible data file")
         p.add_argument("--tol", type=float, default=None,
                        help=f"tolerance (default from ${DEFAULT_TOL_ENV} or 1e-8)")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("fusion", help="decompose a tensor product of two labels")
     p.add_argument("--a", required=True)
@@ -366,9 +334,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     known = {f.name for f in RunConfig.__dataclass_fields__.values()}
     fields = {k: v for k, v in vars(args).items() if k in known and v is not None}
-    config = RunConfig(**fields)
     try:
-        return run(config)
+        return run(RunConfig(**fields))
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError
-from .fusion import FolnerSchedule, FusionRing, LatticeRing, weighted_cardinality
+from .fusion import FolnerSchedule, FusionRing, LatticeRing, reduce_along
 from .groups import CompactGroupModel, FiniteGroupModel
 
 
@@ -122,8 +122,8 @@ def gns_rep(model: FiniteGroupModel, state) -> FiniteDimRep:
     phi = np.asarray(state, dtype=float)
     if phi.shape != (model.order,):
         raise InvalidInputError(f"state must have one entry per element ({model.order})")
-    if np.any(phi < 0):
-        raise InvalidInputError("state entries must be nonnegative")
+    if not np.all(np.isfinite(phi) & (phi >= 0)):
+        raise InvalidInputError("state entries must be finite and nonnegative")
     total = float(phi.sum())
     if total <= 0:
         raise InvalidInputError("state must not be the zero vector")
@@ -137,14 +137,16 @@ def gns_rep(model: FiniteGroupModel, state) -> FiniteDimRep:
     return FiniteDimRep(model.ring, len(support), evaluator, "gns-rep", cyclic_vector=cyclic)
 
 
+def _cesaro_averages(rep: FiniteDimRep, schedule: FolnerSchedule) -> tuple[list, np.ndarray]:
+    """The averages M_n of every schedule step, and their weighted cardinalities."""
+    ring = rep.ring
+    sums, wcards = reduce_along(schedule, ring, lambda a: ring.dim(a) * rep.chi(a))
+    return [m / int(w) for m, w in zip(sums, wcards)], wcards
+
+
 def cesaro_operator(rep: FiniteDimRep, F) -> np.ndarray:
     """(1/|F|_w) sum over F of dim(a) * pi(chi(a)), in ring label order."""
-    ring = rep.ring
-    F = frozenset(ring.check_label(a) for a in F)
-    if not F:
-        raise InvalidInputError("F must be nonempty")
-    terms = [ring.dim(a) * rep.chi(a) for a in ring.sorted_labels(F)]
-    return np.sum(np.stack(terms), axis=0) / weighted_cardinality(F, ring)
+    return _cesaro_averages(rep, FolnerSchedule(rep.ring, (F,)))[0][0]
 
 
 def invariant_projection(rep: FiniteDimRep, generating_labels) -> np.ndarray:
@@ -195,22 +197,15 @@ def ergodic_limit_check(rep: FiniteDimRep, schedule: FolnerSchedule, generating_
     """Track ||M_n - P||_F and the commutant residues of M_n along the
     schedule, where P is the invariant projection of the generating labels.
     Passes when both final values are below tol."""
-    gens = rep.ring.sorted_labels({rep.ring.check_label(a) for a in generating_labels})
-    if not gens:
-        raise InvalidInputError("generating_labels must be nonempty")
-    proj = invariant_projection(rep, gens)
-    operators, wcards, dists, comms = [], [], [], []
-    for F in schedule:
-        m = cesaro_operator(rep, F)
-        operators.append(m)
-        wcards.append(weighted_cardinality(F, rep.ring))
-        dists.append(float(np.linalg.norm(m - proj)))
-        comms.append(
-            max(float(np.linalg.norm(m @ rep.chi(g) - rep.chi(g) @ m)) for g in gens)
-        )
+    gens = list(generating_labels)
+    proj = invariant_projection(rep, gens)  # checks the labels and rejects an empty list
+    operators, wcards = _cesaro_averages(rep, schedule)
+    dists = [float(np.linalg.norm(m - proj)) for m in operators]
+    comms = [max(float(np.linalg.norm(m @ rep.chi(g) - rep.chi(g) @ m)) for g in gens)
+             for m in operators]
     return ErgodicReport(
         schedule=schedule,
-        weighted_cardinalities=np.asarray(wcards, dtype=np.int64),
+        weighted_cardinalities=wcards,
         operators=tuple(operators),
         distances=np.asarray(dists),
         commutant_residues=np.asarray(comms),

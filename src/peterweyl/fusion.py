@@ -3,14 +3,15 @@
 The dual is modelled as a countable set of irreducible-representation labels
 together with dimensions, conjugation and fusion multiplicities
 ``N[a,b]^c`` (the number of copies of ``c`` in the decomposition of the
-tensor product ``a (x) b``).  Everything here is exact integer arithmetic;
-the only floating-point number produced is the final Folner ratio.
+tensor product ``a (x) b``), and Folner schedules as tables of labels.
+Everything here is exact integer arithmetic, except the Folner ratio and
+`reduce_along`, the one reduction that sums an average's terms along a
+schedule.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from itertools import count, product
 from typing import Iterable, Iterator, Union
 
@@ -39,6 +40,8 @@ class FusionRing(ABC):
     """
 
     name: str = "ring"
+    # the name under which the CLI offers default_schedule, if any
+    schedule_name: str | None = None
 
     @property
     @abstractmethod
@@ -95,33 +98,84 @@ class FusionRing(ABC):
     def default_schedule(self, steps: int) -> "FolnerSchedule":
         raise InvalidInputError(f"ring {self.name} has no default schedule")
 
+    def generating_labels(self) -> list[Label]:
+        raise InvalidInputError(f"no default generating labels for ring {self.name}")
+
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
 
 
-@dataclass(frozen=True)
 class FolnerSchedule:
-    """An ordered list of finite nonempty label sets (nesting not required)."""
+    """An ordered list of finite nonempty label sets (nesting not required).
 
-    sets: tuple[frozenset, ...]
-    description: str = ""
+    Stored as one table: `labels`, the distinct labels in ring order, and
+    `steps`, one ascending index into it per step (a slice for a prefix).
+    `weighted_cardinalities` holds each step's |F|_w as exact int64.  The
+    step sets themselves are built only on demand.
+    """
 
-    def __post_init__(self):
-        if len(self.sets) == 0:
+    def __init__(self, ring: FusionRing, sets: Iterable[Iterable[Label]], description: str = ""):
+        sets = [frozenset(F) for F in sets]
+        if not all(sets):
+            raise InvalidInputError("schedule sets must be nonempty")
+        labels = ring.sorted_labels(map(ring.check_label, frozenset().union(*sets)))
+        index = {a: i for i, a in enumerate(labels)}
+        steps = [np.array(sorted(index[a] for a in F), dtype=np.intp) for F in sets]
+        self._init(ring, labels, steps, description)
+
+    @classmethod
+    def prefixes(cls, ring: FusionRing, lengths: list[int], description: str = ""):
+        """The schedule whose n-th step is the first lengths[n] labels of the
+        ring's enumeration order."""
+        schedule = cls.__new__(cls)
+        labels = ring.enumerate_labels(max(lengths, default=1))
+        schedule._init(ring, labels, [slice(0, k) for k in lengths], description)
+        return schedule
+
+    def _init(self, ring, labels, steps, description):
+        if not steps:
             raise InvalidInputError("schedule must contain at least one set")
-        object.__setattr__(self, "sets", tuple(frozenset(F) for F in self.sets))
-        for F in self.sets:
-            if len(F) == 0:
-                raise InvalidInputError("schedule sets must be nonempty")
+        self.ring = ring
+        self.labels = tuple(labels)
+        self.steps = tuple(steps)
+        self.description = description
+        wdims = np.array([ring.dim(a) for a in self.labels], dtype=np.int64) ** 2
+        self.weighted_cardinalities = np.array([wdims[s].sum() for s in self.steps],
+                                               dtype=np.int64)
+        self.weighted_cardinalities.setflags(write=False)
+
+    def _set(self, step) -> frozenset:
+        if isinstance(step, slice):
+            return frozenset(self.labels[step])
+        return frozenset(self.labels[i] for i in step.tolist())
+
+    @property
+    def sets(self) -> tuple[frozenset, ...]:
+        return tuple(map(self._set, self.steps))
 
     def __len__(self):
-        return len(self.sets)
+        return len(self.steps)
 
     def __iter__(self):
-        return iter(self.sets)
+        return map(self._set, self.steps)
 
     def __getitem__(self, i):
-        return self.sets[i]
+        return self._set(self.steps[i])
+
+
+def reduce_along(schedule: FolnerSchedule, ring: FusionRing, term) -> tuple[list, np.ndarray]:
+    """Per-step sums of term(a) over the schedule's sets, and their weighted
+    cardinalities.
+
+    `term` is evaluated once per distinct label; each step is then summed
+    with np.sum in ring order, so a step's sum is the same to the bit as the
+    sum over that set alone.  A schedule built on another ring object is
+    rebuilt on `ring` first, which checks its labels there.
+    """
+    if schedule.ring is not ring:
+        schedule = FolnerSchedule(ring, schedule.sets, schedule.description)
+    table = np.asarray([term(a) for a in schedule.labels], dtype=complex)
+    return [np.sum(table[s], axis=0) for s in schedule.steps], schedule.weighted_cardinalities
 
 
 class LatticeRing(FusionRing):
@@ -132,6 +186,8 @@ class LatticeRing(FusionRing):
     Enumeration order: rank 1 goes 0, 1, -1, 2, -2, ...; higher ranks walk
     sup-norm shells outward, lexicographically inside each shell.
     """
+
+    schedule_name = "boxes"
 
     def __init__(self, rank: int = 1, name: str | None = None):
         if rank < 1:
@@ -180,12 +236,9 @@ class LatticeRing(FusionRing):
                 yield -n
         else:
             for r in count(0):
-                shell = [
-                    t
-                    for t in product(range(-r, r + 1), repeat=self.rank)
-                    if max(abs(x) for x in t) == r
-                ]
-                yield from sorted(shell)
+                # product walks the box lexicographically, so the shell comes out sorted
+                yield from (t for t in product(range(-r, r + 1), repeat=self.rank)
+                            if r in t or -r in t)
 
     def box(self, n: int) -> frozenset:
         """The box {-n..n}^rank."""
@@ -196,10 +249,16 @@ class LatticeRing(FusionRing):
         return frozenset(product(range(-n, n + 1), repeat=self.rank))
 
     def default_schedule(self, steps: int) -> FolnerSchedule:
-        return FolnerSchedule(
-            tuple(self.box(n) for n in range(1, steps + 1)),
+        # the box {-n..n}^rank is the first (2n+1)^rank labels of the shell walk
+        return FolnerSchedule.prefixes(
+            self, [(2 * n + 1) ** self.rank for n in range(1, steps + 1)],
             description=f"{self.name} boxes {{-n..n}} for n=1..{steps}",
         )
+
+    def generating_labels(self):
+        if self.rank == 1:
+            return [1]
+        return [tuple(int(i == j) for i in range(self.rank)) for j in range(self.rank)]
 
     def parse_label(self, literal):
         if self.is_valid_label(literal):
@@ -233,6 +292,7 @@ class SU2Ring(FusionRing):
     """
 
     name = "SU2"
+    schedule_name = "spins"
 
     @property
     def trivial(self):
@@ -267,10 +327,13 @@ class SU2Ring(FusionRing):
         return frozenset(range(n + 1))
 
     def default_schedule(self, steps: int) -> FolnerSchedule:
-        return FolnerSchedule(
-            tuple(self.spins(n) for n in range(1, steps + 1)),
+        return FolnerSchedule.prefixes(
+            self, [n + 1 for n in range(1, steps + 1)],
             description=f"SU2 spin intervals {{0..n}} for n=1..{steps}",
         )
+
+    def generating_labels(self):
+        return [1]
 
     def parse_label(self, literal):
         if self.is_valid_label(literal):
@@ -291,6 +354,8 @@ class FiniteDualRing(FusionRing):
     N[a,b]^c = (1/|G|) sum_g chi_a(g) chi_b(g) conj(chi_c(g)),
     rounded to the nearest integer after checking the residue is tiny.
     """
+
+    schedule_name = "full"
 
     def __init__(self, name: str, irrep_names: tuple[str, ...], dims: tuple[int, ...],
                  character_table: np.ndarray):
@@ -366,10 +431,12 @@ class FiniteDualRing(FusionRing):
         return frozenset(range(len(self.dims)))
 
     def default_schedule(self, steps: int) -> FolnerSchedule:
-        return FolnerSchedule(
-            tuple(self.full_dual() for _ in range(steps)),
-            description=f"{self.name} full dual, constant",
+        return FolnerSchedule.prefixes(
+            self, [len(self.dims)] * steps, description=f"{self.name} full dual, constant"
         )
+
+    def generating_labels(self):
+        return list(self.labels())
 
     def parse_label(self, literal):
         if self.is_valid_label(literal):

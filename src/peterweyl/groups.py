@@ -75,9 +75,12 @@ def _parse_floats(text: str, expected: int, literal) -> list[float]:
     if len(parts) != expected:
         raise InvalidInputError(f"cannot parse element literal {literal!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise InvalidInputError(f"cannot parse element literal {literal!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise InvalidInputError(f"element literal {literal!r} has a non-finite coordinate")
+    return values
 
 
 class TorusModel(CompactGroupModel):

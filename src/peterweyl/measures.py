@@ -14,6 +14,7 @@ Convolution and conjugation act coefficientwise (product and adjoint).
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -42,8 +43,8 @@ class MeasureSpec:
         checked = []
         for g, w in atoms:
             w = float(w)
-            if not w > 0:
-                raise InvalidInputError(f"atom weight {w} must be strictly positive")
+            if not (math.isfinite(w) and w > 0):
+                raise InvalidInputError(f"atom weight {w} must be finite and strictly positive")
             checked.append((g, w))
         for i in range(len(checked)):
             for j in range(i + 1, len(checked)):
@@ -199,11 +200,16 @@ def conjugate_measure(mu: MeasureSpec) -> MeasureSpec:
 
 
 def scalar_from_json(entry) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return complex(float(entry[0]), float(entry[1]))
-    raise InvalidInputError(f"matrix entry {entry!r} must be a number or [re, im]")
+    pair = [entry, 0] if isinstance(entry, (int, float)) else entry
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        raise InvalidInputError(f"matrix entry {entry!r} must be a number or [re, im]")
+    try:
+        re, im = float(pair[0]), float(pair[1])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"matrix entry {entry!r} must be a number or [re, im]") from exc
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise InvalidInputError(f"matrix entry {entry!r} is not finite")
+    return complex(re, im)
 
 
 def scalar_to_json(z: complex):
@@ -230,8 +236,10 @@ def measure_from_json(obj: dict) -> MeasureSpec:
     for k, entry in enumerate(obj.get("atoms", [])):
         try:
             atoms.append((model.parse_element(entry["element"]), float(entry["weight"])))
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError(f"atoms[{k}] needs 'element' and 'weight' fields") from exc
+        except InvalidInputError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"atoms[{k}] needs 'element' and numeric 'weight' fields") from exc
     density = {}
     for k, entry in enumerate(obj.get("density", [])):
         try:

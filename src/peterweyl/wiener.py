@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .fusion import FolnerSchedule, weighted_cardinality
+from .errors import ConsistencyError, InvalidInputError
+from .fusion import FolnerSchedule, reduce_along
 from .measures import MeasureSpec, atom_weight_at, fourier_matrix
 
 KINDS = ("atom", "energy", "char")
@@ -32,48 +32,30 @@ def _term(kind: str, mu: MeasureSpec, label, y=None) -> complex:
         return d * complex(np.trace(coeff @ u.conj().T))
     if kind == "energy":
         return complex(d * float(np.linalg.norm(coeff) ** 2))
-    if kind == "char":
-        return d * complex(np.trace(coeff))
-    raise InvalidInputError(f"unknown average kind {kind!r}; expected one of {KINDS}")
-
-
-def _average(kind: str, mu: MeasureSpec, F, y=None, cache: dict | None = None) -> complex:
-    ring = mu.model.ring
-    F = frozenset(ring.check_label(a) for a in F)
-    if not F:
-        raise InvalidInputError("F must be nonempty")
-    terms = []
-    for label in ring.sorted_labels(F):
-        if cache is not None and label in cache:
-            terms.append(cache[label])
-        else:
-            t = _term(kind, mu, label, y)
-            if cache is not None:
-                cache[label] = t
-            terms.append(t)
-    return complex(np.sum(np.asarray(terms, dtype=complex))) / weighted_cardinality(F, ring)
+    return d * complex(np.trace(coeff))
 
 
 def atom_average(mu: MeasureSpec, y, F) -> complex:
     """Truncated average localizing the measure at y; converges to mu{y}."""
-    return _average("atom", mu, F, y=y)
+    return run_series("atom", mu, FolnerSchedule(mu.model.ring, (F,)), at=y).final
 
 
 def energy_average(mu: MeasureSpec, F) -> float:
     """Truncated Fourier energy; converges to the sum of squared atom weights.
 
     Real and nonnegative by construction (a weighted mean of squared
-    Frobenius norms); any imaginary residue would exceed 1e-12 only through
-    a bug, so it is asserted away rather than tolerated.
+    Frobenius norms), so an imaginary residue above 1e-12 is a consistency
+    failure.
     """
-    value = _average("energy", mu, F)
-    assert abs(value.imag) <= 1e-12
+    value = run_series("energy", mu, FolnerSchedule(mu.model.ring, (F,))).final
+    if not abs(value.imag) <= 1e-12:
+        raise ConsistencyError(f"energy average {value} has an imaginary residue")
     return value.real
 
 
 def char_average(mu: MeasureSpec, F) -> complex:
     """Truncated character average; converges to the mass of the identity atom."""
-    return _average("char", mu, F)
+    return run_series("char", mu, FolnerSchedule(mu.model.ring, (F,))).final
 
 
 @dataclass
@@ -102,45 +84,21 @@ def run_series(kind: str, mu: MeasureSpec, schedule: FolnerSchedule, at=None,
                with_target: bool = False) -> AverageSeries:
     """Evaluate the chosen average at every schedule step.
 
-    Each distinct label's term is computed once.  Nested schedules (every
-    step containing the previous) update a running sum with the new labels
-    of each step, so a full series costs one term per distinct label plus
-    bookkeeping; arbitrary schedules fall back to a per-step reduction in
-    ring order with a shared term cache.  With `with_target` the limit
-    predicted by the stored atoms (an oracle, unavailable to the averaging
-    itself) is attached: mu{y} for atom, sum of squared weights for energy,
-    mu{e} for char.
+    One reduction serves every schedule, nested or not: each distinct
+    label's term is computed once, and each step's value is the sum of its
+    terms in ring order divided by its weighted cardinality.  So every value
+    equals the single-set average of that step's set to the bit.  With
+    `with_target` the limit predicted by the stored atoms (an oracle,
+    unavailable to the averaging itself) is attached: mu{y} for atom, sum of
+    squared weights for energy, mu{e} for char.
     """
     if kind not in KINDS:
         raise InvalidInputError(f"unknown average kind {kind!r}; expected one of {KINDS}")
     if kind == "atom" and at is None:
         raise InvalidInputError("atom averages need an evaluation point")
-    ring = mu.model.ring
-    for label in set().union(*schedule.sets):
-        ring.check_label(label)
-    sets = schedule.sets
-    values = []
-    wcards = []
-    if all(sets[i - 1] <= sets[i] for i in range(1, len(sets))):
-        running = 0j
-        wrun = 0
-        prev: frozenset = frozenset()
-        for F in sets:
-            new = F - prev
-            if new:
-                terms = [_term(kind, mu, label, at) for label in ring.sorted_labels(new)]
-                running += complex(np.sum(np.asarray(terms, dtype=complex)))
-                wrun += weighted_cardinality(new, ring)
-            prev = F
-            values.append(running / wrun)
-            wcards.append(wrun)
-    else:
-        cache: dict = {}
-        for F in sets:
-            values.append(_average(kind, mu, F, y=at, cache=cache))
-            wcards.append(weighted_cardinality(F, ring))
-    values = np.asarray(values, dtype=complex)
-    wcards = np.asarray(wcards, dtype=np.int64)
+    sums, wcards = reduce_along(schedule, mu.model.ring, lambda a: _term(kind, mu, a, at))
+    # Python complex / int, as numpy's complex128 / int differs in the last bit
+    values = np.asarray([complex(s) / int(w) for s, w in zip(sums, wcards)], dtype=complex)
     target = None
     if with_target:
         if kind == "atom":

@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from peterweyl.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, RunConfig, main, run
 
 
@@ -61,7 +63,7 @@ class TestFolner:
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
             assert main(["folner", "--ring", "SU2", "--S", "1", "--steps", "12",
-                         "--out", str(out), "--seed", "5"]) == EXIT_OK
+                         "--out", str(out)]) == EXIT_OK
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
@@ -155,6 +157,25 @@ class TestWiener:
         measure = write_json(tmp_path / "mix.json", mix_measure_doc())
         assert main(["wiener", "--kind", "atom", "--measure", measure]) == EXIT_VALIDATION
 
+    def test_non_finite_element_is_validation_error(self, tmp_path, capsys):
+        doc = {"group": "Z", "atoms": [{"element": "z:nan,0", "weight": 0.5}],
+               "density": [{"irrep": "0", "matrix": [[0.5]]}]}
+        measure = write_json(tmp_path / "nan.json", doc)
+        out = tmp_path / "series.csv"
+        assert main(["wiener", "--kind", "energy", "--measure", measure,
+                     "--steps", "5", "--out", str(out)]) == EXIT_VALIDATION
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_weight_is_numeric_error_without_output(self, tmp_path, capsys):
+        doc = {"group": "Z", "atoms": [{"element": "z:1,0", "weight": 1e308}]}
+        measure = write_json(tmp_path / "huge.json", doc)
+        out = tmp_path / "series.csv"
+        assert main(["wiener", "--kind", "energy", "--measure", measure,
+                     "--steps", "5", "--out", str(out)]) == EXIT_NUMERIC
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_optional_ring_flag_must_match_measure(self, tmp_path):
         measure = write_json(tmp_path / "haar.json", haar_measure_doc())
         out = tmp_path / "s.csv"
@@ -193,6 +214,19 @@ class TestErgodic:
         )
         assert main(["ergodic", "--rep", "group", "--spec", spec, "--steps", "3",
                      "--out", str(tmp_path / "r.csv")]) == EXIT_OK
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1e-3"])
+    def test_bad_tolerance_env_var_is_validation_error(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("PETERWEYL_TOL", value)
+        assert main(["fusion", "--ring", "SU2", "--a", "1", "--b", "1"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-2"])
+    def test_bad_tolerance_option_is_validation_error(self, capsys, value):
+        assert main(["folner", "--ring", "Z", "--S", "1", "--steps", "2",
+                     "--tol", value]) == EXIT_VALIDATION
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_gns_full_dual_is_exact(self, tmp_path):
         spec = write_json(

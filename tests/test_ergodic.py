@@ -254,7 +254,7 @@ class TestErgodicLimitCheck:
     def test_z2_commuting_diagonals_match_geometric_oracle(self):
         rep = group_rep(DUAL_Z2, [np.diag([1, 1j]), np.diag([1, -1])])
         steps = (5, 10, 50, 100)
-        schedule = FolnerSchedule(tuple(box2(N) for N in steps), "growing boxes")
+        schedule = FolnerSchedule(DUAL_Z2, [box2(N) for N in steps], "growing boxes")
         report = ergodic_limit_check(rep, schedule, [(1, 0), (0, 1)], tol=1e-3)
         assert report.passed
         for i, N in enumerate(steps):
@@ -272,7 +272,7 @@ class TestErgodicLimitCheck:
             points = [model.identity()] + [model.haar_sample(rng) for _ in range(2)]
             rep = point_rep(model, points)
             full = model.ring.full_dual()
-            schedule = FolnerSchedule((full,), "full dual")
+            schedule = FolnerSchedule(model.ring, (full,), "full dual")
             report = ergodic_limit_check(rep, schedule, full, tol=1e-10)
             assert report.passed
             assert report.distances[0] <= 1e-10
@@ -287,9 +287,24 @@ class TestErgodicLimitCheck:
 
     def test_failing_tolerance_reported(self):
         rep = group_rep(DUAL_Z, [[[-1.0]]])
-        schedule = FolnerSchedule((box(1), box(3)), "short boxes")
+        schedule = FolnerSchedule(DUAL_Z, (box(1), box(3)), "short boxes")
         report = ergodic_limit_check(rep, schedule, [1], tol=1e-8)
         assert not report.passed
+
+    @pytest.mark.parametrize("nested", [True, False], ids=["default", "windows"])
+    def test_operators_equal_single_set_cesaro_operators(self, nested):
+        rng = np.random.default_rng(14)
+        rep = group_rep(DUAL_Z2, [np.diag(np.exp(1j * rng.uniform(0, 6, 3))) for _ in range(2)])
+        if nested:
+            schedule = DUAL_Z2.default_schedule(12)
+        else:
+            schedule = FolnerSchedule(DUAL_Z2, [
+                frozenset((x, y) for x in range(a, a + l1) for y in range(b, b + l2))
+                for a, b, l1, l2 in ((0, 0, 3, 4), (-5, 2, 10, 7), (4, -9, 6, 6), (1, 1, 1, 1))
+            ], "windows")
+        report = ergodic_limit_check(rep, schedule, [(1, 0), (0, 1)], tol=1.0)
+        for m, F in zip(report.operators, schedule):
+            assert np.array_equal(m, cesaro_operator(rep, F))
 
     def test_full_dual_average_equals_projection_on_finite_groups(self):
         # the boundary of the full dual is empty, so the limit is attained

@@ -262,9 +262,35 @@ class TestVerifyFolner:
 class TestSchedulesAndEnumeration:
     def test_schedule_rejects_empty(self):
         with pytest.raises(InvalidInputError):
-            FolnerSchedule(())
+            FolnerSchedule(Z, ())
         with pytest.raises(InvalidInputError):
-            FolnerSchedule((frozenset(), frozenset({1})))
+            FolnerSchedule(Z, (frozenset(), frozenset({1})))
+
+    def test_default_schedules_are_prefixes_of_the_label_order(self):
+        assert list(Z.default_schedule(3)) == [Z.box(n) for n in (1, 2, 3)]
+        assert list(Z2.default_schedule(3)) == [Z2.box(n) for n in (1, 2, 3)]
+        assert list(SU2.default_schedule(4)) == [SU2.spins(n) for n in (1, 2, 3, 4)]
+        assert list(S3.default_schedule(2)) == [S3.full_dual()] * 2
+        schedule = Z2.default_schedule(5)
+        assert schedule.labels == tuple(Z2.enumerate_labels(121))
+        assert list(schedule.weighted_cardinalities) == [(2 * n + 1) ** 2 for n in range(1, 6)]
+        assert schedule[-1] == Z2.box(5) and len(schedule.sets) == 5
+
+    def test_schedule_table_is_ring_ordered_and_exact(self):
+        schedule = FolnerSchedule(SU2, [{3, 0}, {5, 1, 0}, {2}], "scattered")
+        assert schedule.labels == (0, 1, 2, 3, 5)
+        assert [list(s) for s in schedule.steps] == [[0, 3], [0, 1, 4], [2]]
+        assert list(schedule.weighted_cardinalities) == [17, 41, 9]
+        assert schedule.sets == (frozenset({0, 3}), frozenset({0, 1, 5}), frozenset({2}))
+        with pytest.raises(InvalidInputError):
+            FolnerSchedule(SU2, [{0, -1}])
+
+    def test_ring_schedule_names_and_generators(self):
+        assert [r.schedule_name for r in (Z, Z2, SU2, S3)] == ["boxes", "boxes", "spins", "full"]
+        assert Z.generating_labels() == [1]
+        assert Z2.generating_labels() == [(1, 0), (0, 1)]
+        assert SU2.generating_labels() == [1]
+        assert S3.generating_labels() == [0, 1, 2]
 
     def test_circle_enumeration_order(self):
         assert Z.enumerate_labels(5) == [0, 1, -1, 2, -2]

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,17 +161,42 @@ class TestRunSeries:
 
     def test_non_nested_schedule_matches_direct_calls(self):
         mu = circle_mix()
-        schedule = FolnerSchedule((box(3), box(1), box(5)), "unordered boxes")
+        schedule = FolnerSchedule(CIRCLE.ring, (box(3), box(1), box(5)), "unordered boxes")
         series = run_series("energy", mu, schedule)
         direct = [energy_average(mu, F) for F in schedule]
         assert list(series.real_values()) == direct
 
-    def test_nested_schedule_matches_direct_calls(self):
-        mu = circle_mix()
-        schedule = CIRCLE.ring.default_schedule(30)
-        series = run_series("energy", mu, schedule)
-        direct = [energy_average(mu, F) for F in schedule]
-        assert np.allclose(series.real_values(), direct, atol=1e-13)
+    @pytest.mark.parametrize("kind", ["atom", "energy", "char"])
+    @pytest.mark.parametrize("model, steps", [(CIRCLE, 100), (SU2, 40)], ids=["circle", "su2"])
+    def test_nested_schedule_matches_direct_calls(self, kind, model, steps):
+        # every step of a nested series is the single-set average of its set, to the bit
+        rng = np.random.default_rng(17)
+        points = [model.haar_sample(rng) for _ in range(3)]
+        mu = MeasureSpec(model, atoms=[(model.identity(), 0.3), (points[0], 0.2),
+                                       (points[1], 0.1)],
+                         density={model.ring.trivial: [[0.4]]})
+        schedule = model.ring.default_schedule(steps)
+        at = points[0] if kind == "atom" else None
+        series = run_series(kind, mu, schedule, at=at)
+        if kind == "atom":
+            direct = [atom_average(mu, at, F) for F in schedule]
+        elif kind == "energy":
+            direct = [complex(energy_average(mu, F)) for F in schedule]
+        else:
+            direct = [char_average(mu, F) for F in schedule]
+        assert [complex(v) for v in series.values] == direct
+
+    def test_long_series_memory_stays_linear(self):
+        # the schedule keeps one label table, not one stored set per step
+        tracemalloc.start()
+        try:
+            schedule = CIRCLE.ring.default_schedule(1000)
+            series = run_series("energy", haar(CIRCLE), schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(series.values) == 1000
+        assert peak < 8 * 2**20
 
     def test_targets_from_atom_oracle(self):
         z = CIRCLE.element(cmath.exp(0.9j))
@@ -220,7 +246,7 @@ class TestContinuityTest:
 
     def test_jumping_schedule_is_inconclusive(self):
         schedule = FolnerSchedule(
-            (box(1), box(60), box(2), box(80), box(3), box(100)), "jumping boxes"
+            CIRCLE.ring, (box(1), box(60), box(2), box(80), box(3), box(100)), "jumping boxes"
         )
         verdict = continuity_test(circle_mix(), schedule, tol=1e-2, tail=4)
         assert verdict.verdict == "inconclusive"
