@@ -15,8 +15,8 @@ from .fusion import (
     SU2Ring,
     boundary,
     folner_ratio,
+    folner_series,
     fuse,
-    verify_folner,
     weighted_cardinality,
 )
 from .groups import (
@@ -97,6 +97,7 @@ __all__ = [
     "ergodic_limit_check",
     "finite_group_model",
     "folner_ratio",
+    "folner_series",
     "fourier_matrix",
     "fuse",
     "get_model",
@@ -111,6 +112,5 @@ __all__ = [
     "resolve",
     "run_series",
     "total_mass",
-    "verify_folner",
     "weighted_cardinality",
 ]

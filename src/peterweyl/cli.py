@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError
-from .fusion import FolnerSchedule, FusionRing, boundary, weighted_cardinality
+from .fusion import FolnerSchedule, FusionRing, folner_series
 from .groups import resolve
 from .ergodic import ergodic_limit_check, gns_rep, group_rep, point_rep
 from .measures import measure_from_json, measure_to_json, scalar_from_json, total_mass
@@ -163,13 +163,11 @@ def _run_folner(config: RunConfig) -> int:
     ring, _ = resolve(config.ring)
     if config.s_labels is None:
         raise InvalidInputError("folner needs --S labels")
-    S = frozenset(_split_labels(config.s_labels, ring))
+    S = _split_labels(config.s_labels, ring)
     schedule = load_schedule(ring, config.schedule, config.steps)
-    rows = []
-    for step, (F, wf) in enumerate(zip(schedule, schedule.weighted_cardinalities.tolist()),
-                                   start=1):
-        wb = weighted_cardinality(boundary(F, S, ring), ring)
-        rows.append([step, wf, wb, _fmt(wb / wf)])
+    wcards, boundary_wcards = folner_series(schedule, S)
+    rows = [[step, wf, wb, _fmt(wb / wf)] for step, (wf, wb)
+            in enumerate(zip(wcards.tolist(), boundary_wcards.tolist()), start=1)]
     _write_tables(config, ["step", "wcard", "boundary_wcard", "ratio"], rows)
     return EXIT_OK
 

@@ -201,8 +201,8 @@ def ergodic_limit_check(rep: FiniteDimRep, schedule: FolnerSchedule, generating_
     proj = invariant_projection(rep, gens)  # checks the labels and rejects an empty list
     operators, wcards = _cesaro_averages(rep, schedule)
     dists = [float(np.linalg.norm(m - proj)) for m in operators]
-    comms = [max(float(np.linalg.norm(m @ rep.chi(g) - rep.chi(g) @ m)) for g in gens)
-             for m in operators]
+    chis = [rep.chi(g) for g in gens]
+    comms = [max(float(np.linalg.norm(m @ c - c @ m)) for c in chis) for m in operators]
     return ErgodicReport(
         schedule=schedule,
         weighted_cardinalities=wcards,

@@ -6,7 +6,9 @@ together with dimensions, conjugation and fusion multiplicities
 tensor product ``a (x) b``), and Folner schedules as tables of labels.
 Everything here is exact integer arithmetic, except the Folner ratio and
 `reduce_along`, the one reduction that sums an average's terms along a
-schedule.
+schedule.  Folner boundaries are read from the same table: one `boundary`
+pass fuses each of its labels once with S and once with conj(S), and each
+step then only tests membership.
 """
 
 from __future__ import annotations
@@ -215,13 +217,10 @@ class LatticeRing(FusionRing):
         return {tuple(x + y for x, y in zip(a, b)): 1}
 
     def is_valid_label(self, label):
-        if self.rank == 1:
-            return isinstance(label, (int, np.integer)) and not isinstance(label, bool)
-        return (
-            isinstance(label, tuple)
-            and len(label) == self.rank
-            and all(isinstance(x, (int, np.integer)) for x in label)
-        )
+        # one rule for every rank: rank 1 checks its label as a 1-tuple
+        parts = (label,) if self.rank == 1 else label
+        return isinstance(parts, tuple) and len(parts) == self.rank and all(
+            isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in parts)
 
     def sort_key(self, label):
         if self.rank == 1:
@@ -466,48 +465,49 @@ def fuse(a: Label, b: Label, ring: FusionRing) -> dict[Label, int]:
     return ring.fuse(a, b)
 
 
-def boundary(F: Iterable[Label], S: Iterable[Label], ring: FusionRing) -> frozenset:
-    """Boundary of F relative to S.
+def boundary(F, S: Iterable[Label], ring: FusionRing):
+    """Boundary of F relative to S; empty for an empty F.  F may also be a
+    FolnerSchedule, whose steps' boundaries are returned as a list.
 
     The inner part collects a in F that fuse with some g in S to a label
     outside F.  The outer part is defined by a quantifier over all labels
     not in F; by Frobenius reciprocity (N[a,g]^b = N[b,conj(g)]^a) it equals
     the set of labels outside F reachable by fusing F with conj(S), which is
-    finite and computed directly.
+    finite and computed directly.  One pass over the schedule's table fuses
+    each label once with every g in S and once with every conj(g); each step
+    then only tests membership.  A set F is a one-step schedule.
     """
-    F = frozenset(ring.check_label(a) for a in F)
     S = frozenset(ring.check_label(g) for g in S)
     if not S:
         raise InvalidInputError("S must be nonempty")
-    inner = set()
-    outer = set()
-    for a in F:
-        for g in S:
-            if any(b not in F for b in ring.fuse(a, g)):
-                inner.add(a)
-                break
-    for b in F:
-        for g in S:
-            for a in ring.fuse(b, ring.conj(g)):
-                if a not in F:
-                    outer.add(a)
-    return frozenset(inner | outer)
+    if not isinstance(F, FolnerSchedule):
+        F = frozenset(F)
+        return boundary(FolnerSchedule(ring, (F,)), S, ring)[0] if F else frozenset()
+    forward = {a: frozenset().union(*(ring.fuse(a, g) for g in S)) for a in F.labels}
+    conj_S = [ring.conj(g) for g in S]
+    backward = {a: frozenset().union(*(ring.fuse(a, h) for h in conj_S)) for a in F.labels}
+    out = []
+    for step in F:
+        inner = {a for a in step if not forward[a] <= step}
+        out.append((frozenset().union(*(backward[a] for a in step)) - step).union(inner))
+    return out
+
+
+def folner_series(schedule: FolnerSchedule, S: Iterable[Label]) -> tuple[np.ndarray, np.ndarray]:
+    """|F|_w and |boundary(F,S)|_w of every set in the schedule, as exact
+    int64 arrays, from one boundary pass over the schedule's table.
+
+    A sequence with ratios |boundary|_w / |F|_w tending to zero for every
+    finite nonempty S is a right Folner sequence; this merely reports the
+    finitely many steps asked for and makes no limit claim.
+    """
+    ring = schedule.ring
+    boundary_wcards = np.array(
+        [weighted_cardinality(B, ring) for B in boundary(schedule, S, ring)], dtype=np.int64)
+    return schedule.weighted_cardinalities, boundary_wcards
 
 
 def folner_ratio(F: Iterable[Label], S: Iterable[Label], ring: FusionRing) -> float:
     """|boundary(F,S)|_w / |F|_w, both sides exact integers before the division."""
-    F = frozenset(F)
-    if not F:
-        raise InvalidInputError("F must be nonempty")
-    return weighted_cardinality(boundary(F, S, ring), ring) / weighted_cardinality(F, ring)
-
-
-def verify_folner(schedule: FolnerSchedule, S: Iterable[Label], ring: FusionRing) -> list[float]:
-    """Folner ratio of every set in the schedule, in order.
-
-    A sequence with ratios tending to zero for every finite nonempty S is a
-    right Folner sequence; this merely reports the finitely many ratios asked
-    for and makes no limit claim.
-    """
-    S = frozenset(S)
-    return [folner_ratio(F, S, ring) for F in schedule]
+    wcards, boundary_wcards = folner_series(FolnerSchedule(ring, (F,)), S)
+    return int(boundary_wcards[0]) / int(wcards[0])

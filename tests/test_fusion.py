@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from peterweyl import (
     FolnerSchedule,
@@ -9,9 +10,9 @@ from peterweyl import (
     LatticeRing,
     boundary,
     folner_ratio,
+    folner_series,
     fuse,
     get_ring,
-    verify_folner,
     weighted_cardinality,
 )
 
@@ -61,6 +62,11 @@ class TestWeightedCardinality:
             weighted_cardinality({-1}, SU2)
         with pytest.raises(InvalidInputError):
             weighted_cardinality({(1,)}, Z2)
+        # bool components are rejected at every rank, as bool labels are for rank 1
+        assert not Z.is_valid_label(True)
+        assert not Z2.is_valid_label((True, 0))
+        with pytest.raises(InvalidInputError):
+            weighted_cardinality({(True, False)}, Z2)
 
 
 class TestFuse:
@@ -242,21 +248,89 @@ class TestFolnerRatio:
                 assert folner_ratio(F, S, SU2) == folner_ratio(F, closure, SU2)
 
 
-class TestVerifyFolner:
+def folner_ratios(schedule, S):
+    wcards, boundary_wcards = folner_series(schedule, S)
+    return [b / w for w, b in zip(wcards.tolist(), boundary_wcards.tolist())]
+
+
+# ring, labels to draw F from, labels to draw S from, and an enumeration
+# prefix holding every product of such F with S and conj(S)
+SERIES_CASES = {
+    "SU2": (SU2, list(range(8)), list(range(4)), SU2.enumerate_labels(12)),
+    "Z2": (Z2, [(a, b) for a in range(-2, 3) for b in range(-2, 3)],
+           [(a, b) for a in range(-1, 2) for b in range(-1, 2)], Z2.enumerate_labels(49)),
+    "D4": (D4, list(range(5)), list(range(5)), D4.enumerate_labels(5)),
+}
+
+
+class TestFolnerSeries:
     def test_circle_boxes(self):
         schedule = Z.default_schedule(4)
-        assert verify_folner(schedule, {1}, Z) == [2 / 3, 2 / 5, 2 / 7, 2 / 9]
+        wcards, boundary_wcards = folner_series(schedule, {1})
+        assert wcards.tolist() == [3, 5, 7, 9]
+        assert boundary_wcards.tolist() == [2, 2, 2, 2]
+        assert wcards.dtype == boundary_wcards.dtype == np.int64
+        assert folner_ratios(schedule, {1}) == [2 / 3, 2 / 5, 2 / 7, 2 / 9]
 
     def test_su2_spins_decay_like_6_over_n(self):
-        schedule = SU2.default_schedule(100)
-        ratios = verify_folner(schedule, {1}, SU2)
+        ratios = folner_ratios(SU2.default_schedule(100), {1})
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] < 0.07
         assert abs(ratios[-1] * 100 - 6) < 0.5
 
     def test_finite_constant_schedule_is_zero(self):
-        schedule = S3.default_schedule(5)
-        assert verify_folner(schedule, {2}, S3) == [0.0] * 5
+        assert folner_ratios(S3.default_schedule(5), {2}) == [0.0] * 5
+
+    def test_empty_S_rejected(self):
+        with pytest.raises(InvalidInputError):
+            folner_series(Z.default_schedule(2), [])
+
+    @pytest.mark.parametrize("name", sorted(SERIES_CASES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force_on_schedules_that_are_not_nested(self, name, data):
+        ring, pool, gens, prefix = SERIES_CASES[name]
+        sets = data.draw(st.lists(st.frozensets(st.sampled_from(pool), min_size=1, max_size=6),
+                                  min_size=2, max_size=4))
+        assume(not all(F <= G for F, G in zip(sets, sets[1:])))
+        S = data.draw(st.frozensets(st.sampled_from(gens), min_size=1, max_size=2))
+        schedule = FolnerSchedule(ring, sets, "random")
+        wcards, boundary_wcards = folner_series(schedule, S)
+        assert wcards.tolist() == schedule.weighted_cardinalities.tolist()
+        assert wcards.tolist() == [weighted_cardinality(F, ring) for F in sets]
+        assert boundary_wcards.tolist() == [
+            weighted_cardinality(brute_force_boundary(F, S, ring, prefix), ring) for F in sets
+        ]
+        assert boundary(schedule, S, ring) == [
+            brute_force_boundary(F, S, ring, prefix) for F in sets
+        ]
+
+    def test_boundary_of_a_schedule_lists_each_steps_boundary(self):
+        schedule = Z2.default_schedule(3)
+        S = {(1, 0), (0, 1)}
+        expected = [boundary(F, S, Z2) for F in schedule]
+        assert boundary(schedule, S, Z2) == expected
+        # the labels are fused on the ring given, here an equal ring object
+        assert boundary(schedule, S, LatticeRing(2)) == expected
+
+    def test_each_label_fused_once_per_generator_and_conjugate(self, monkeypatch):
+        ring = get_ring("Z^d:3")
+        schedule = ring.default_schedule(4)
+        units = ring.generating_labels()
+        calls = []
+        fuse = LatticeRing.fuse
+
+        def counting_fuse(self, a, b):
+            calls.append((a, b))
+            return fuse(self, a, b)
+
+        monkeypatch.setattr(LatticeRing, "fuse", counting_fuse)
+        wcards, boundary_wcards = folner_series(schedule, units)
+        assert len(calls) == 2 * len(units) * len(schedule.labels)
+        # inner part: a coordinate at n; outer part: a coordinate at -n-1
+        assert boundary_wcards.tolist() == [
+            (2 * n + 1) ** 3 - (2 * n) ** 3 + 3 * (2 * n + 1) ** 2 for n in range(1, 5)
+        ]
 
 
 class TestSchedulesAndEnumeration:
