@@ -62,7 +62,7 @@ def point_rep(model: CompactGroupModel, points) -> FiniteDimRep:
         raise InvalidInputError("point_rep needs at least one point")
 
     def evaluator(label):
-        return np.diag([model.character_value(label, x) for x in points])
+        return np.diag(model.characters([label], points)[0])
 
     return FiniteDimRep(model.ring, len(points), evaluator, "point-rep")
 
@@ -131,7 +131,7 @@ def gns_rep(model: FiniteGroupModel, state) -> FiniteDimRep:
     support = [i for i in range(model.order) if phi[i] > 0]
 
     def evaluator(label):
-        return np.diag([model.character_value(label, x) for x in support])
+        return np.diag(model.characters([label], support)[0])
 
     cyclic = np.sqrt(phi[support])
     return FiniteDimRep(model.ring, len(support), evaluator, "gns-rep", cyclic_vector=cyclic)
@@ -140,7 +140,8 @@ def gns_rep(model: FiniteGroupModel, state) -> FiniteDimRep:
 def _cesaro_averages(rep: FiniteDimRep, schedule: FolnerSchedule) -> tuple[list, np.ndarray]:
     """The averages M_n of every schedule step, and their weighted cardinalities."""
     ring = rep.ring
-    sums, wcards = reduce_along(schedule, ring, lambda a: ring.dim(a) * rep.chi(a))
+    sums, wcards = reduce_along(
+        schedule, ring, lambda labels: [ring.dim(a) * rep.chi(a) for a in labels])
     return [m / int(w) for m, w in zip(sums, wcards)], wcards
 
 

@@ -165,18 +165,20 @@ class FolnerSchedule:
         return self._set(self.steps[i])
 
 
-def reduce_along(schedule: FolnerSchedule, ring: FusionRing, term) -> tuple[list, np.ndarray]:
-    """Per-step sums of term(a) over the schedule's sets, and their weighted
-    cardinalities.
+def reduce_along(schedule: FolnerSchedule, ring: FusionRing, terms) -> tuple[list, np.ndarray]:
+    """Per-step sums of the terms over the schedule's sets, and their
+    weighted cardinalities.
 
-    `term` is evaluated once per distinct label; each step is then summed
-    with np.sum in ring order, so a step's sum is the same to the bit as the
-    sum over that set alone.  A schedule built on another ring object is
-    rebuilt on `ring` first, which checks its labels there.
+    `terms(labels)` returns an array whose first axis runs over `labels`; it
+    is called once, on the distinct labels of the schedule.  Each step is
+    then summed with np.sum in ring order, so a step's sum is the same to
+    the bit as the sum over that set alone, provided a label's term does not
+    depend on the rest of the batch.  A schedule built on another ring
+    object is rebuilt on `ring` first, which checks its labels there.
     """
     if schedule.ring is not ring:
         schedule = FolnerSchedule(ring, schedule.sets, schedule.description)
-    table = np.asarray([term(a) for a in schedule.labels], dtype=complex)
+    table = np.asarray(terms(schedule.labels), dtype=complex)
     return [np.sum(table[s], axis=0) for s in schedule.steps], schedule.weighted_cardinalities
 
 
@@ -260,23 +262,22 @@ class LatticeRing(FusionRing):
         return [tuple(int(i == j) for i in range(self.rank)) for j in range(self.rank)]
 
     def parse_label(self, literal):
-        if self.is_valid_label(literal):
-            return literal if self.rank == 1 else tuple(int(x) for x in literal)
-        if isinstance(literal, (list, tuple)) and self.rank > 1:
-            return self.check_label(tuple(int(x) for x in literal))
-        if isinstance(literal, (int, np.integer)) and self.rank > 1:
-            raise InvalidInputError(f"label of {self.name} needs {self.rank} components")
+        # components must be ints (not bool, not float) at every rank
+        label = tuple(literal) if isinstance(literal, list) else literal
         if isinstance(literal, str):
             text = literal[2:] if literal.startswith("w:") else literal
             parts = [p for p in text.replace(";", ",").split(",") if p.strip() != ""]
             try:
-                values = [int(p) for p in parts]
+                label = tuple(int(p) for p in parts)
             except ValueError as exc:
                 raise InvalidInputError(f"cannot parse label literal {literal!r}") from exc
-            if self.rank == 1 and len(values) == 1:
-                return values[0]
-            return self.check_label(tuple(values))
-        raise InvalidInputError(f"cannot parse label literal {literal!r}")
+            if self.rank == 1 and len(label) == 1:
+                label = label[0]
+        if isinstance(label, (int, np.integer)) and self.rank > 1:
+            raise InvalidInputError(f"label of {self.name} needs {self.rank} components")
+        if not self.is_valid_label(label):
+            raise InvalidInputError(f"{literal!r} is not a label literal of ring {self.name}")
+        return int(label) if self.rank == 1 else tuple(map(int, label))
 
     def format_label(self, label):
         if self.rank == 1:

@@ -7,7 +7,10 @@ side, where the underlying "space" is noncommutative for nonabelian
 examples) are exposed as plain fusion rings without a model.
 
 Every model evaluates u^a_ij(g), the (i,j) entry of a unitary matrix
-realizing the irrep a at the element g, and the character as its trace.
+realizing the irrep a at the element g, and, in one batched call, the
+characters chi_a(g) = trace u^a(g) of many labels at many elements without
+building any matrix: exp(i n.theta) on the torus, the Chebyshev form
+U_n(cos(t/2)) on SU(2), and a character-table lookup on finite groups.
 """
 
 from __future__ import annotations
@@ -15,12 +18,16 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .fusion import FiniteDualRing, FusionRing, LatticeRing, SU2Ring
+
+# entries of one character table in `character_sums` (labels x a chunk of
+# elements), about 1 MB
+_TABLE_ENTRIES = 1 << 16
 
 
 class CompactGroupModel(ABC):
@@ -46,6 +53,40 @@ class CompactGroupModel(ABC):
     @abstractmethod
     def irrep_matrix(self, label, g) -> np.ndarray: ...
 
+    def characters(self, labels, elements) -> np.ndarray:
+        """chi_a(g) for every label a and element g, as a complex array of
+        shape (len(labels), len(elements)).  Each entry depends only on its
+        own label and element, never on the rest of the batch."""
+        return self._character_table(self._checked_labels(labels), list(elements))
+
+    def character_sums(self, labels, weighted) -> np.ndarray:
+        """sum_j w_j chi_a(g_j) for every label a, over the pairs (w_j, g_j)
+        of the iterable `weighted`.
+
+        The labels are checked once; the elements are taken in chunks that
+        keep each character table near _TABLE_ENTRIES entries, so memory
+        stays linear in the labels however many pairs there are.  The sum
+        adds one element at a time, so a label's value depends neither on
+        the chunking nor on the other labels.
+        """
+        checked = self._checked_labels(labels)
+        total = np.zeros(len(labels), dtype=complex)
+        width = max(1, _TABLE_ENTRIES // max(len(labels), 1))
+        weighted = iter(weighted)
+        while chunk := list(islice(weighted, width)):
+            weights, elements = zip(*chunk)
+            for w, column in zip(weights, self._character_table(checked, elements).T):
+                total += w * column
+        return total
+
+    @abstractmethod
+    def _checked_labels(self, labels):
+        """The labels, each checked, in the form `_character_table` reads."""
+
+    @abstractmethod
+    def _character_table(self, labels, elements) -> np.ndarray:
+        """`characters` on labels returned by `_checked_labels`."""
+
     @abstractmethod
     def haar_sample(self, rng: np.random.Generator): ...
 
@@ -60,7 +101,7 @@ class CompactGroupModel(ABC):
 
     def character_value(self, label, g) -> complex:
         """chi(a)(g), the trace of the irrep matrix; |chi(a)(g)| <= dim(a)."""
-        return complex(np.trace(self.irrep_matrix(label, g)))
+        return complex(self.characters([label], [g])[0, 0])
 
     def enumerate_dual(self, bound: int) -> list:
         """Deterministic prefix of the dual in the ring's label order."""
@@ -132,6 +173,17 @@ class TorusModel(CompactGroupModel):
             value *= z ** n
         return np.array([[value]], dtype=complex)
 
+    def _checked_labels(self, labels):
+        n = np.array([self.ring.check_label(a) for a in labels], dtype=float)
+        return n.reshape(len(n), self.rank)
+
+    def _character_table(self, n, elements):
+        """exp(i n.theta) with theta the angles of the element; the phase is
+        kept as hi + lo, so its rounding does not grow with the label."""
+        theta = np.angle(np.array(elements, dtype=complex)).reshape(len(elements), self.rank)
+        hi, lo = _exact_phase(n, theta)
+        return np.exp(1j * hi) * (1 + 1j * lo)
+
     def haar_sample(self, rng):
         phases = np.exp(2j * np.pi * rng.random(self.rank))
         return complex(phases[0]) if self.rank == 1 else tuple(complex(z) for z in phases)
@@ -170,6 +222,30 @@ class TorusModel(CompactGroupModel):
         if self.rank == 1:
             return f"z:{g.real!r},{g.imag!r}"
         return "z:" + ";".join(f"{z.real!r},{z.imag!r}" for z in g)
+
+
+def _exact_phase(n: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """n.theta for every row of n (labels) and row of theta (angles), as
+    hi + lo with hi the rounded value and lo its rounding error.
+
+    Dekker's product splits each angle into two 26-bit halves, so for
+    integer |n| < 2^26 every product n_c theta_c is exact as a pair, and
+    Knuth's two-sum keeps the error of adding the coordinates.  Everything
+    is elementwise, so no entry depends on the rest of the batch.
+    """
+    hi = np.zeros((len(n), len(theta)))
+    lo = np.zeros_like(hi)
+    for c in range(n.shape[1]):
+        k, t = n[:, c, None], theta[None, :, c]
+        big = 134217729.0 * t  # 2^27 + 1
+        t_hi = big - (big - t)
+        prod = k * t
+        prod_lo = (k * t_hi - prod) + k * (t - t_hi)
+        total = hi + prod
+        back = total - hi
+        lo += prod_lo + ((hi - (total - back)) + (prod - back))
+        hi = total
+    return hi, lo
 
 
 def _sym_power(u: np.ndarray, n: int) -> np.ndarray:
@@ -245,11 +321,22 @@ class SU2Model(CompactGroupModel):
         self.ring.check_label(label)
         return _sym_power(self.defining_matrix(g), label)
 
-    def character_value(self, label, g):
-        self.ring.check_label(label)
-        if label == 0:
-            return 1 + 0j
-        return complex(np.trace(self.irrep_matrix(label, g)))
+    def _checked_labels(self, labels):
+        return [self.ring.check_label(a) for a in labels]
+
+    def _character_table(self, labels, elements):
+        """The Weyl character sin((n+1)t/2)/sin(t/2) in its Chebyshev form
+        U_n(x) at x = cos(t/2) = Re a, from U_{n+1} = 2x U_n - U_{n-1}, run
+        once up to the largest label for all elements together."""
+        wanted = set(labels)
+        x = np.array([g[0].real for g in elements], dtype=float)
+        two_x, rows = 2 * x, {}
+        prev, cur = np.zeros_like(x), np.ones_like(x)  # U_{-1}, U_0
+        for n in range(max(labels, default=-1) + 1):
+            if n in wanted:
+                rows[n] = cur
+            prev, cur = cur, two_x * cur - prev
+        return np.array([rows[a] for a in labels], dtype=complex).reshape(len(labels), len(x))
 
     def rotation_angle(self, g) -> float:
         """Angle t in [0, 2*pi] with g conjugate to diag(e^{it/2}, e^{-it/2})."""
@@ -335,6 +422,13 @@ class FiniteGroupModel(CompactGroupModel):
     def irrep_matrix(self, label, g):
         self.ring.check_label(label)
         return self._matrices[label][self._check(g)]
+
+    def _checked_labels(self, labels):
+        return np.array([self.ring.check_label(a) for a in labels], dtype=np.intp)
+
+    def _character_table(self, rows, elements):
+        cols = np.array([self._check(g) for g in elements], dtype=np.intp)
+        return self.ring.characters[np.ix_(rows, cols)]
 
     def haar_sample(self, rng):
         return int(rng.integers(self.order))

@@ -118,7 +118,12 @@ def fourier_matrix(mu: MeasureSpec, label) -> np.ndarray:
 
 
 def total_mass(mu: MeasureSpec) -> float:
-    value = fourier_matrix(mu, mu.model.ring.trivial)[0, 0]
+    """mu(G), the coefficient at the trivial label: the atom weights (the
+    trivial irrep is 1 everywhere) plus the trivial density entry."""
+    triv = mu.model.ring.trivial
+    value = complex(sum(w for _, w in mu.atoms))
+    if triv in mu.density:
+        value += mu.density[triv][0, 0]
     if abs(value.imag) > 1e-8:
         raise ConsistencyError(f"total mass {value} has imaginary residue")
     return value.real

@@ -7,8 +7,17 @@ are (writing mu_hat(a) = fourier_matrix(mu, a), d_a = dim(a)):
 - energy: (1/|F|_w) sum_a d_a ||mu_hat(a)||_F^2             -> sum_x mu{x}^2
 - char:   (1/|F|_w) sum_a d_a trace(mu_hat(a))              -> mu{e}
 
-along any right Folner schedule.  The trace form is the double sum over
-matrix entries, one matrix product per label, basis independent.
+along any right Folner schedule.  For a measure with atoms (x_i, w_i) and
+density coefficients D(a), the atomic part of each term is a class function
+of the atoms, so it is read off characters, batched over all labels at once:
+
+- atom:   d_a sum_i w_i chi_a(x_i y^-1)
+- energy: d_a sum_{i,j} w_i w_j Re chi_a(x_i^-1 x_j), real by construction
+- char:   d_a sum_i w_i chi_a(x_i)
+
+Matrices enter only at the labels of the density support, which add
+d_a trace(D U^a(y)^H), d_a (||D||^2 + 2 Re sum_i w_i trace(U^a(x_i)^H D))
+and d_a trace(D) respectively.
 """
 
 from __future__ import annotations
@@ -19,20 +28,42 @@ import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError
 from .fusion import FolnerSchedule, reduce_along
-from .measures import MeasureSpec, atom_weight_at, fourier_matrix
+from .measures import MeasureSpec, atom_weight_at
 
 KINDS = ("atom", "energy", "char")
 
 
-def _term(kind: str, mu: MeasureSpec, label, y=None) -> complex:
-    d = mu.model.ring.dim(label)
-    coeff = fourier_matrix(mu, label)
-    if kind == "atom":
-        u = mu.model.irrep_matrix(label, y)
-        return d * complex(np.trace(coeff @ u.conj().T))
-    if kind == "energy":
-        return complex(d * float(np.linalg.norm(coeff) ** 2))
-    return d * complex(np.trace(coeff))
+def _terms(kind: str, mu: MeasureSpec, y=None):
+    """The batched term function of one average: labels -> d_a * (...)."""
+    model, atoms = mu.model, mu.atoms
+
+    def terms(labels) -> np.ndarray:
+        d = np.array([model.ring.dim(a) for a in labels], dtype=float)
+        if kind == "atom":
+            y_inv = model.inverse(y)
+            sums = model.character_sums(labels, ((w, model.multiply(x, y_inv)) for x, w in atoms))
+        elif kind == "char":
+            sums = model.character_sums(labels, ((w, x) for x, w in atoms))
+        else:
+            # chi_a(e) = d_a on the diagonal; the pairs i < j count twice, as
+            # Re chi_a(g^-1) = Re chi_a(g)
+            pairs = ((2 * wi * wj, model.multiply(model.inverse(xi), xj))
+                     for i, (xi, wi) in enumerate(atoms) for xj, wj in atoms[i + 1:])
+            sums = d * sum(w * w for _, w in atoms) + model.character_sums(labels, pairs).real
+        for k, a in enumerate(labels):
+            D = mu.density.get(a)
+            if D is None:
+                continue
+            if kind == "atom":
+                sums[k] += np.vdot(model.irrep_matrix(a, y), D)
+            elif kind == "char":
+                sums[k] += np.trace(D)
+            else:
+                cross = sum(w * np.vdot(model.irrep_matrix(a, x), D) for x, w in atoms)
+                sums[k] += np.vdot(D, D).real + 2 * np.real(cross)
+        return d * sums
+
+    return terms
 
 
 def atom_average(mu: MeasureSpec, y, F) -> complex:
@@ -84,9 +115,9 @@ def run_series(kind: str, mu: MeasureSpec, schedule: FolnerSchedule, at=None,
                with_target: bool = False) -> AverageSeries:
     """Evaluate the chosen average at every schedule step.
 
-    One reduction serves every schedule, nested or not: each distinct
-    label's term is computed once, and each step's value is the sum of its
-    terms in ring order divided by its weighted cardinality.  So every value
+    One reduction serves every schedule, nested or not: the terms of all
+    distinct labels are computed in one batch, and each step's value is the
+    sum of its terms in ring order divided by its weighted cardinality.  So every value
     equals the single-set average of that step's set to the bit.  With
     `with_target` the limit predicted by the stored atoms (an oracle,
     unavailable to the averaging itself) is attached: mu{y} for atom, sum of
@@ -96,7 +127,7 @@ def run_series(kind: str, mu: MeasureSpec, schedule: FolnerSchedule, at=None,
         raise InvalidInputError(f"unknown average kind {kind!r}; expected one of {KINDS}")
     if kind == "atom" and at is None:
         raise InvalidInputError("atom averages need an evaluation point")
-    sums, wcards = reduce_along(schedule, mu.model.ring, lambda a: _term(kind, mu, a, at))
+    sums, wcards = reduce_along(schedule, mu.model.ring, _terms(kind, mu, at))
     # Python complex / int, as numpy's complex128 / int differs in the last bit
     values = np.asarray([complex(s) / int(w) for s, w in zip(sums, wcards)], dtype=complex)
     target = None

@@ -50,6 +50,15 @@ class TestFolner:
             assert row[:3] == [str(step), str(wcard), str(bcard)]
             assert float(row[3]) == bcard / wcard
 
+    def test_schedule_file_with_non_integer_components_is_rejected(self, tmp_path, capsys):
+        schedule = write_json(tmp_path / "bad.json",
+                              {"sets": [[[0, 0], [1.5, 0]], [[True, 0], [0, -0.9]]]})
+        out = tmp_path / "folner.csv"
+        assert main(["folner", "--ring", "Z^d:2", "--S", "1,0;0,1", "--schedule", schedule,
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_z2_boxes(self, tmp_path):
         out = tmp_path / "folner.csv"
         assert main(["folner", "--ring", "Z^d:2", "--S", "1,0;0,1", "--steps", "5",

@@ -393,6 +393,34 @@ class TestSchedulesAndEnumeration:
         with pytest.raises(InvalidInputError):
             S3.parse_label("spin")
 
+    def test_lattice_literals_need_integer_components(self):
+        Z3 = get_ring("Z^d:3")
+        for ring, bad in [(Z2, [1.5, 0]), (Z2, [True, 0]), (Z2, [0, -0.9]), (Z2, [1.0, 0]),
+                          (Z2, ["1", 0]), (Z2, [[1], 0]), (Z2, [1, 2, 3]), (Z3, [0, False, 0]),
+                          (Z, 1.5), (Z, True), (Z, [1]), (Z2, 3), (Z2, "1,2,3")]:
+            with pytest.raises(InvalidInputError):
+                ring.parse_label(bad)
+        assert Z2.parse_label([np.int64(3), -1]) == (3, -1)
+        assert type(Z.parse_label(np.int64(-4))) is int
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ring_id=st.sampled_from(["Z", "Z^d:2", "Z^d:3", "SU2", "finite:D4", "dualgroup:Z^d:2"]),
+        literal=st.recursive(
+            st.integers() | st.booleans() | st.floats() | st.text(max_size=12)
+            | st.sampled_from(["w:1,-2", "1,2,3", "twodim", "w:", ";", "-0", " 7 "]),
+            lambda inner: st.lists(inner, max_size=4),
+            max_leaves=8,
+        ),
+    )
+    def test_parse_label_returns_a_label_or_rejects(self, ring_id, literal):
+        ring = get_ring(ring_id)
+        try:
+            label = ring.parse_label(literal)
+        except InvalidInputError:
+            return
+        assert ring.is_valid_label(label)
+
     def test_lattice_rank_validation(self):
         with pytest.raises(InvalidInputError):
             LatticeRing(0)

@@ -5,7 +5,8 @@ import cmath
 import numpy as np
 import pytest
 
-from peterweyl import InvalidInputError, get_model, get_ring, resolve
+from peterweyl import InvalidInputError, MeasureSpec, get_model, get_ring, resolve, run_series
+from peterweyl import groups
 
 CIRCLE = get_model("Z")
 TORUS2 = get_model("Z^d:2")
@@ -74,7 +75,59 @@ class TestEvaluation:
                 label = random_label(model, rng)
                 assert abs(model.character_value(label, g)) <= model.ring.dim(label) + 1e-10
 
+    @pytest.mark.parametrize("model,labels", [
+        (TORUS2, TORUS2.enumerate_dual(81)),
+        # the symmetric-power matrices are themselves off by up to 2e-8 at
+        # n = 60, so the 1e-12 comparison stops where they still hold it
+        (SU2, list(range(25))),
+        (S3, S3.enumerate_dual(10)),
+        (D4, D4.enumerate_dual(10)),
+        (Q8, Q8.enumerate_dual(10)),
+        (get_model("finite:C5"), list(range(5))),
+    ], ids=["torus2", "SU2", "S3", "D4", "Q8", "C5"])
+    def test_batched_characters_are_irrep_traces(self, model, labels):
+        rng = np.random.default_rng(37)
+        elements = [model.haar_sample(rng) for _ in range(12)]
+        if isinstance(elements[0], int):
+            elements = list(range(model.order))
+        table = model.characters(labels, elements)
+        assert table.shape == (len(labels), len(elements))
+        traces = [[np.trace(model.irrep_matrix(a, g)) for g in elements] for a in labels]
+        assert np.max(np.abs(table - np.array(traces))) < 1e-12
+        assert model.characters(labels[::-1], elements[:3]).tolist() == table[::-1, :3].tolist()
+
+    @pytest.mark.parametrize("model", [CIRCLE, TORUS2, SU2, D4], ids=lambda m: m.name)
+    def test_character_sums_do_not_depend_on_the_chunking(self, model, monkeypatch):
+        rng = np.random.default_rng(47)
+        labels = model.enumerate_dual(40)
+        weighted = [(float(w), model.haar_sample(rng)) for w in rng.uniform(-1, 1, 30)]
+        sums = model.character_sums(labels, weighted)
+        table = model.characters(labels, [g for _, g in weighted])
+        assert np.max(np.abs(sums - table @ [w for w, _ in weighted])) < 1e-12
+        monkeypatch.setattr(groups, "_TABLE_ENTRIES", 7)  # tables of one element
+        assert model.character_sums(labels, iter(weighted)).tolist() == sums.tolist()
+        assert model.character_sums(labels[5:9], weighted).tolist() == sums[5:9].tolist()
+
+    def test_su2_characters_follow_the_weyl_formula_to_high_spin(self):
+        rng = np.random.default_rng(43)
+        elements = [SU2.haar_sample(rng) for _ in range(20)]
+        n = np.arange(2001)
+        table = SU2.characters(n.tolist(), elements)
+        half = np.arccos([g[0].real for g in elements])
+        weyl = np.sin((n[:, None] + 1) * half) / np.sin(half)
+        assert np.all(np.abs(table - weyl) <= 1e-9 * (n[:, None] + 1))
+
+    def test_su2_atom_series_stays_accurate_at_high_spin(self):
+        # delta_g + Haar at a generic h != g: the atom series tends to mu{h} = 0
+        g = SU2.element(0.6, 0.8)
+        h = SU2.element(0.5 + 0.5j, 0.5 + 0.5j)
+        mu = MeasureSpec(SU2, atoms=[(g, 1.0)], density={0: [[1.0]]})
+        series = run_series("atom", mu, SU2.ring.default_schedule(240), at=h)
+        assert abs(series.final) < 0.05
+
     def test_unknown_label_rejected(self):
+        with pytest.raises(InvalidInputError):
+            SU2.characters([3, -2], [SU2.identity()])
         with pytest.raises(InvalidInputError):
             SU2.irrep_matrix(-2, SU2.identity())
         with pytest.raises(InvalidInputError):

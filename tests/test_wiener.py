@@ -198,6 +198,56 @@ class TestRunSeries:
         assert len(series.values) == 1000
         assert peak < 8 * 2**20
 
+    def test_su2_energy_memory_stays_below_a_pair_table(self):
+        # a labels x atoms^2 complex table would take about 128 MB here
+        rng = np.random.default_rng(53)
+        atoms = [(SU2.haar_sample(rng), float(w)) for w in rng.uniform(0.01, 0.02, 200)]
+        mu = MeasureSpec(SU2, atoms=atoms)
+        schedule = SU2.ring.default_schedule(200)
+        tracemalloc.start()
+        try:
+            series = run_series("energy", mu, schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert series.values.imag.tolist() == [0.0] * 200
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("kind", ["atom", "energy", "char"])
+    def test_su2_series_match_the_weyl_formula(self, kind):
+        # atoms plus a density c * I at two labels: every term is a sum of
+        # Weyl characters sin((n+1)t/2)/sin(t/2), written out here with numpy
+        rng = np.random.default_rng(59)
+        q = rng.normal(size=(6, 4))
+        q /= np.linalg.norm(q, axis=1)[:, None]
+        w = rng.uniform(0.05, 0.2, size=6)
+        c = {0: 0.4, 3: -0.02}
+        mu = MeasureSpec(SU2, atoms=[(SU2.element(complex(*v[:2]), complex(*v[2:])), wi)
+                                     for v, wi in zip(q, w)],
+                         density={a: v * np.eye(a + 1) for a, v in c.items()})
+        n = np.arange(81)[:, None]
+
+        def chi(cos_half):
+            half = np.arccos(np.clip(cos_half, -1, 1))
+            at_identity = np.sin(half) < 1e-7  # the limit n + 1; no atom sits near -1
+            s = np.where(at_identity, 1.0, np.sin(half))
+            return np.where(at_identity, n + 1.0, np.sin((n + 1) * half) / s)
+
+        cn = np.array([c.get(a, 0.0) for a in range(81)])
+        d = n[:, 0] + 1.0
+        if kind == "atom":
+            terms = d * ((w * chi(q @ q[2])).sum(axis=1) + cn * chi(q[2, :1])[:, 0])
+        elif kind == "energy":
+            pairs = np.stack([chi(col) for col in (q @ q.T)], axis=1)
+            terms = d * ((w[:, None] * w * pairs).sum(axis=(1, 2))
+                         + 2 * cn * (w * chi(q[:, 0])).sum(axis=1) + cn * cn * d)
+        else:
+            terms = d * ((w * chi(q[:, 0])).sum(axis=1) + cn * d)
+        expected = np.cumsum(terms)[1:] / np.cumsum(d * d)[1:]
+        at = mu.atoms[2][0] if kind == "atom" else None
+        series = run_series(kind, mu, SU2.ring.default_schedule(80), at=at)
+        assert np.max(np.abs(series.values - expected)) < 1e-10
+
     def test_targets_from_atom_oracle(self):
         z = CIRCLE.element(cmath.exp(0.9j))
         mu = MeasureSpec(CIRCLE, atoms=[(z, 0.3), (CIRCLE.identity(), 0.7)])
