@@ -209,7 +209,16 @@ def _run_wiener(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _list_field(obj: dict, name: str) -> list:
+    if not isinstance(obj.get(name, []), list):
+        raise InvalidInputError(f"rep spec field {name!r} must be a list")
+    return obj.get(name, [])
+
+
 def _matrix_from_json(rows) -> np.ndarray:
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(row, list) and len(row) == len(rows[0]) for row in rows)):
+        raise InvalidInputError(f"generator {rows!r} must be a list of equally long rows")
     return np.array([[scalar_from_json(e) for e in row] for row in rows], dtype=complex)
 
 
@@ -227,21 +236,15 @@ def _run_ergodic(config: RunConfig) -> int:
     if config.rep == "point":
         if model is None:
             raise InvalidInputError("point reps need a ring with a compact-group model")
-        points = [model.parse_element(p) for p in obj.get("points", [])]
-        rep = point_rep(model, points)
+        rep = point_rep(model, [model.parse_element(p) for p in _list_field(obj, "points")])
     elif config.rep == "group":
-        generators = [_matrix_from_json(m) for m in obj.get("generators", [])]
-        rep = group_rep(ring, generators)
+        rep = group_rep(ring, [_matrix_from_json(m) for m in _list_field(obj, "generators")])
     elif config.rep == "gns":
-        if model is None or not hasattr(model, "order"):
-            raise InvalidInputError("gns reps are available for finite groups only")
-        rep = gns_rep(model, obj.get("state", []))
+        rep = gns_rep(model, _list_field(obj, "state"))
     else:
         raise InvalidInputError("--rep must be point, group or gns")
-    if config.labels is not None:
-        gens = _split_labels(config.labels, ring)
-    else:
-        gens = ring.generating_labels()
+    gens = (ring.generating_labels() if config.labels is None
+            else _split_labels(config.labels, ring))
     schedule = load_schedule(ring, config.schedule, config.steps)
     report = ergodic_limit_check(rep, schedule, gens, tol=config.tol)
     rows = [

@@ -1,53 +1,62 @@
 """Cesaro operator averages of finite-dimensional *-representations.
 
-A representation is presented through the operators pi(chi(a)) assigned to
-the characters of the dual's labels.  The weighted average
+Every representation here is a unitary basis V and points p_1..p_k of a
+compact-group model, with pi(chi(a)) = V diag(chi_a(p_1), ..., chi_a(p_k)) V^H:
+point evaluations and GNS representations sit in the standard basis, and
+commuting unitaries are diagonalised once, their joint eigenvalues read as
+torus points.  So the weighted average
 
-    M_F = (1/|F|_w) sum_{a in F} dim(a) * pi(chi(a))
+    M_F = (1/|F|_w) sum_{a in F} dim(a) * pi(chi(a)) = V diag(a_F(p)) V^H
 
-converges along any right Folner schedule to the orthogonal projection onto
-the vectors on which the representation acts through evaluation at the
-identity, i.e. the joint eigenspace { x : pi(chi(a)) x = dim(a) x for all a }.
-Dimensions are finite here, so strong operator convergence is checked in
-Frobenius norm.
+takes one scalar average a_F(p) per point, from one batched
+`model.characters` table over the schedule's labels.  Along any right Folner
+schedule it converges to the projection onto the vectors on which the
+representation acts by evaluation at the identity: the span of the basis
+vectors whose point has chi_a(p) = dim(a) for every generating label a.
+Dimensions are finite, so strong convergence is checked in Frobenius norm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .fusion import FolnerSchedule, FusionRing, LatticeRing, reduce_along
-from .groups import CompactGroupModel, FiniteGroupModel
+from .fusion import FolnerSchedule, LatticeRing, reduce_along
+from .groups import CompactGroupModel, FiniteGroupModel, TorusModel
 
 
+@dataclass(eq=False)
 class FiniteDimRep:
-    """A *-representation on a finite-dimensional Hilbert space, exposed as
-    the map label -> pi(chi(label)).  Values are cached per label."""
+    """A *-representation on a finite-dimensional Hilbert space in diagonal
+    form: the points of `model` on the diagonal and the unitary `basis` V
+    that carries the diagonal (None for the standard basis)."""
 
-    def __init__(self, ring: FusionRing, dim: int, evaluator: Callable, kind: str,
-                 cyclic_vector: np.ndarray | None = None):
-        self.ring = ring
-        self.dim = int(dim)
-        self.kind = kind
-        self.cyclic_vector = cyclic_vector
-        self._evaluator = evaluator
-        self._cache: dict = {}
+    model: CompactGroupModel
+    points: list
+    kind: str
+    basis: np.ndarray | None = None
+    cyclic_vector: np.ndarray | None = None
+
+    @property
+    def ring(self):
+        return self.model.ring
+
+    @property
+    def dim(self) -> int:
+        return len(self.points)
+
+    def operator(self, diagonal) -> np.ndarray:
+        """V diag(diagonal) V^H as a dim x dim complex matrix."""
+        diagonal = np.asarray(diagonal, dtype=complex)
+        if self.basis is None:
+            return np.diag(diagonal)
+        return (self.basis * diagonal) @ self.basis.conj().T
 
     def chi(self, label) -> np.ndarray:
         """pi(chi(label)) as a dim x dim complex matrix."""
-        self.ring.check_label(label)
-        if label not in self._cache:
-            mat = np.asarray(self._evaluator(label), dtype=complex)
-            if mat.shape != (self.dim, self.dim):
-                raise InvalidInputError(
-                    f"evaluator returned shape {mat.shape}, expected {(self.dim, self.dim)}"
-                )
-            self._cache[label] = mat
-        return self._cache[label]
+        return self.operator(self.model.characters([label], self.points)[0])
 
     def __repr__(self):
         return f"<FiniteDimRep {self.kind} dim={self.dim} on {self.ring.name}>"
@@ -60,57 +69,49 @@ def point_rep(model: CompactGroupModel, points) -> FiniteDimRep:
     points = list(points)
     if not points:
         raise InvalidInputError("point_rep needs at least one point")
+    return FiniteDimRep(model, points, "point-rep")
 
-    def evaluator(label):
-        return np.diag(model.characters([label], points)[0])
 
-    return FiniteDimRep(model.ring, len(points), evaluator, "point-rep")
+def _mixing(rank: int) -> np.ndarray:
+    """Fixed weights c_j of H = sum_j c_j U_j + conj(c_j) U_j^H, which acts on
+    a joint eigenvector by 2 sum_j |c_j| cos(theta_j + arg c_j); moduli and
+    phases with no rational relation keep distinct joint eigenvalues apart."""
+    j = np.arange(1, rank + 1)
+    return np.sqrt(j) * np.exp(1j * j)
 
 
 def group_rep(ring: LatticeRing, generator_images, tol: float = 1e-10) -> FiniteDimRep:
-    """Unitary representation of a discrete abelian group given by generator
-    images.  Labels of the dual-group ring are group words; all dimensions
-    are 1, so the Cesaro average is the plain unweighted average of the word
-    unitaries U^s."""
+    """Unitary representation of a discrete abelian group given by commuting
+    generator images.  Labels of the dual-group ring are group words; all
+    dimensions are 1, so the Cesaro average is the plain unweighted average
+    of the word unitaries U^s.
+
+    The eigenvectors V of one fixed Hermitian combination of the images must
+    make every V^H U_j V diagonal to `tol`; the diagonals are the joint
+    eigenvalues, read as points of the torus dual to `ring`.
+    """
     if not isinstance(ring, LatticeRing):
         raise InvalidInputError("group_rep needs a dual-group (lattice) ring")
     images = [np.asarray(u, dtype=complex) for u in generator_images]
     if len(images) != ring.rank:
         raise InvalidInputError(f"need {ring.rank} generator images, got {len(images)}")
-    k = images[0].shape[0]
-    eye = np.eye(k, dtype=complex)
+    k = images[0].shape[0] if images[0].ndim == 2 else 0
     for u in images:
-        if u.shape != (k, k):
+        if k == 0 or u.shape != (k, k):
             raise InvalidInputError("generator images must be square and equally sized")
-        if np.max(np.abs(u @ u.conj().T - eye)) > tol:
+        if not np.all(np.abs(u @ u.conj().T - np.eye(k)) <= tol):
             raise InvalidInputError("generator images must be unitary")
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if np.max(np.abs(images[i] @ images[j] - images[j] @ images[i])) > tol:
-                raise InvalidInputError("generator images must commute")
-
-    # incremental power tables; unitarity gives U^-1 = U^H exactly
-    powers: list[dict[int, np.ndarray]] = [{0: eye, 1: u, -1: u.conj().T} for u in images]
-
-    def power(i: int, e: int) -> np.ndarray:
-        table = powers[i]
-        if e not in table:
-            step = 1 if e > 0 else -1
-            base = max(k for k in table if (k <= e if e > 0 else k >= e) and k * step >= 0)
-            mat = table[base]
-            for m in range(base + step, e + step, step):
-                mat = mat @ table[step]
-                table[m] = mat
-        return table[e]
-
-    def evaluator(label):
-        word = (label,) if ring.rank == 1 else label
-        out = power(0, word[0])
-        for i, e in enumerate(word[1:], start=1):
-            out = out @ power(i, e)
-        return out
-
-    return FiniteDimRep(ring, k, evaluator, "group-rep")
+    mix = sum(c * u for c, u in zip(_mixing(ring.rank), images))
+    _, basis = np.linalg.eigh(mix + mix.conj().T)
+    joint = []
+    for u in images:
+        d = basis.conj().T @ u @ basis
+        if not np.all(np.abs(d - np.diag(np.diag(d))) <= tol):
+            raise InvalidInputError(
+                f"generator images must commute: they are not jointly diagonal to {tol:g}")
+        joint.append(np.diag(d) / np.abs(np.diag(d)))
+    points = [complex(p[0]) if ring.rank == 1 else tuple(map(complex, p)) for p in zip(*joint)]
+    return FiniteDimRep(TorusModel(ring.rank, ring=ring), points, "group-rep", basis=basis)
 
 
 def gns_rep(model: FiniteGroupModel, state) -> FiniteDimRep:
@@ -119,6 +120,10 @@ def gns_rep(model: FiniteGroupModel, state) -> FiniteDimRep:
     support, with the constant function as cyclic vector."""
     if not isinstance(model, FiniteGroupModel):
         raise InvalidInputError("gns_rep is materialized for finite groups only")
+    if not isinstance(state, (list, tuple, np.ndarray)) or any(
+            isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating))
+            for x in state):
+        raise InvalidInputError("state must be a list of real numbers")
     phi = np.asarray(state, dtype=float)
     if phi.shape != (model.order,):
         raise InvalidInputError(f"state must have one entry per element ({model.order})")
@@ -129,20 +134,19 @@ def gns_rep(model: FiniteGroupModel, state) -> FiniteDimRep:
         raise InvalidInputError("state must not be the zero vector")
     phi = phi / total
     support = [i for i in range(model.order) if phi[i] > 0]
-
-    def evaluator(label):
-        return np.diag(model.characters([label], support)[0])
-
-    cyclic = np.sqrt(phi[support])
-    return FiniteDimRep(model.ring, len(support), evaluator, "gns-rep", cyclic_vector=cyclic)
+    return FiniteDimRep(model, support, "gns-rep", cyclic_vector=np.sqrt(phi[support]))
 
 
 def _cesaro_averages(rep: FiniteDimRep, schedule: FolnerSchedule) -> tuple[list, np.ndarray]:
     """The averages M_n of every schedule step, and their weighted cardinalities."""
     ring = rep.ring
-    sums, wcards = reduce_along(
-        schedule, ring, lambda labels: [ring.dim(a) * rep.chi(a) for a in labels])
-    return [m / int(w) for m, w in zip(sums, wcards)], wcards
+
+    def terms(labels):
+        dims = np.array([ring.dim(a) for a in labels])
+        return dims[:, None] * rep.model.characters(labels, rep.points)
+
+    sums, wcards = reduce_along(schedule, ring, terms)
+    return [rep.operator(s / int(w)) for s, w in zip(sums, wcards)], wcards
 
 
 def cesaro_operator(rep: FiniteDimRep, F) -> np.ndarray:
@@ -152,27 +156,16 @@ def cesaro_operator(rep: FiniteDimRep, F) -> np.ndarray:
 
 def invariant_projection(rep: FiniteDimRep, generating_labels) -> np.ndarray:
     """Orthogonal projection onto the joint eigenspace
-    { x : pi(chi(a)) x = dim(a) x } over the generating labels.
-
-    Null spaces are accumulated one label at a time by singular-value
-    thresholding at 1e-8 * dim(a) (the operator norm of pi(chi(a)) can reach
-    dim(a), so the threshold scales with it).  An empty intersection yields
-    the zero projection.
-    """
-    ring = rep.ring
-    labels = ring.sorted_labels({ring.check_label(a) for a in generating_labels})
+    { x : pi(chi(a)) x = dim(a) x } over the generating labels: the span of
+    the basis vectors whose point p has |chi_a(p) - dim(a)| <= 1e-8 * dim(a)
+    for every generating label a (|chi_a| is at most dim(a), so the threshold
+    scales with it).  No such point yields the zero projection."""
+    labels = list(generating_labels)
     if not labels:
         raise InvalidInputError("generating_labels must be nonempty")
-    basis = np.eye(rep.dim, dtype=complex)
-    for a in labels:
-        if basis.shape[1] == 0:
-            break
-        d = ring.dim(a)
-        restricted = (rep.chi(a) - d * np.eye(rep.dim)) @ basis
-        _, svals, vh = np.linalg.svd(restricted)
-        rank = int(np.sum(svals > 1e-8 * d))
-        basis = basis @ vh.conj().T[:, rank:]
-    return basis @ basis.conj().T
+    dims = np.array([rep.ring.dim(a) for a in labels], dtype=float)[:, None]
+    table = rep.model.characters(labels, rep.points)
+    return rep.operator(np.all(np.abs(table - dims) <= 1e-8 * dims, axis=0))
 
 
 @dataclass

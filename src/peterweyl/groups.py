@@ -119,8 +119,9 @@ def _parse_floats(text: str, expected: int, literal) -> list[float]:
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise InvalidInputError(f"cannot parse element literal {literal!r}") from exc
-    if not all(map(math.isfinite, values)):
-        raise InvalidInputError(f"element literal {literal!r} has a non-finite coordinate")
+    # |x| <= 1e300 also keeps the norms taken to renormalize from overflowing
+    if not all(abs(v) <= 1e300 for v in values):
+        raise InvalidInputError(f"element literal {literal!r} has a non-finite or huge coordinate")
     return values
 
 
@@ -412,7 +413,7 @@ class FiniteGroupModel(CompactGroupModel):
         return int(self._inverse[self._check(g)])
 
     def _check(self, g) -> int:
-        if not isinstance(g, (int, np.integer)) or not 0 <= g < self.order:
+        if not isinstance(g, (int, np.integer)) or isinstance(g, bool) or not 0 <= g < self.order:
             raise InvalidInputError(f"{g!r} is not an element index of {self.name}")
         return int(g)
 

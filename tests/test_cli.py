@@ -260,6 +260,24 @@ class TestErgodic:
         spec = write_json(tmp_path / "rep.json", {"points": ["z:1,0"]})
         assert main(["ergodic", "--rep", "point", "--spec", spec]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("rep, doc", [
+        ("group", {"ring": "dualgroup:Z^d:1", "generators": 5}),
+        ("group", {"ring": "dualgroup:Z^d:1", "generators": [5]}),
+        ("point", {"ring": "Z", "points": 5}),
+        ("point", {"ring": "finite:S3", "points": [True]}),
+        ("gns", {"ring": "finite:S3", "state": [1, 1, 1, 1, 1, "a"]}),
+        ("gns", {"ring": "finite:S3", "state": [1, 0, 0, 0, 0, False]}),
+    ], ids=["generators-number", "generator-number", "points-number", "point-bool",
+            "state-string", "state-bool"])
+    def test_malformed_rep_spec_is_validation_error(self, tmp_path, capsys, rep, doc):
+        spec = write_json(tmp_path / "rep.json", doc)
+        out = tmp_path / "report.csv"
+        assert main(["ergodic", "--rep", rep, "--spec", spec, "--out", str(out)]) \
+            == EXIT_VALIDATION
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestFusionCommand:
     def test_s3_std_squared(self, capsys):

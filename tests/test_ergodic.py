@@ -1,6 +1,7 @@
 """Cesaro operator averages, invariant projections, convergence reports."""
 
 import cmath
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from peterweyl import (
     invariant_projection,
     point_rep,
 )
+from peterweyl import ergodic
 
 CIRCLE = get_model("Z")
 SU2 = get_model("SU2")
@@ -100,6 +102,9 @@ class TestGroupRep:
             group_rep(DUAL_Z2, [np.eye(2)])  # wrong count
         with pytest.raises(InvalidInputError):
             group_rep(SU2.ring, [np.eye(2)])  # not a lattice ring
+        for bad in ([[np.nan]], 5, [1.0, 1.0]):
+            with pytest.raises(InvalidInputError):
+                group_rep(DUAL_Z, [bad])  # non-finite, not a matrix
 
 
 class TestGnsRep:
@@ -345,3 +350,87 @@ class TestStateCharacterSeparation:
                     for a in labels
                 )
                 assert worst > 1e-6
+
+
+class TestDiagonalPath:
+    """Every representation is a basis and a list of points, and every
+    average is read from one batched character table."""
+
+    def su2_points(self, n):
+        rng = np.random.default_rng(21)
+        return [SU2.identity()] + [SU2.haar_sample(rng) for _ in range(n - 1)]
+
+    def test_characters_are_batched_once_per_check(self, monkeypatch):
+        calls = []
+        characters = type(SU2).characters
+
+        def counting(model, labels, elements):
+            calls.append(len(labels))
+            return characters(model, labels, elements)
+
+        monkeypatch.setattr(type(SU2), "characters", counting)
+        rep = point_rep(SU2, self.su2_points(8))
+        counts = []
+        for steps in (20, 200):
+            calls.clear()
+            ergodic_limit_check(rep, SU2.ring.default_schedule(steps), [1], tol=1.0)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        assert max(calls) == 201  # spins 0..200 in one table
+
+    def test_su2_point_rep_matches_weyl_character_oracle(self):
+        # batched, spins 0..1000 at 48 points take about 0.15 s; evaluating
+        # one label per character call takes about 2 s.  The best of three
+        # runs is timed, as a single run can stall on a busy machine.
+        points = self.su2_points(48)
+        rep = point_rep(SU2, points)
+        schedule = SU2.ring.default_schedule(1000)
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            report = ergodic_limit_check(rep, schedule, [1], tol=1e-3)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 1.0
+        # chi_n(t) = sin((n+1)t/2) / sin(t/2) with cos(t/2) = Re a; n+1 at t = 0
+        half = np.arccos(np.clip([g[0].real for g in points], -1.0, 1.0))
+        n = np.arange(1001)[:, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            chi = np.where(half == 0, n + 1.0, np.sin((n + 1) * half) / np.sin(half))
+        wcard = np.cumsum((n[:, 0] + 1) ** 2)[1:]
+        averages = np.cumsum((n + 1) * chi, axis=0)[1:] / wcard[:, None]
+        invariant = (half == 0).astype(float)
+        oracle = np.sqrt(((averages - invariant) ** 2).sum(axis=1))
+        assert report.weighted_cardinalities.tolist() == wcard.tolist()
+        assert np.max(np.abs(report.distances - oracle)) < 1e-9
+        assert report.passed
+
+    def test_group_rep_with_repeated_joint_eigenvalues(self):
+        # joint eigenvalues (1, 1) twice, (i, -1) twice and (e^0.3i, 1) once:
+        # the mixed Hermitian operator is degenerate inside each repeated pair
+        rng = np.random.default_rng(22)
+        q = random_unitary(rng, 5)
+        d1 = np.array([1, 1j, 1, 1j, cmath.exp(0.3j)])
+        d2 = np.array([1, -1, 1, -1, 1], dtype=complex)
+        rep = group_rep(DUAL_Z2, [q @ np.diag(d) @ q.conj().T for d in (d1, d2)])
+
+        def key(point):
+            return tuple(round(c, 9) for z in point for c in (z.real, z.imag))
+
+        assert sorted(map(key, rep.points)) == sorted(map(key, zip(d1, d2)))
+        fixed = q[:, [0, 2]]
+        P = invariant_projection(rep, [(1, 0), (0, 1)])
+        assert np.max(np.abs(P - fixed @ fixed.conj().T)) < 1e-10
+        for s in ((2, -3), (0, 1), (5, 5)):
+            word = q @ np.diag(d1 ** s[0] * d2 ** s[1]) @ q.conj().T
+            assert np.max(np.abs(rep.chi(s) - word)) < 1e-12
+
+    def test_failed_joint_diagonalisation_is_rejected(self, monkeypatch):
+        # with a real weight, H = U + U^H sends the eigenvalues i and -i to
+        # the same value, so its eigenvectors need not diagonalise U
+        rng = np.random.default_rng(23)
+        q = random_unitary(rng, 3)
+        u = q @ np.diag([1j, -1j, 1]) @ q.conj().T
+        assert group_rep(DUAL_Z, [u]).dim == 3
+        monkeypatch.setattr(ergodic, "_mixing", lambda rank: np.ones(rank))
+        with pytest.raises(InvalidInputError, match="jointly diagonal"):
+            group_rep(DUAL_Z, [u])

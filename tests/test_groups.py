@@ -4,6 +4,7 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peterweyl import InvalidInputError, MeasureSpec, get_model, get_ring, resolve, run_series
 from peterweyl import groups
@@ -262,6 +263,35 @@ class TestLiteralsAndRegistry:
         assert S3.format_element(4) == "g:4"
         with pytest.raises(InvalidInputError):
             S3.parse_element("g:9")
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_finite_elements_are_not_bools(self, flag):
+        for check in (S3.parse_element, S3.inverse, lambda g: S3.multiply(g, 0),
+                      lambda g: S3.characters([0], [g])):
+            with pytest.raises(InvalidInputError):
+                check(flag)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ring_id=st.sampled_from(["Z", "Z^d:2", "SU2", "finite:S3", "finite:C5"]),
+        literal=st.recursive(
+            st.integers() | st.booleans() | st.floats() | st.text(max_size=12)
+            | st.sampled_from(["z:1,0", "z:0.6,0.8;0,1", "z:1e308,1e308", "z:nan,0", "z:1e-300,0",
+                               "z:1.7e308,1.7e308", "q:0.5,0.5,0.5,0.5", "q:1.7e308,0,1.7e308,0",
+                               "q:1e308,0,1e308,0", "q:inf,0,0,0",
+                               "g:3", "g:-1", "g:5", "g:", " g:2"]),
+            lambda inner: st.lists(inner, max_size=4),
+            max_leaves=8,
+        ),
+    )
+    def test_parse_element_returns_an_element_or_rejects(self, ring_id, literal):
+        model = get_model(ring_id)
+        try:
+            g = model.parse_element(literal)
+        except InvalidInputError:
+            return
+        assert np.all(np.isfinite(model.characters([0], [g])))
+        assert model.distance(model.multiply(g, model.inverse(g)), model.identity()) < 1e-12
 
     def test_bad_literals_rejected(self):
         for model, bad in [

@@ -1,0 +1,19 @@
+"""The README's Python quick start runs as documented."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_quick_start_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, str(README), "exec"), {})
+    final, verdict, check = capsys.readouterr().out.strip().splitlines()
+    assert abs(complex(final) - (0.5 + 0.5 / 401)) < 1e-12
+    assert verdict.startswith("atomic(")
+    # i^n and (-1)^n averaged over -50..50 give -1/101 and 1/101
+    distance, passed = check.split()
+    assert abs(float(distance) - 1 / 101**2) < 1e-12 and passed == "False"
