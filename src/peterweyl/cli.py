@@ -95,12 +95,15 @@ def load_schedule(ring: FusionRing, spec: str | None, steps: int) -> FolnerSched
             raise InvalidInputError("steps must be >= 1")
         return ring.default_schedule(steps)
     obj = _load_json(name)
-    try:
-        sets = obj["sets"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError("schedule file needs a 'sets' field") from exc
-    parsed = [[ring.parse_label(l) for l in F] for F in sets]
-    return FolnerSchedule(ring, parsed, description=str(obj.get("description", name)))
+    if not isinstance(obj, dict) or "sets" not in obj:
+        raise InvalidInputError("schedule file needs a 'sets' field")
+    sets = obj["sets"]
+    if not (isinstance(sets, list) and all(isinstance(F, list) for F in sets)):
+        raise InvalidInputError("schedule file 'sets' must be a list of lists of label literals")
+    # every literal of the file is read in one batch, straight into the label table
+    table = ring.parse_table([literal for F in sets for literal in F])
+    return FolnerSchedule.from_table(ring, table, [len(F) for F in sets],
+                                     description=str(obj.get("description", name)))
 
 
 def _load_json(path: str):

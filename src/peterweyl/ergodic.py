@@ -139,13 +139,10 @@ def gns_rep(model: FiniteGroupModel, state) -> FiniteDimRep:
 
 def _cesaro_averages(rep: FiniteDimRep, schedule: FolnerSchedule) -> tuple[list, np.ndarray]:
     """The averages M_n of every schedule step, and their weighted cardinalities."""
-    ring = rep.ring
+    def terms(table, dims):
+        return dims[:, None] * rep.model.characters(table, rep.points)
 
-    def terms(labels):
-        dims = np.array([ring.dim(a) for a in labels])
-        return dims[:, None] * rep.model.characters(labels, rep.points)
-
-    sums, wcards = reduce_along(schedule, ring, terms)
+    sums, wcards = reduce_along(schedule, rep.ring, terms)
     return [rep.operator(s / int(w)) for s, w in zip(sums, wcards)], wcards
 
 
@@ -163,9 +160,10 @@ def invariant_projection(rep: FiniteDimRep, generating_labels) -> np.ndarray:
     labels = list(generating_labels)
     if not labels:
         raise InvalidInputError("generating_labels must be nonempty")
-    dims = np.array([rep.ring.dim(a) for a in labels], dtype=float)[:, None]
-    table = rep.model.characters(labels, rep.points)
-    return rep.operator(np.all(np.abs(table - dims) <= 1e-8 * dims, axis=0))
+    table = rep.ring.label_table(labels)
+    dims = rep.ring.dims_of(table).astype(float)[:, None]
+    chis = rep.model.characters(table, rep.points)
+    return rep.operator(np.all(np.abs(chis - dims) <= 1e-8 * dims, axis=0))
 
 
 @dataclass

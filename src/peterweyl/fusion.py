@@ -4,18 +4,31 @@ The dual is modelled as a countable set of irreducible-representation labels
 together with dimensions, conjugation and fusion multiplicities
 ``N[a,b]^c`` (the number of copies of ``c`` in the decomposition of the
 tensor product ``a (x) b``), and Folner schedules as tables of labels.
-Everything here is exact integer arithmetic, except the Folner ratio and
-`reduce_along`, the one reduction that sums an average's terms along a
-schedule.  Folner boundaries are read from the same table: one `boundary`
-pass fuses each of its labels once with S and once with conj(S), and each
-step then only tests membership.
+
+Labels live in int64 tables with one row per label and ``ring.rank``
+columns: the components of a Z^d label, or the label itself for Z, SU(2)
+and finite duals.  Each ring states its rules once, on a table: which rows
+are labels, the sort keys of its total order, the dimensions, and the
+fusion products of every row with a label g.  The one-label methods (`dim`,
+`fuse`, `check_label`, `sort_key`, `parse_label`) are the one-row case.  A
+Folner schedule is one table of its distinct labels in ring order plus one
+index array (or prefix length) per step.  Everything here is exact integer
+arithmetic, except the Folner ratio and `reduce_along`, the one reduction
+that sums an average's terms along a schedule.  Folner boundaries are read
+from the same table: one pass fuses it with S and with conj(S) and finds
+each product's row by a search on sorted integer keys; each step then only
+tests membership, and a prefix schedule gets every step's boundary from one
+pass over label ranks.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from itertools import count, product
-from typing import Iterable, Iterator, Union
+from collections import Counter
+from functools import cached_property
+from itertools import accumulate, product, repeat
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -23,34 +36,58 @@ from .errors import InvalidInputError
 
 Label = Union[int, tuple]
 
+INT64_MAX = 2**63 - 1
+# label components stay below this in modulus, so a label plus a label
+# (a lattice fusion product) still fits in int64
+LABEL_BOUND = 2**62
+# the most int64 entries one label table may hold (128 MiB): a schedule's
+# table and steps, a schedule file's literals, the products of a boundary
+# pass.  A boundary pass holds several tables of that size at once.
+MAX_TABLE_ENTRIES = 2**24
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_size(entries: int, what: str):
+    if entries > MAX_TABLE_ENTRIES:
+        raise InvalidInputError(
+            f"{what} would hold {entries} int64 entries, above the limit of 2**24")
+
 
 class FusionRing(ABC):
     """Labels, dimensions, conjugates and fusion rules of a dual object.
 
-    Subclasses provide:
+    Subclasses state their rules on an (n, rank) int64 table of label rows:
 
-    - ``trivial``: the label of the trivial representation,
-    - ``dim(a)``: positive integer dimension,
-    - ``conj(a)``: the conjugate label (same dimension, involutive),
-    - ``fuse(a, b)``: decomposition of ``a (x) b`` as ``{label: multiplicity}``
-      with all multiplicities positive integers,
-    - ``labels()``: a stream of all labels in a fixed, documented total order,
-    - ``is_valid_label(a)`` and ``sort_key(a)``.
+    - ``valid_rows(table)``: which rows are labels (components are already
+      known to be below LABEL_BOUND in modulus),
+    - ``order_keys(table)``: `np.lexsort` keys of the ring's total order,
+      primary key last,
+    - ``dims_of(table)``: the dimensions, int64,
+    - ``products(table, g)``: the decomposition of every row (x) g as
+      (row index, product row) pairs, a product of multiplicity m listed m
+      times,
+    - ``first_table(count)``: the first `count` labels in ring order (all of
+      them when the ring has fewer), and ``first_weight(count)``, their
+      exact sum of squared dimensions (`count` when every dimension is 1),
+    - ``parse_table(literals)``: label literals read into a checked table,
 
-    The total order given by ``sort_key`` agrees with the enumeration order
-    of ``labels()``; it is used for every deterministic reduction.
+    and ``trivial``, ``conj(a)``, ``fuse(a, b)`` (the one-label case of
+    `products`, as ``_fused``) and ``parse_label`` (the one-literal case of
+    `parse_table`).
     """
 
     name: str = "ring"
     # the name under which the CLI offers default_schedule, if any
     schedule_name: str | None = None
+    # columns of a label row
+    rank: int = 1
 
     @property
     @abstractmethod
     def trivial(self) -> Label: ...
-
-    @abstractmethod
-    def dim(self, label: Label) -> int: ...
 
     @abstractmethod
     def conj(self, label: Label) -> Label: ...
@@ -59,18 +96,108 @@ class FusionRing(ABC):
     def fuse(self, a: Label, b: Label) -> dict[Label, int]: ...
 
     @abstractmethod
-    def labels(self) -> Iterator[Label]: ...
+    def valid_rows(self, table: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
-    def is_valid_label(self, label) -> bool: ...
+    def order_keys(self, table: np.ndarray) -> tuple: ...
 
     @abstractmethod
-    def sort_key(self, label: Label): ...
+    def dims_of(self, table: np.ndarray) -> np.ndarray: ...
+
+    @abstractmethod
+    def products(self, table: np.ndarray, g: Label) -> tuple[np.ndarray, np.ndarray]: ...
+
+    @abstractmethod
+    def first_table(self, count: int) -> np.ndarray: ...
+
+    def first_weight(self, count: int) -> int:
+        return count
+
+    # -- rows and labels --------------------------------------------------
+    def _parts(self, label):
+        """The components of a label, or None for a value of the wrong type
+        or shape: rank 1 takes an int (not bool), higher ranks a tuple of
+        them."""
+        parts = (label,) if self.rank == 1 else label
+        if isinstance(parts, tuple) and len(parts) == self.rank and all(map(_is_int, parts)):
+            return parts
+        return None
+
+    def _valid(self, table: np.ndarray) -> np.ndarray:
+        in_range = np.all((table > -LABEL_BOUND) & (table < LABEL_BOUND), axis=1)
+        return in_range & self.valid_rows(table)
+
+    def _checked(self, table: np.ndarray, literals) -> np.ndarray:
+        """The table, when every row is a label; `literals[i]` names row i."""
+        bad = np.flatnonzero(~self._valid(table))
+        if bad.size:
+            raise InvalidInputError(f"{literals[bad[0]]!r} is not a label of ring {self.name}")
+        return table
+
+    def _table(self, parts: list, literals: list) -> np.ndarray:
+        """Checked rows from component tuples (None for a literal already
+        known to be bad)."""
+        _check_size(len(parts) * self.rank, "a label table")
+        if None in parts:
+            raise InvalidInputError(
+                f"{literals[parts.index(None)]!r} is not a label of ring {self.name}")
+        try:
+            table = np.array(parts, dtype=np.int64).reshape(len(parts), self.rank)
+        except OverflowError as exc:
+            raise InvalidInputError(
+                f"label components of ring {self.name} must be below 2**62 in modulus") from exc
+        return self._checked(table, literals)
+
+    def label_table(self, labels) -> np.ndarray:
+        """The labels as an (n, rank) int64 table in the given order, each
+        checked; an int64 table of that shape is checked as a whole."""
+        if isinstance(labels, np.ndarray) and labels.ndim == 2:
+            if labels.dtype != np.int64 or labels.shape[1] != self.rank:
+                raise InvalidInputError(
+                    f"a label table of ring {self.name} is int64 with {self.rank} columns")
+            return self._checked(labels, labels)
+        labels = list(labels)
+        return self._table([self._parts(a) for a in labels], labels)
+
+    def labels_of(self, table: np.ndarray) -> list:
+        """The labels of a table's rows, as Python ints or int tuples."""
+        if self.rank == 1:
+            return table[:, 0].tolist()
+        return list(map(tuple, table.tolist()))
+
+    def is_valid_label(self, label) -> bool:
+        parts = self._parts(label)
+        if parts is None:
+            return False
+        try:
+            row = np.array([parts], dtype=np.int64)
+        except OverflowError:
+            return False
+        return bool(self._valid(row)[0])
 
     def check_label(self, label) -> Label:
         if not self.is_valid_label(label):
             raise InvalidInputError(f"{label!r} is not a label of ring {self.name}")
         return label
+
+    def _one(self, label) -> Label:
+        """The label checked, as a Python int or int tuple."""
+        return self.labels_of(self.label_table([label]))[0]
+
+    def dim(self, label: Label) -> int:
+        return int(self.dims_of(self.label_table([label]))[0])
+
+    def sort_key(self, label: Label) -> tuple:
+        return tuple(int(k[0]) for k in reversed(self.order_keys(self.label_table([label]))))
+
+    def sorted_labels(self, labels: Iterable[Label]) -> list[Label]:
+        table = self.label_table(labels)
+        return self.labels_of(table[np.lexsort(self.order_keys(table))])
+
+    def _fused(self, a: Label, b: Label) -> dict[Label, int]:
+        """Decomposition of a (x) b as {label: multiplicity}."""
+        _, prods = self.products(self.label_table([a]), self._one(b))
+        return dict(Counter(self.labels_of(prods)))
 
     def multiplicity(self, a: Label, b: Label, c: Label) -> int:
         """Fusion multiplicity N[a,b]^c."""
@@ -81,18 +208,28 @@ class FusionRing(ABC):
         """First `bound` labels in the ring's total order."""
         if bound < 1:
             raise InvalidInputError("bound must be >= 1")
-        out = []
-        for label in self.labels():
-            out.append(label)
-            if len(out) >= bound:
-                break
-        return out
+        _check_size(bound * self.rank, "a label table")
+        return self.labels_of(self.first_table(bound))
 
-    def sorted_labels(self, labels: Iterable[Label]) -> list[Label]:
-        return sorted(labels, key=self.sort_key)
-
-    def parse_label(self, literal) -> Label:
+    def parse_table(self, literals) -> np.ndarray:
         raise NotImplementedError
+
+    def _int_literal_table(self, literals, names=()) -> np.ndarray:
+        """Rank-1 literals: ints (not bool), irrep names, or strings read by
+        int()."""
+        literals = list(literals)
+        parts = []
+        for x in literals:
+            if isinstance(x, str):
+                if x in names:
+                    x = names.index(x)
+                else:
+                    try:
+                        x = int(x)
+                    except ValueError:
+                        x = None
+            parts.append((x,) if _is_int(x) else None)
+        return self._table(parts, literals)
 
     def format_label(self, label: Label) -> str:
         return str(label)
@@ -107,49 +244,167 @@ class FusionRing(ABC):
         return f"<{type(self).__name__} {self.name}>"
 
 
+def _refuse_large_prefixes(ring: FusionRing, steps: int, count: int):
+    """Refuse, before anything is built, a prefix schedule of `steps` steps
+    whose largest step is the first `count` labels, when its table would
+    pass MAX_TABLE_ENTRIES or that step's |F|_w would not fit in int64."""
+    _check_size(steps + count * ring.rank, "the schedule's label table")
+    weight = ring.first_weight(count)
+    if weight > INT64_MAX:
+        raise InvalidInputError(f"weighted cardinality {weight} exceeds 2**63 - 1")
+
+
+def _weighted_sums(dims: np.ndarray, sums) -> np.ndarray:
+    """Exact int64 values of `sums(dims**2)`, where `sums` adds a weight
+    array up into one total per step; InvalidInputError when one passes
+    2**63 - 1.  The totals are taken in float first: below 2**62 int64 is
+    safe, far above 2**63 they cannot fit, and in between Python ints
+    decide (float error is at most 2**-26 relative for tables this size)."""
+    approx = sums(dims.astype(float) ** 2)
+    top = float(np.max(approx, initial=0.0))
+    if top < 2.0**62:
+        return np.asarray(sums(dims * dims), dtype=np.int64)
+    exact = sums(dims.astype(object) ** 2) if top <= 2.0**63 * (1 + 2.0**-20) else [top]
+    if max(exact) > INT64_MAX:
+        raise InvalidInputError(f"a weighted cardinality of {max(exact):.6g} exceeds 2**63 - 1")
+    return np.array(exact, dtype=np.int64)
+
+
+def _step_sums(weights: np.ndarray, steps) -> np.ndarray:
+    """Sum of the weights over each step: prefixes from one cumulative sum."""
+    if all(isinstance(s, slice) for s in steps):
+        totals = np.concatenate((np.zeros(1, dtype=weights.dtype), np.cumsum(weights)))
+        return totals[[s.stop for s in steps]]
+    return np.array([weights[s].sum() for s in steps], dtype=weights.dtype)
+
+
+def _row_keys(*tables: np.ndarray) -> list[np.ndarray]:
+    """One int64 key per row of each table, equal exactly when the rows are:
+    the row itself at rank 1, mixed-radix digits over the rows' ranges
+    otherwise, or the rows' ranks in lexicographic order when those ranges
+    are too wide for int64."""
+    if tables[0].shape[1] == 1:
+        return [t[:, 0] for t in tables]
+    lo = np.min([t.min(axis=0) for t in tables], axis=0)
+    hi = np.max([t.max(axis=0) for t in tables], axis=0)
+    radix = [int(h) - int(l) + 1 for l, h in zip(lo.tolist(), hi.tolist())]
+    if math.prod(radix) <= INT64_MAX:
+        place = np.cumprod([1] + radix[:0:-1])[::-1]
+        return [(t - lo) @ place for t in tables]
+    rows = np.concatenate(tables)
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.concatenate(([True], np.any(ordered[1:] != ordered[:-1], axis=1)))
+    keys = np.empty(len(rows), dtype=np.int64)
+    keys[order] = np.cumsum(new) - 1
+    return np.split(keys, list(accumulate(len(t) for t in tables[:-1])))
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of one occurrence of each distinct key, in ascending key
+    order, and each key's position among them (np.unique's index and
+    inverse, from one sort: np.unique imports numpy.ma on its first call,
+    which costs a CLI process about 15 ms)."""
+    order = np.argsort(keys)
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[order[1:]] != keys[order[:-1]]
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _sorted_set(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending."""
+    return values[_distinct(values)[0]]
+
+
+def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The index of each query among the distinct `keys`, or -1."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    pos = np.searchsorted(ordered, queries).clip(max=len(keys) - 1)
+    return np.where(ordered[pos] == queries, order[pos], -1)
+
+
 class FolnerSchedule:
     """An ordered list of finite nonempty label sets (nesting not required).
 
-    Stored as one table: `labels`, the distinct labels in ring order, and
-    `steps`, one ascending index into it per step (a slice for a prefix).
-    `weighted_cardinalities` holds each step's |F|_w as exact int64.  The
-    step sets themselves are built only on demand.
+    Stored as one table: `table`, the (n, rank) int64 rows of the distinct
+    labels in ring order, and `steps`, one ascending index array into it
+    per step (a slice for a prefix).  `dims` holds the labels' dimensions
+    and `weighted_cardinalities` each step's |F|_w, both exact int64 and
+    read-only.  `labels` (the table as a tuple of labels) and the step sets
+    are built only on demand.
     """
 
     def __init__(self, ring: FusionRing, sets: Iterable[Iterable[Label]], description: str = ""):
-        sets = [frozenset(F) for F in sets]
-        if not all(sets):
-            raise InvalidInputError("schedule sets must be nonempty")
-        labels = ring.sorted_labels(map(ring.check_label, frozenset().union(*sets)))
-        index = {a: i for i, a in enumerate(labels)}
-        steps = [np.array(sorted(index[a] for a in F), dtype=np.intp) for F in sets]
-        self._init(ring, labels, steps, description)
+        sets = [list(F) for F in sets]
+        table = ring.label_table([a for F in sets for a in F])
+        self._index(ring, table, [len(F) for F in sets], description)
+
+    @classmethod
+    def from_table(cls, ring: FusionRing, table: np.ndarray, lengths: list[int],
+                   description: str = ""):
+        """The schedule whose n-th set is the next lengths[n] rows of `table`
+        (checked label rows of `ring`, repeats allowed)."""
+        schedule = cls.__new__(cls)
+        schedule._index(ring, table, lengths, description)
+        return schedule
 
     @classmethod
     def prefixes(cls, ring: FusionRing, lengths: list[int], description: str = ""):
         """The schedule whose n-th step is the first lengths[n] labels of the
-        ring's enumeration order."""
+        ring's order.  Refused before anything is built when its table would
+        be too large or a |F|_w would not fit in int64."""
+        lengths = list(lengths)
+        if not all(k >= 1 for k in lengths):
+            raise InvalidInputError("schedule sets must be nonempty")
+        count = max(lengths, default=1)
+        _refuse_large_prefixes(ring, len(lengths), count)
+        table = ring.first_table(count)
         schedule = cls.__new__(cls)
-        labels = ring.enumerate_labels(max(lengths, default=1))
-        schedule._init(ring, labels, [slice(0, k) for k in lengths], description)
+        schedule._init(ring, table, [slice(0, min(k, len(table))) for k in lengths], description)
         return schedule
 
-    def _init(self, ring, labels, steps, description):
+    def _index(self, ring, table, lengths, description):
+        if not lengths:
+            raise InvalidInputError("schedule must contain at least one set")
+        if not all(lengths):
+            raise InvalidInputError("schedule sets must be nonempty")
+        first, inverse = _distinct(_row_keys(table)[0])
+        distinct = table[first]
+        order = np.lexsort(ring.order_keys(distinct))
+        position = np.empty(len(order), dtype=np.intp)
+        position[order] = np.arange(len(order))
+        ids = position[inverse]
+        ends = np.cumsum(lengths).tolist()
+        steps = [_sorted_set(ids[end - k:end]) for k, end in zip(lengths, ends)]
+        self._init(ring, distinct[order], steps, description)
+
+    def _init(self, ring, table, steps, description):
         if not steps:
             raise InvalidInputError("schedule must contain at least one set")
         self.ring = ring
-        self.labels = tuple(labels)
+        self.table = table
         self.steps = tuple(steps)
         self.description = description
-        wdims = np.array([ring.dim(a) for a in self.labels], dtype=np.int64) ** 2
-        self.weighted_cardinalities = np.array([wdims[s].sum() for s in self.steps],
-                                               dtype=np.int64)
-        self.weighted_cardinalities.setflags(write=False)
+        self.dims = ring.dims_of(table)
+        self.weighted_cardinalities = _weighted_sums(
+            self.dims, lambda w: _step_sums(w, self.steps))
+        for array in (self.table, self.dims, self.weighted_cardinalities):
+            array.setflags(write=False)
+
+    @cached_property
+    def labels(self) -> tuple:
+        return tuple(self.ring.labels_of(self.table))
+
+    def _on(self, ring: FusionRing) -> "FolnerSchedule":
+        """This schedule on `ring`: itself, or rebuilt there, which checks
+        its labels there."""
+        return self if ring is self.ring else FolnerSchedule(ring, self.sets, self.description)
 
     def _set(self, step) -> frozenset:
-        if isinstance(step, slice):
-            return frozenset(self.labels[step])
-        return frozenset(self.labels[i] for i in step.tolist())
+        return frozenset(self.ring.labels_of(self.table[step]))
 
     @property
     def sets(self) -> tuple[frozenset, ...]:
@@ -169,16 +424,16 @@ def reduce_along(schedule: FolnerSchedule, ring: FusionRing, terms) -> tuple[lis
     """Per-step sums of the terms over the schedule's sets, and their
     weighted cardinalities.
 
-    `terms(labels)` returns an array whose first axis runs over `labels`; it
-    is called once, on the distinct labels of the schedule.  Each step is
-    then summed with np.sum in ring order, so a step's sum is the same to
-    the bit as the sum over that set alone, provided a label's term does not
-    depend on the rest of the batch.  A schedule built on another ring
-    object is rebuilt on `ring` first, which checks its labels there.
+    `terms(table, dims)` returns an array whose first axis runs over the
+    rows of the schedule's label table, given with their dimensions; it is
+    called once.  Each step is then summed with np.sum in ring order, so a
+    step's sum is the same to the bit as the sum over that set alone,
+    provided a label's term does not depend on the rest of the batch.  A
+    schedule built on another ring object is rebuilt on `ring` first, which
+    checks its labels there.
     """
-    if schedule.ring is not ring:
-        schedule = FolnerSchedule(ring, schedule.sets, schedule.description)
-    table = np.asarray(terms(schedule.labels), dtype=complex)
+    schedule = schedule._on(ring)
+    table = np.asarray(terms(schedule.table, schedule.dims), dtype=complex)
     return [np.sum(table[s], axis=0) for s in schedule.steps], schedule.weighted_cardinalities
 
 
@@ -187,8 +442,8 @@ class LatticeRing(FusionRing):
     of the given rank.  Labels are ints for rank 1 and int tuples otherwise;
     every dimension is 1, fusion is addition, conjugation is negation.
 
-    Enumeration order: rank 1 goes 0, 1, -1, 2, -2, ...; higher ranks walk
-    sup-norm shells outward, lexicographically inside each shell.
+    Order: rank 1 goes 0, 1, -1, 2, -2, ...; higher ranks walk sup-norm
+    shells outward, lexicographically inside each shell.
     """
 
     schedule_name = "boxes"
@@ -203,43 +458,37 @@ class LatticeRing(FusionRing):
     def trivial(self) -> Label:
         return 0 if self.rank == 1 else (0,) * self.rank
 
-    def dim(self, label):
-        self.check_label(label)
-        return 1
-
     def conj(self, label):
-        self.check_label(label)
+        label = self._one(label)
         return -label if self.rank == 1 else tuple(-x for x in label)
 
     def fuse(self, a, b):
-        self.check_label(a)
-        self.check_label(b)
-        if self.rank == 1:
-            return {a + b: 1}
-        return {tuple(x + y for x, y in zip(a, b)): 1}
+        return self._fused(a, b)
 
-    def is_valid_label(self, label):
-        # one rule for every rank: rank 1 checks its label as a 1-tuple
-        parts = (label,) if self.rank == 1 else label
-        return isinstance(parts, tuple) and len(parts) == self.rank and all(
-            isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in parts)
+    def valid_rows(self, table):
+        return np.ones(len(table), dtype=bool)
 
-    def sort_key(self, label):
+    def order_keys(self, table):
         if self.rank == 1:
-            return (abs(label), 0 if label >= 0 else 1)
-        return (max(abs(x) for x in label), label)
+            return -table[:, 0], np.abs(table[:, 0])
+        return (*table.T[::-1], np.abs(table).max(axis=1))
 
-    def labels(self):
-        if self.rank == 1:
-            yield 0
-            for n in count(1):
-                yield n
-                yield -n
-        else:
-            for r in count(0):
-                # product walks the box lexicographically, so the shell comes out sorted
-                yield from (t for t in product(range(-r, r + 1), repeat=self.rank)
-                            if r in t or -r in t)
+    def dims_of(self, table):
+        return np.ones(len(table), dtype=np.int64)
+
+    def products(self, table, g):
+        return np.arange(len(table)), table + np.asarray(g, dtype=np.int64).reshape(1, self.rank)
+
+    def first_table(self, count):
+        # the smallest box {-r..r}^rank holding `count` labels, in ring order
+        r = max(0, int((count ** (1 / self.rank) - 1) / 2) - 1)
+        while (2 * r + 1) ** self.rank < count:
+            r += 1
+        _check_size((2 * r + 1) ** self.rank * self.rank, "a label table")
+        side = np.arange(-r, r + 1, dtype=np.int64)
+        box = np.stack(np.meshgrid(*[side] * self.rank, indexing="ij"), axis=-1)
+        box = box.reshape(-1, self.rank)
+        return box[np.lexsort(self.order_keys(box))[:count]]
 
     def box(self, n: int) -> frozenset:
         """The box {-n..n}^rank."""
@@ -251,6 +500,7 @@ class LatticeRing(FusionRing):
 
     def default_schedule(self, steps: int) -> FolnerSchedule:
         # the box {-n..n}^rank is the first (2n+1)^rank labels of the shell walk
+        _refuse_large_prefixes(self, steps, (2 * steps + 1) ** self.rank)
         return FolnerSchedule.prefixes(
             self, [(2 * n + 1) ** self.rank for n in range(1, steps + 1)],
             description=f"{self.name} boxes {{-n..n}} for n=1..{steps}",
@@ -261,23 +511,52 @@ class LatticeRing(FusionRing):
             return [1]
         return [tuple(int(i == j) for i in range(self.rank)) for j in range(self.rank)]
 
+    def parse_table(self, literals):
+        """Strings such as "w:1,-2", "1;-2" or "3" (components split on ','
+        or ';', empty parts skipped, each part read by int()), ints at rank
+        1 and lists of int components (not bool, not float)."""
+        literals = list(literals)
+        _check_size(len(literals) * self.rank, "a label table")
+        if set(map(type, literals)) <= {str}:
+            return self._split_ints(literals)
+        is_text = np.array([isinstance(x, str) for x in literals], dtype=bool)
+        others = [literals[i] for i in np.flatnonzero(~is_text).tolist()]
+        rows = np.empty((len(literals), self.rank), dtype=np.int64)
+        rows[~is_text] = self._table(
+            [self._parts(tuple(x) if isinstance(x, list) else x) for x in others], others)
+        rows[is_text] = self._split_ints([x for x in literals if isinstance(x, str)])
+        return rows
+
+    def _split_ints(self, texts: list[str]) -> np.ndarray:
+        """String literals to a checked (m, rank) table: one join and split
+        over all of them, int() on every part."""
+        if not texts:
+            return np.zeros((0, self.rank), dtype=np.int64)
+        parts = ",".join(map(str.removeprefix, texts, repeat("w:"))).replace(";", ",").split(",")
+        pieces = np.array([t.count(",") + t.count(";") + 1 for t in texts], dtype=np.int64)
+        if np.any(pieces != self.rank):
+            # empty or blank parts are skipped; with the right number of
+            # parts, int() rejects them
+            parts = [p.strip() for p in parts]
+            filled = np.array([p != "" for p in parts], dtype=np.int64)
+            counts = np.add.reduceat(filled, np.cumsum(pieces) - pieces)
+            wrong = np.flatnonzero(counts != self.rank)
+            if wrong.size:
+                raise InvalidInputError(f"{texts[wrong[0]]!r} does not have the {self.rank} "
+                                        f"components of a label of ring {self.name}")
+            parts = [p for p in parts if p]
+        try:
+            values = np.array(list(map(int, parts)), dtype=np.int64)
+        except ValueError as exc:
+            raise InvalidInputError(
+                f"cannot parse a label literal of ring {self.name}: {exc}") from exc
+        except OverflowError as exc:
+            raise InvalidInputError(
+                f"label components of ring {self.name} must be below 2**62 in modulus") from exc
+        return self._checked(values.reshape(len(texts), self.rank), texts)
+
     def parse_label(self, literal):
-        # components must be ints (not bool, not float) at every rank
-        label = tuple(literal) if isinstance(literal, list) else literal
-        if isinstance(literal, str):
-            text = literal[2:] if literal.startswith("w:") else literal
-            parts = [p for p in text.replace(";", ",").split(",") if p.strip() != ""]
-            try:
-                label = tuple(int(p) for p in parts)
-            except ValueError as exc:
-                raise InvalidInputError(f"cannot parse label literal {literal!r}") from exc
-            if self.rank == 1 and len(label) == 1:
-                label = label[0]
-        if isinstance(label, (int, np.integer)) and self.rank > 1:
-            raise InvalidInputError(f"label of {self.name} needs {self.rank} components")
-        if not self.is_valid_label(label):
-            raise InvalidInputError(f"{literal!r} is not a label literal of ring {self.name}")
-        return int(label) if self.rank == 1 else tuple(map(int, label))
+        return self.labels_of(self.parse_table([literal]))[0]
 
     def format_label(self, label):
         if self.rank == 1:
@@ -285,10 +564,15 @@ class LatticeRing(FusionRing):
         return ",".join(str(x) for x in label)
 
 
+# labels n of SU(2) stay below this, so dim(n)^2 = (n+1)^2 fits in int64
+SU2_LABEL_BOUND = math.isqrt(INT64_MAX)
+
+
 class SU2Ring(FusionRing):
-    """Dual of SU(2).  Labels are nonnegative integers n = 2j, the dimension
-    is n+1, every label is self-conjugate, and fusion follows the
-    Clebsch-Gordan rule a (x) b = |a-b| + |a-b|+2 + ... + a+b.
+    """Dual of SU(2).  Labels are nonnegative integers n = 2j below
+    SU2_LABEL_BOUND, the dimension is n+1, every label is self-conjugate,
+    and fusion follows the Clebsch-Gordan rule
+    a (x) b = |a-b| + |a-b|+2 + ... + a+b.
     """
 
     name = "SU2"
@@ -298,27 +582,34 @@ class SU2Ring(FusionRing):
     def trivial(self):
         return 0
 
-    def dim(self, label):
-        self.check_label(label)
-        return label + 1
-
     def conj(self, label):
-        self.check_label(label)
-        return label
+        return self._one(label)
 
     def fuse(self, a, b):
-        self.check_label(a)
-        self.check_label(b)
-        return {c: 1 for c in range(abs(a - b), a + b + 1, 2)}
+        return self._fused(a, b)
 
-    def is_valid_label(self, label):
-        return isinstance(label, (int, np.integer)) and not isinstance(label, bool) and label >= 0
+    def valid_rows(self, table):
+        return (table[:, 0] >= 0) & (table[:, 0] < SU2_LABEL_BOUND)
 
-    def sort_key(self, label):
-        return label
+    def order_keys(self, table):
+        return (table[:, 0],)
 
-    def labels(self):
-        return count(0)
+    def dims_of(self, table):
+        return table[:, 0] + 1
+
+    def products(self, table, g):
+        a = table[:, 0]
+        counts = np.minimum(a, g) + 1
+        _check_size(int(counts.sum()), "a table of fusion products")
+        rows = np.repeat(np.arange(len(a)), counts)
+        step = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        return rows, (np.abs(a - g)[rows] + 2 * step)[:, None]
+
+    def first_table(self, count):
+        return np.arange(count, dtype=np.int64)[:, None]
+
+    def first_weight(self, count):
+        return count * (count + 1) * (2 * count + 1) // 6
 
     def spins(self, n: int) -> frozenset:
         """The spin interval {2j = 0..n}."""
@@ -327,6 +618,7 @@ class SU2Ring(FusionRing):
         return frozenset(range(n + 1))
 
     def default_schedule(self, steps: int) -> FolnerSchedule:
+        _refuse_large_prefixes(self, steps, steps + 1)
         return FolnerSchedule.prefixes(
             self, [n + 1 for n in range(1, steps + 1)],
             description=f"SU2 spin intervals {{0..n}} for n=1..{steps}",
@@ -335,15 +627,12 @@ class SU2Ring(FusionRing):
     def generating_labels(self):
         return [1]
 
+    def parse_table(self, literals):
+        """Ints, or strings read by int()."""
+        return self._int_literal_table(literals)
+
     def parse_label(self, literal):
-        if self.is_valid_label(literal):
-            return int(literal)
-        if isinstance(literal, str):
-            try:
-                return self.check_label(int(literal))
-            except ValueError as exc:
-                raise InvalidInputError(f"cannot parse label literal {literal!r}") from exc
-        raise InvalidInputError(f"cannot parse label literal {literal!r}")
+        return self.labels_of(self.parse_table([literal]))[0]
 
 
 class FiniteDualRing(FusionRing):
@@ -387,13 +676,8 @@ class FiniteDualRing(FusionRing):
     def trivial(self):
         return 0
 
-    def dim(self, label):
-        self.check_label(label)
-        return self.dims[label]
-
     def conj(self, label):
-        self.check_label(label)
-        return self._conj[label]
+        return self._conj[self._one(label)]
 
     def _fuse_from_characters(self, a: int, b: int) -> dict[int, int]:
         prod = self.characters[a] * self.characters[b]
@@ -410,47 +694,47 @@ class FiniteDualRing(FusionRing):
         return out
 
     def fuse(self, a, b):
-        self.check_label(a)
-        self.check_label(b)
-        return dict(self._fusion[(int(a), int(b))])
+        return self._fused(a, b)
 
-    def is_valid_label(self, label):
-        return (
-            isinstance(label, (int, np.integer))
-            and not isinstance(label, bool)
-            and 0 <= label < len(self.dims)
-        )
+    def valid_rows(self, table):
+        return (table[:, 0] >= 0) & (table[:, 0] < len(self.dims))
 
-    def sort_key(self, label):
-        return label
+    def order_keys(self, table):
+        return (table[:, 0],)
 
-    def labels(self):
-        return iter(range(len(self.dims)))
+    def dims_of(self, table):
+        return np.array(self.dims, dtype=np.int64)[table[:, 0]]
+
+    def products(self, table, g):
+        pairs = [(i, c) for i, a in enumerate(table[:, 0].tolist())
+                 for c, m in self._fusion[(a, g)].items() for _ in range(m)]
+        rows, prods = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T
+        return rows, prods[:, None]
+
+    def first_table(self, count):
+        return np.arange(min(count, len(self.dims)), dtype=np.int64)[:, None]
+
+    def first_weight(self, count):
+        return sum(d * d for d in self.dims[:count])
 
     def full_dual(self) -> frozenset:
         return frozenset(range(len(self.dims)))
 
     def default_schedule(self, steps: int) -> FolnerSchedule:
+        _refuse_large_prefixes(self, steps, len(self.dims))
         return FolnerSchedule.prefixes(
             self, [len(self.dims)] * steps, description=f"{self.name} full dual, constant"
         )
 
     def generating_labels(self):
-        return list(self.labels())
+        return list(range(len(self.dims)))
+
+    def parse_table(self, literals):
+        """Ints, irrep names, or strings read by int()."""
+        return self._int_literal_table(literals, self.irrep_names)
 
     def parse_label(self, literal):
-        if self.is_valid_label(literal):
-            return int(literal)
-        if isinstance(literal, str):
-            if literal in self.irrep_names:
-                return self.irrep_names.index(literal)
-            try:
-                return self.check_label(int(literal))
-            except ValueError as exc:
-                raise InvalidInputError(
-                    f"unknown irrep {literal!r} of {self.name}; names: {self.irrep_names}"
-                ) from exc
-        raise InvalidInputError(f"cannot parse label literal {literal!r}")
+        return self.labels_of(self.parse_table([literal]))[0]
 
     def format_label(self, label):
         return self.irrep_names[self.check_label(label)]
@@ -458,7 +742,7 @@ class FiniteDualRing(FusionRing):
 
 def weighted_cardinality(F: Iterable[Label], ring: FusionRing) -> int:
     """|F|_w = sum of squared dimensions over F.  Exact integer."""
-    return sum(ring.dim(a) ** 2 for a in F)
+    return sum(d * d for d in ring.dims_of(ring.label_table(F)).tolist())
 
 
 def fuse(a: Label, b: Label, ring: FusionRing) -> dict[Label, int]:
@@ -466,46 +750,142 @@ def fuse(a: Label, b: Label, ring: FusionRing) -> dict[Label, int]:
     return ring.fuse(a, b)
 
 
-def boundary(F, S: Iterable[Label], ring: FusionRing):
+def _generators(ring: FusionRing, S) -> list:
+    """S checked, without repeats; InvalidInputError when empty."""
+    S = list(dict.fromkeys(ring.labels_of(ring.label_table(list(S)))))
+    if not S:
+        raise InvalidInputError("S must be nonempty")
+    return S
+
+
+def _fusion_pairs(schedule: FolnerSchedule, S: list):
+    """The schedule's table fused with S and with conj(S), as pairs:
+    `forward` (row, f) with f the row of a product of
+    row (x) g, or n for a label outside the table; `backward` (row, b) with
+    b numbering the products of row (x) conj(g): table rows 0..n-1, then
+    the labels outside the table.  `rows` is the table followed by those
+    outside labels."""
+    ring, table = schedule.ring, schedule.table
+    n = len(table)
+    _check_size(2 * len(S) * n * ring.rank, "the boundary's table of fusion products")
+
+    def pairs(gens):
+        fused = [ring.products(table, g) for g in gens]
+        _check_size(sum(len(p) for _, p in fused) * ring.rank,
+                    "the boundary's table of fusion products")
+        return np.concatenate([r for r, _ in fused]), np.concatenate([p for _, p in fused])
+
+    f_rows, f_prods = pairs(S)
+    b_rows, b_prods = pairs([ring.conj(g) for g in S])
+    table_keys, f_keys, b_keys = _row_keys(table, f_prods, b_prods)
+    found = _lookup(table_keys, np.concatenate([f_keys, b_keys]))
+    f, b = found[:len(f_keys)], found[len(f_keys):]
+    f[f < 0] = n
+    outside = b < 0
+    first, inverse = _distinct(b_keys[outside])
+    b[outside] = n + inverse
+    rows = np.concatenate([table, b_prods[outside][first]])
+    return (f_rows, f), (b_rows, b), rows
+
+
+def _gather(starts: np.ndarray, counts: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """Positions of the pairs of the `chosen` rows, for pairs sorted by row
+    with `counts` pairs per row from `starts` on."""
+    c = counts[chosen]
+    return np.repeat(starts[chosen] - np.cumsum(c) + c, c) + np.arange(c.sum())
+
+
+def _step_boundaries(schedule: FolnerSchedule, pairs) -> list[np.ndarray]:
+    """Each step's boundary as ids into `rows` of `_fusion_pairs`: the
+    step's rows with a forward product outside the step, and the backward
+    products outside it."""
+    n = len(schedule.table)
+    by_row = []
+    for sources, targets in pairs[:2]:
+        order = np.argsort(sources, kind="stable")
+        counts = np.bincount(sources, minlength=n)
+        by_row.append((sources[order], targets[order], np.cumsum(counts) - counts, counts))
+    (f_rows, f, f_starts, f_counts), (_, b, b_starts, b_counts) = by_row
+    in_step = np.zeros(len(pairs[2]) + 1, dtype=bool)
+    out = []
+    for step in schedule.steps:
+        step = np.arange(n)[step] if isinstance(step, slice) else step
+        in_step[step] = True
+        at = _gather(f_starts, f_counts, step)
+        inner = f_rows[at][~in_step[f[at]]]
+        at = _gather(b_starts, b_counts, step)
+        outer = b[at][~in_step[b[at]]]
+        out.append(_sorted_set(np.concatenate([inner, outer])))
+        in_step[step] = False
+    return out
+
+
+def _prefix_boundary_sums(n: int, stops: list[int], pairs, weights: np.ndarray) -> np.ndarray:
+    """|boundary|_w of the first L rows for every L in `stops`, in one pass
+    over label ranks: row r is in the inner boundary for r < L <= (its
+    largest forward product's row), and a backward product e in the outer
+    boundary for (its smallest source row) < L <= e (<= n outside the
+    table).  Each adds its weight over that range of L."""
+    (f_rows, f), (b_rows, b), rows = pairs
+    last = np.zeros(n, dtype=np.intp)
+    np.maximum.at(last, f_rows, f)
+    source = np.full(len(rows), n, dtype=np.intp)
+    np.minimum.at(source, b, b_rows)
+    start = np.concatenate([np.arange(1, n + 1), source + 1])
+    end = np.concatenate([last, np.minimum(np.arange(len(rows)), n)])
+    weight = np.concatenate([weights[:n], weights])
+    keep = start <= end
+    change = np.zeros(n + 2, dtype=weights.dtype)
+    np.add.at(change, start[keep], weight[keep])
+    np.add.at(change, end[keep] + 1, -weight[keep])
+    return np.cumsum(change)[stops]
+
+
+def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
     """Boundary of F relative to S; empty for an empty F.  F may also be a
-    FolnerSchedule, whose steps' boundaries are returned as a list.
+    FolnerSchedule, whose steps' boundaries are returned as a list.  With
+    `weighted`, |boundary|_w is returned instead of the set (exact int64,
+    one per step for a schedule), and the sets are never built.
 
     The inner part collects a in F that fuse with some g in S to a label
     outside F.  The outer part is defined by a quantifier over all labels
     not in F; by Frobenius reciprocity (N[a,g]^b = N[b,conj(g)]^a) it equals
     the set of labels outside F reachable by fusing F with conj(S), which is
-    finite and computed directly.  One pass over the schedule's table fuses
-    each label once with every g in S and once with every conj(g); each step
-    then only tests membership.  A set F is a one-step schedule.
+    finite and computed directly.  One pass fuses the schedule's table with
+    every g in S and every conj(g); each step then only tests membership,
+    and the weights of a prefix schedule come from one pass over label
+    ranks.  A set F is a one-step schedule.
     """
-    S = frozenset(ring.check_label(g) for g in S)
-    if not S:
-        raise InvalidInputError("S must be nonempty")
+    S = _generators(ring, S)
     if not isinstance(F, FolnerSchedule):
         F = frozenset(F)
-        return boundary(FolnerSchedule(ring, (F,)), S, ring)[0] if F else frozenset()
-    forward = {a: frozenset().union(*(ring.fuse(a, g) for g in S)) for a in F.labels}
-    conj_S = [ring.conj(g) for g in S]
-    backward = {a: frozenset().union(*(ring.fuse(a, h) for h in conj_S)) for a in F.labels}
-    out = []
-    for step in F:
-        inner = {a for a in step if not forward[a] <= step}
-        out.append((frozenset().union(*(backward[a] for a in step)) - step).union(inner))
-    return out
+        if not F:
+            return 0 if weighted else frozenset()
+        return boundary(FolnerSchedule(ring, (F,)), S, ring, weighted)[0]
+    schedule = F._on(ring)
+    pairs = _fusion_pairs(schedule, S)
+    if not weighted:
+        labels = ring.labels_of(pairs[-1])
+        return [frozenset(labels[i] for i in ids.tolist())
+                for ids in _step_boundaries(schedule, pairs)]
+    dims = ring.dims_of(pairs[-1])
+    if all(isinstance(s, slice) for s in schedule.steps):
+        stops = [s.stop for s in schedule.steps]
+        return _weighted_sums(
+            dims, lambda w: _prefix_boundary_sums(len(schedule.table), stops, pairs, w))
+    ids = _step_boundaries(schedule, pairs)
+    return _weighted_sums(dims, lambda w: np.array([w[i].sum() for i in ids], dtype=w.dtype))
 
 
 def folner_series(schedule: FolnerSchedule, S: Iterable[Label]) -> tuple[np.ndarray, np.ndarray]:
     """|F|_w and |boundary(F,S)|_w of every set in the schedule, as exact
-    int64 arrays, from one boundary pass over the schedule's table.
+    int64 arrays, from one weighted boundary pass over the schedule's table.
 
     A sequence with ratios |boundary|_w / |F|_w tending to zero for every
     finite nonempty S is a right Folner sequence; this merely reports the
     finitely many steps asked for and makes no limit claim.
     """
-    ring = schedule.ring
-    boundary_wcards = np.array(
-        [weighted_cardinality(B, ring) for B in boundary(schedule, S, ring)], dtype=np.int64)
-    return schedule.weighted_cardinalities, boundary_wcards
+    return schedule.weighted_cardinalities, boundary(schedule, S, schedule.ring, weighted=True)
 
 
 def folner_ratio(F: Iterable[Label], S: Iterable[Label], ring: FusionRing) -> float:

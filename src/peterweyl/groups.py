@@ -23,7 +23,7 @@ from itertools import islice, permutations
 import numpy as np
 
 from .errors import InvalidInputError
-from .fusion import FiniteDualRing, FusionRing, LatticeRing, SU2Ring
+from .fusion import FiniteDualRing, FusionRing, LatticeRing, SU2Ring, _sorted_set
 
 # entries of one character table in `character_sums` (labels x a chunk of
 # elements), about 1 MB
@@ -55,37 +55,36 @@ class CompactGroupModel(ABC):
 
     def characters(self, labels, elements) -> np.ndarray:
         """chi_a(g) for every label a and element g, as a complex array of
-        shape (len(labels), len(elements)).  Each entry depends only on its
-        own label and element, never on the rest of the batch."""
-        return self._character_table(self._checked_labels(labels), list(elements))
+        shape (len(labels), len(elements)).  `labels` is a list of labels or
+        an int64 label table of the ring (`ring.label_table`), checked as a
+        whole.  Each entry depends only on its own label and element, never
+        on the rest of the batch."""
+        return self._character_table(self.ring.label_table(labels), list(elements))
 
     def character_sums(self, labels, weighted) -> np.ndarray:
         """sum_j w_j chi_a(g_j) for every label a, over the pairs (w_j, g_j)
         of the iterable `weighted`.
 
-        The labels are checked once; the elements are taken in chunks that
-        keep each character table near _TABLE_ENTRIES entries, so memory
-        stays linear in the labels however many pairs there are.  The sum
-        adds one element at a time, so a label's value depends neither on
-        the chunking nor on the other labels.
+        The labels (a list or a label table) are checked once; the elements
+        are taken in chunks that keep each character table near
+        _TABLE_ENTRIES entries, so memory stays linear in the labels however
+        many pairs there are.  The sum adds one element at a time, so a
+        label's value depends neither on the chunking nor on the other
+        labels.
         """
-        checked = self._checked_labels(labels)
-        total = np.zeros(len(labels), dtype=complex)
-        width = max(1, _TABLE_ENTRIES // max(len(labels), 1))
+        table = self.ring.label_table(labels)
+        total = np.zeros(len(table), dtype=complex)
+        width = max(1, _TABLE_ENTRIES // max(len(table), 1))
         weighted = iter(weighted)
         while chunk := list(islice(weighted, width)):
             weights, elements = zip(*chunk)
-            for w, column in zip(weights, self._character_table(checked, elements).T):
+            for w, column in zip(weights, self._character_table(table, elements).T):
                 total += w * column
         return total
 
     @abstractmethod
-    def _checked_labels(self, labels):
-        """The labels, each checked, in the form `_character_table` reads."""
-
-    @abstractmethod
-    def _character_table(self, labels, elements) -> np.ndarray:
-        """`characters` on labels returned by `_checked_labels`."""
+    def _character_table(self, table, elements) -> np.ndarray:
+        """`characters` on a checked label table of the ring."""
 
     @abstractmethod
     def haar_sample(self, rng: np.random.Generator): ...
@@ -174,15 +173,11 @@ class TorusModel(CompactGroupModel):
             value *= z ** n
         return np.array([[value]], dtype=complex)
 
-    def _checked_labels(self, labels):
-        n = np.array([self.ring.check_label(a) for a in labels], dtype=float)
-        return n.reshape(len(n), self.rank)
-
-    def _character_table(self, n, elements):
+    def _character_table(self, table, elements):
         """exp(i n.theta) with theta the angles of the element; the phase is
         kept as hi + lo, so its rounding does not grow with the label."""
         theta = np.angle(np.array(elements, dtype=complex)).reshape(len(elements), self.rank)
-        hi, lo = _exact_phase(n, theta)
+        hi, lo = _exact_phase(table.astype(float), theta)
         return np.exp(1j * hi) * (1 + 1j * lo)
 
     def haar_sample(self, rng):
@@ -322,22 +317,20 @@ class SU2Model(CompactGroupModel):
         self.ring.check_label(label)
         return _sym_power(self.defining_matrix(g), label)
 
-    def _checked_labels(self, labels):
-        return [self.ring.check_label(a) for a in labels]
-
-    def _character_table(self, labels, elements):
+    def _character_table(self, table, elements):
         """The Weyl character sin((n+1)t/2)/sin(t/2) in its Chebyshev form
         U_n(x) at x = cos(t/2) = Re a, from U_{n+1} = 2x U_n - U_{n-1}, run
         once up to the largest label for all elements together."""
-        wanted = set(labels)
+        labels = table[:, 0]
+        wanted = _sorted_set(labels).tolist()
         x = np.array([g[0].real for g in elements], dtype=float)
-        two_x, rows = 2 * x, {}
+        two_x, rows, k = 2 * x, np.empty((len(wanted), len(x))), 0
         prev, cur = np.zeros_like(x), np.ones_like(x)  # U_{-1}, U_0
-        for n in range(max(labels, default=-1) + 1):
-            if n in wanted:
-                rows[n] = cur
+        for n in range(wanted[-1] + 1 if wanted else 0):
+            if n == wanted[k]:
+                rows[k], k = cur, k + 1
             prev, cur = cur, two_x * cur - prev
-        return np.array([rows[a] for a in labels], dtype=complex).reshape(len(labels), len(x))
+        return rows[np.searchsorted(wanted, labels)].astype(complex)
 
     def rotation_angle(self, g) -> float:
         """Angle t in [0, 2*pi] with g conjugate to diag(e^{it/2}, e^{-it/2})."""
@@ -424,12 +417,9 @@ class FiniteGroupModel(CompactGroupModel):
         self.ring.check_label(label)
         return self._matrices[label][self._check(g)]
 
-    def _checked_labels(self, labels):
-        return np.array([self.ring.check_label(a) for a in labels], dtype=np.intp)
-
-    def _character_table(self, rows, elements):
+    def _character_table(self, table, elements):
         cols = np.array([self._check(g) for g in elements], dtype=np.intp)
-        return self.ring.characters[np.ix_(rows, cols)]
+        return self.ring.characters[np.ix_(table[:, 0], cols)]
 
     def haar_sample(self, rng):
         return int(rng.integers(self.order))

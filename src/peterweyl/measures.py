@@ -42,7 +42,12 @@ class MeasureSpec:
         ring = model.ring
         checked = []
         for g, w in atoms:
-            w = float(w)
+            if isinstance(w, (bool, np.bool_)):
+                raise InvalidInputError(f"atom weight {w!r} must be a number, not a bool")
+            try:
+                w = float(w)
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(f"atom weight {w!r} must be a number") from exc
             if not (math.isfinite(w) and w > 0):
                 raise InvalidInputError(f"atom weight {w} must be finite and strictly positive")
             checked.append((g, w))
@@ -206,7 +211,8 @@ def conjugate_measure(mu: MeasureSpec) -> MeasureSpec:
 
 def scalar_from_json(entry) -> complex:
     pair = [entry, 0] if isinstance(entry, (int, float)) else entry
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2) or any(
+            isinstance(x, bool) for x in pair):
         raise InvalidInputError(f"matrix entry {entry!r} must be a number or [re, im]")
     try:
         re, im = float(pair[0]), float(pair[1])
@@ -240,10 +246,10 @@ def measure_from_json(obj: dict) -> MeasureSpec:
     atoms = []
     for k, entry in enumerate(obj.get("atoms", [])):
         try:
-            atoms.append((model.parse_element(entry["element"]), float(entry["weight"])))
+            atoms.append((model.parse_element(entry["element"]), entry["weight"]))
         except InvalidInputError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"atoms[{k}] needs 'element' and numeric 'weight' fields") from exc
     density = {}
     for k, entry in enumerate(obj.get("density", [])):

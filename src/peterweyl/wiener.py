@@ -34,33 +34,32 @@ KINDS = ("atom", "energy", "char")
 
 
 def _terms(kind: str, mu: MeasureSpec, y=None):
-    """The batched term function of one average: labels -> d_a * (...)."""
+    """The batched term function of one average: (label table, dims) -> d_a * (...)."""
     model, atoms = mu.model, mu.atoms
 
-    def terms(labels) -> np.ndarray:
-        d = np.array([model.ring.dim(a) for a in labels], dtype=float)
+    def terms(table, dims) -> np.ndarray:
+        d = dims.astype(float)
         if kind == "atom":
             y_inv = model.inverse(y)
-            sums = model.character_sums(labels, ((w, model.multiply(x, y_inv)) for x, w in atoms))
+            sums = model.character_sums(table, ((w, model.multiply(x, y_inv)) for x, w in atoms))
         elif kind == "char":
-            sums = model.character_sums(labels, ((w, x) for x, w in atoms))
+            sums = model.character_sums(table, ((w, x) for x, w in atoms))
         else:
             # chi_a(e) = d_a on the diagonal; the pairs i < j count twice, as
             # Re chi_a(g^-1) = Re chi_a(g)
             pairs = ((2 * wi * wj, model.multiply(model.inverse(xi), xj))
                      for i, (xi, wi) in enumerate(atoms) for xj, wj in atoms[i + 1:])
-            sums = d * sum(w * w for _, w in atoms) + model.character_sums(labels, pairs).real
-        for k, a in enumerate(labels):
-            D = mu.density.get(a)
-            if D is None:
-                continue
-            if kind == "atom":
-                sums[k] += np.vdot(model.irrep_matrix(a, y), D)
-            elif kind == "char":
-                sums[k] += np.trace(D)
-            else:
-                cross = sum(w * np.vdot(model.irrep_matrix(a, x), D) for x, w in atoms)
-                sums[k] += np.vdot(D, D).real + 2 * np.real(cross)
+            sums = d * sum(w * w for _, w in atoms) + model.character_sums(table, pairs).real
+        # the density labels, found among the table's rows
+        for (a, D), row in zip(mu.density.items(), model.ring.label_table(list(mu.density))):
+            for k in np.flatnonzero(np.all(table == row, axis=1)).tolist():
+                if kind == "atom":
+                    sums[k] += np.vdot(model.irrep_matrix(a, y), D)
+                elif kind == "char":
+                    sums[k] += np.trace(D)
+                else:
+                    cross = sum(w * np.vdot(model.irrep_matrix(a, x), D) for x, w in atoms)
+                    sums[k] += np.vdot(D, D).real + 2 * np.real(cross)
         return d * sums
 
     return terms

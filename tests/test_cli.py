@@ -1,13 +1,19 @@
 """End-to-end CLI runs: artifacts, exit codes, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from peterweyl.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, RunConfig, main, run
+from peterweyl import InvalidInputError, get_ring, weighted_cardinality
+from peterweyl.cli import (EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, RunConfig,
+                           load_schedule, main, run)
 
 
 def read_csv(path):
@@ -58,6 +64,34 @@ class TestFolner:
                      "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ring, S", [("Z", "1"), ("Z^d:2", "1,0;0,1"), ("SU2", "1"),
+                                         ("finite:D4", "twodim")])
+    @pytest.mark.parametrize("sets", [5, [5], ["12", ["3"]], [{"1": 0}], "12", {"a": [1]}],
+                             ids=["sets-number", "set-number", "set-string", "set-dict",
+                                  "sets-string", "sets-dict"])
+    def test_schedule_sets_must_be_lists_of_lists(self, tmp_path, capsys, ring, S, sets):
+        schedule = write_json(tmp_path / "s.json", {"sets": sets})
+        out = tmp_path / "folner.csv"
+        assert main(["folner", "--ring", ring, "--S", S, "--schedule", schedule,
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("ring, S, steps", [("Z^d:3", "1,0,0;0,1,0;0,0,1", "1000000"),
+                                                ("SU2", "1", "3100000")])
+    def test_oversized_default_schedule_is_refused_at_once(self, tmp_path, capsys,
+                                                           ring, S, steps):
+        # Z^3 boxes to radius 10^6 hold 8e18 labels; SU2 spins to 3.1e6 have
+        # |F|_w = 9.93e18, above 2**63 - 1
+        out = tmp_path / "folner.csv"
+        start = time.perf_counter()
+        code = main(["folner", "--ring", ring, "--S", S, "--steps", steps, "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_VALIDATION and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_z2_boxes(self, tmp_path):
         out = tmp_path / "folner.csv"
@@ -185,6 +219,20 @@ class TestWiener:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("atom, matrix", [(True, [[0.5]]), (0.5, [[False]]),
+                                              (0.5, [[[True, 0]]])],
+                             ids=["bool-weight", "bool-entry", "bool-in-pair"])
+    def test_bool_numbers_are_validation_errors(self, tmp_path, capsys, atom, matrix):
+        measure = write_json(tmp_path / "m.json", {
+            "group": "Z", "atoms": [{"element": "z:1,0", "weight": atom}],
+            "density": [{"irrep": "0", "matrix": matrix}]})
+        out = tmp_path / "series.csv"
+        assert main(["wiener", "--kind", "char", "--measure", measure, "--steps", "3",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_optional_ring_flag_must_match_measure(self, tmp_path):
         measure = write_json(tmp_path / "haar.json", haar_measure_doc())
         out = tmp_path / "s.csv"
@@ -267,8 +315,9 @@ class TestErgodic:
         ("point", {"ring": "finite:S3", "points": [True]}),
         ("gns", {"ring": "finite:S3", "state": [1, 1, 1, 1, 1, "a"]}),
         ("gns", {"ring": "finite:S3", "state": [1, 0, 0, 0, 0, False]}),
+        ("group", {"ring": "dualgroup:Z^d:1", "generators": [[[True]]]}),
     ], ids=["generators-number", "generator-number", "points-number", "point-bool",
-            "state-string", "state-bool"])
+            "state-string", "state-bool", "generator-bool"])
     def test_malformed_rep_spec_is_validation_error(self, tmp_path, capsys, rep, doc):
         spec = write_json(tmp_path / "rep.json", doc)
         out = tmp_path / "report.csv"
@@ -330,3 +379,65 @@ class TestRunConfigApi:
         )
         assert result.returncode == EXIT_OK
         assert result.stdout.strip().splitlines() == ["label,multiplicity,dim", "-3,1,1"]
+
+
+# schedule-file fuzzing: literals that are often labels of the ring, mixed
+# with values of every other JSON kind, in sets that may not be lists
+_SMALL = st.integers(-4, 4)
+_VALID_LITERALS = {
+    "Z": _SMALL | _SMALL.map(str) | _SMALL.map("w:{}".format),
+    "Z^d:2": st.lists(_SMALL, min_size=2, max_size=2)
+    | st.tuples(_SMALL, _SMALL).map(lambda t: "w:{},{}".format(*t))
+    | st.tuples(_SMALL, _SMALL).map(lambda t: " {} ;{}".format(*t)),
+    "SU2": st.integers(0, 6) | st.integers(0, 6).map(str),
+    "finite:D4": st.integers(0, 4) | st.sampled_from(["trivial", "sign_s", "twodim", "3"]),
+}
+_JUNK = st.recursive(
+    st.none() | st.integers() | st.booleans() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["w:", "w:1", "w:1,2,3", ";", "1,", "+3", "3_0", "-0", "2**70",
+                       "\ud800,1", "1\x00,2", "\x00"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                 max_size=2),
+    max_leaves=5,
+)
+_FUZZ_S = {"Z": "1", "Z^d:2": "1,0;0,1", "SU2": "1", "finite:D4": "twodim"}
+
+
+def _fuzz_sets(ring_id):
+    valid = _VALID_LITERALS[ring_id]
+    clean = st.lists(st.lists(valid, min_size=1, max_size=5), min_size=1, max_size=4)
+    dirty = st.lists(st.lists(valid | _JUNK, max_size=5) | _JUNK, max_size=4)
+    return clean | dirty | _JUNK
+
+
+@pytest.mark.parametrize("ring_id", sorted(_VALID_LITERALS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_schedule_file_loads_as_its_literals_or_is_rejected(tmp_path_factory, ring_id, data):
+    ring = get_ring(ring_id)
+    sets = data.draw(_fuzz_sets(ring_id))
+    path = write_json(tmp_path_factory.mktemp("schedule") / "s.json", {"sets": sets})
+    try:
+        schedule = load_schedule(ring, path, 20)
+    except InvalidInputError:
+        return
+    expected = tuple(frozenset(ring.parse_label(literal) for literal in F) for F in sets)
+    assert schedule.sets == expected
+    assert schedule.weighted_cardinalities.tolist() == [
+        weighted_cardinality(F, ring) for F in expected]
+
+
+@pytest.mark.parametrize("ring_id", sorted(_VALID_LITERALS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_folner_on_a_fuzzed_schedule_file_exits_cleanly(tmp_path_factory, ring_id, data):
+    work = tmp_path_factory.mktemp("folner")
+    path = write_json(work / "s.json", {"sets": data.draw(_fuzz_sets(ring_id))})
+    out = work / "folner.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["folner", "--ring", ring_id, "--S", _FUZZ_S[ring_id], "--schedule", path,
+                     "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERIC)
+    assert "Traceback" not in err.getvalue()
+    assert out.exists() == (code == EXIT_OK)

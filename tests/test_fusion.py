@@ -1,11 +1,15 @@
 """Fusion combinatorics: dimensions, boundaries, Folner ratios."""
 
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from peterweyl import (
     FolnerSchedule,
+    FusionRing,
     InvalidInputError,
     LatticeRing,
     boundary,
@@ -15,6 +19,7 @@ from peterweyl import (
     get_ring,
     weighted_cardinality,
 )
+from peterweyl.fusion import SU2_LABEL_BOUND
 
 Z = get_ring("Z")
 Z2 = get_ring("Z^d:2")
@@ -315,22 +320,135 @@ class TestFolnerSeries:
 
     def test_each_label_fused_once_per_generator_and_conjugate(self, monkeypatch):
         ring = get_ring("Z^d:3")
-        schedule = ring.default_schedule(4)
         units = ring.generating_labels()
-        calls = []
-        fuse = LatticeRing.fuse
+        calls = Counter()
 
-        def counting_fuse(self, a, b):
-            calls.append((a, b))
-            return fuse(self, a, b)
+        def counting(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(LatticeRing, "fuse", counting_fuse)
-        wcards, boundary_wcards = folner_series(schedule, units)
-        assert len(calls) == 2 * len(units) * len(schedule.labels)
-        # inner part: a coordinate at n; outer part: a coordinate at -n-1
+        for cls, name in [(LatticeRing, "products"), (LatticeRing, "fuse"),
+                          (FusionRing, "check_label")]:
+            monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+        for steps in (2, 4):
+            schedule = ring.default_schedule(steps)
+            calls.clear()
+            wcards, boundary_wcards = folner_series(schedule, units)
+            # the whole table is fused in one batch per generator and per
+            # conjugate, however many labels it has; no label is fused or
+            # checked one at a time
+            assert calls == Counter({"products": 2 * len(units)})
+            # inner part: a coordinate at n; outer part: a coordinate at -n-1
+            assert boundary_wcards.tolist() == [
+                (2 * n + 1) ** 3 - (2 * n) ** 3 + 3 * (2 * n + 1) ** 2
+                for n in range(1, steps + 1)
+            ]
+
+    def test_z3_boxes_to_15_match_the_closed_form_quickly(self):
+        ring = get_ring("Z^d:3")
+        units = ring.generating_labels()
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            _, boundary_wcards = folner_series(ring.default_schedule(15), units)
+            best = min(best, time.perf_counter() - start)
         assert boundary_wcards.tolist() == [
-            (2 * n + 1) ** 3 - (2 * n) ** 3 + 3 * (2 * n + 1) ** 2 for n in range(1, 5)
+            (2 * n + 1) ** 3 - (2 * n) ** 3 + 3 * (2 * n + 1) ** 2 for n in range(1, 16)
         ]
+        assert best < 0.2
+
+
+class TestLabelTables:
+    @pytest.mark.parametrize("ring, steps, S", [
+        (Z, 30, [1, -3]), (Z2, 6, [(1, 0), (0, 1)]), (Z2, 4, [(2, -1), (0, 3)]),
+        (SU2, 40, [1, 3]), (D4, 3, [4]), (get_ring("Z^d:3"), 3, [(1, 0, 0), (0, 1, 1)]),
+    ])
+    def test_prefix_pass_equals_the_stepwise_boundary(self, ring, steps, S):
+        schedule = ring.default_schedule(steps)
+        weighted = boundary(schedule, S, ring, weighted=True)
+        assert weighted.dtype == np.int64
+        assert weighted.tolist() == [weighted_cardinality(B, ring)
+                                     for B in boundary(schedule, S, ring)]
+        # the same sets as index steps take the stepwise pass
+        indexed = FolnerSchedule(ring, schedule.sets)
+        assert boundary(indexed, S, ring, weighted=True).tolist() == weighted.tolist()
+
+    def test_spread_out_labels_fall_back_to_ranked_keys(self):
+        ring = get_ring("Z^d:3")
+        far = 2 ** 40
+        F = {(0, 0, 0), (far, 0, -far), (-far, far, 0)}
+        units = ring.generating_labels()
+        # every label is inner (a + g leaves F), and every a - g is outer
+        below = {tuple(x - e for x, e in zip(a, g)) for a in F for g in units}
+        assert boundary(F, units, ring) == F | below
+        assert boundary(F, units, ring, weighted=True) == 3 + 9
+
+    def test_weighted_cardinalities_never_wrap(self):
+        # 3.1e6 spins have |F|_w = 9.93e18 > 2**63 - 1; refused before building
+        with pytest.raises(InvalidInputError, match="exceeds"):
+            FolnerSchedule.prefixes(SU2, [3_100_000])
+        with pytest.raises(InvalidInputError, match="exceeds"):
+            SU2.default_schedule(3_100_000)
+        top = SU2_LABEL_BOUND - 1
+        assert SU2.dim(top) ** 2 <= 2 ** 63 - 1 and not SU2.is_valid_label(top + 1)
+        with pytest.raises(InvalidInputError, match="exceeds"):
+            FolnerSchedule(SU2, [{top, top - 1}])
+        # a set that fits, whose boundary (the label top + 1) does not
+        schedule = FolnerSchedule(SU2, [{top}])
+        assert schedule.weighted_cardinalities.tolist() == [(top + 1) ** 2]
+        with pytest.raises(InvalidInputError, match="exceeds"):
+            folner_series(schedule, [1])
+        # just below the limit the exact value survives
+        assert weighted_cardinality({top}, SU2) == int(schedule.weighted_cardinalities[0])
+
+    def test_tables_above_the_size_limit_are_refused(self):
+        Z3 = get_ring("Z^d:3")
+        for make in (lambda: Z3.default_schedule(1_000_000), lambda: Z.default_schedule(10 ** 9),
+                     lambda: S3.default_schedule(10 ** 9), lambda: Z3.enumerate_labels(10 ** 8),
+                     lambda: SU2.fuse(10 ** 9, 10 ** 9)):
+            with pytest.raises(InvalidInputError, match="2\\*\\*24"):
+                make()
+
+    def test_label_components_stay_in_int64(self):
+        assert Z.is_valid_label(2 ** 62 - 1) and Z.is_valid_label(-(2 ** 62) + 1)
+        for bad in (2 ** 62, -(2 ** 62), 2 ** 63, 10 ** 30):
+            assert not Z.is_valid_label(bad)
+            with pytest.raises(InvalidInputError):
+                Z.parse_label(str(bad))
+            with pytest.raises(InvalidInputError):
+                Z2.parse_label([bad, 0])
+        assert Z.fuse(2 ** 62 - 1, 2 ** 62 - 1) == {2 ** 63 - 2: 1}
+
+    def test_label_tables_are_checked_as_a_whole(self):
+        table = Z2.label_table([(1, 2), (-3, 0)])
+        assert table.dtype == np.int64 and table.tolist() == [[1, 2], [-3, 0]]
+        assert Z2.label_table(table) is table
+        for bad in (np.zeros((2, 3), dtype=np.int64), np.zeros((2, 2), dtype=float),
+                    np.array([[2 ** 62, 0]], dtype=np.int64)):
+            with pytest.raises(InvalidInputError):
+                Z2.label_table(bad)
+        with pytest.raises(InvalidInputError):
+            SU2.label_table(np.array([[3], [-1]], dtype=np.int64))
+
+    def test_one_label_methods_are_the_table_rules(self):
+        assert Z.sort_key(-2) == (2, 2) and Z.sort_key(2) == (2, -2)
+        assert Z2.sort_key((0, -1)) == (1, 0, -1)
+        assert Z.sorted_labels([-2, 2, 0, -1, 1]) == [0, 1, -1, 2, -2]
+        assert SU2.dim(4) == 5 and D4.dim(4) == 2 and Z2.dim((3, -3)) == 1
+        assert D4.fuse(4, 4) == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert Z2.conj((1, -2)) == (-1, 2) and Q8.conj(4) == 4
+
+    def test_schedule_file_literals_are_read_as_python_ints_read_them(self):
+        assert Z2.parse_table(["w:1,-2", " 3 ; 4", "+5,6", "7,,8", "3_0,0"]).tolist() == [
+            [1, -2], [3, 4], [5, 6], [7, 8], [30, 0]]
+        assert Z.parse_table([3, "w:-4", " 5 ", "6,"]).tolist() == [[3], [-4], [5], [6]]
+        assert D4.parse_table(["twodim", 0, "3"]).tolist() == [[4], [0], [3]]
+        for ring, bad in [(Z2, ["1,2", "1,2,3"]), (Z2, ["1,2", " w:1,2"]), (Z2, ["w:1;x"]),
+                          (Z, ["1", 2.0]), (SU2, ["1", "-1"]), (D4, ["twodim", "5"])]:
+            with pytest.raises(InvalidInputError):
+                ring.parse_table(bad)
 
 
 class TestSchedulesAndEnumeration:

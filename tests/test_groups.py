@@ -290,7 +290,7 @@ class TestLiteralsAndRegistry:
             g = model.parse_element(literal)
         except InvalidInputError:
             return
-        assert np.all(np.isfinite(model.characters([0], [g])))
+        assert np.all(np.isfinite(model.characters([model.ring.trivial], [g])))
         assert model.distance(model.multiply(g, model.inverse(g)), model.identity()) < 1e-12
 
     def test_bad_literals_rejected(self):
