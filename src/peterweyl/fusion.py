@@ -15,10 +15,10 @@ Folner schedule is one table of its distinct labels in ring order plus one
 index array (or prefix length) per step.  Everything here is exact integer
 arithmetic, except the Folner ratio and `reduce_along`, the one reduction
 that sums an average's terms along a schedule.  Folner boundaries are read
-from the same table: one pass fuses it with S and with conj(S) and finds
-each product's row by a search on sorted integer keys; each step then only
-tests membership, and a prefix schedule gets every step's boundary from one
-pass over label ranks.
+from the same table: one pass fuses it with S and with conj(S) and ranks
+the table and all products together with one sort, so each product knows
+its row; each step then only tests which of its rows' products fall
+outside it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate, product, repeat
+from itertools import product, repeat
 from typing import Iterable, Union
 
 import numpy as np
@@ -40,9 +40,12 @@ INT64_MAX = 2**63 - 1
 # label components stay below this in modulus, so a label plus a label
 # (a lattice fusion product) still fits in int64
 LABEL_BOUND = 2**62
-# the most int64 entries one label table may hold (128 MiB): a schedule's
-# table and steps, a schedule file's literals, the products of a boundary
-# pass.  A boundary pass holds several tables of that size at once.
+# the most int64 entries one table may hold: a schedule's table and steps,
+# a schedule file's literals, the products of a boundary pass with S (and
+# with conj(S)).  A boundary pass holds several arrays of that size at once:
+# `folner` on Z^3 boxes to radius 48 with three generators, whose products
+# (16,426,062 entries) just fit, peaks at 700 MB of RSS in 2.1 s (x86-64,
+# numpy 2.4); radius 49 is refused.
 MAX_TABLE_ENTRIES = 2**24
 
 
@@ -165,30 +168,38 @@ class FusionRing(ABC):
             return table[:, 0].tolist()
         return list(map(tuple, table.tolist()))
 
-    def is_valid_label(self, label) -> bool:
+    def _row(self, label) -> np.ndarray | None:
+        """The label as a one-row table, or None when it is not a label."""
         parts = self._parts(label)
-        if parts is None:
-            return False
-        try:
-            row = np.array([parts], dtype=np.int64)
-        except OverflowError:
-            return False
-        return bool(self._valid(row)[0])
+        if parts is None or not all(-LABEL_BOUND < x < LABEL_BOUND for x in parts):
+            return None
+        row = np.array([parts], dtype=np.int64)
+        return row if self.valid_rows(row)[0] else None
+
+    def _label_row(self, label) -> np.ndarray:
+        row = self._row(label)
+        if row is None:
+            raise InvalidInputError(f"{label!r} is not a label of ring {self.name}")
+        return row
+
+    def is_valid_label(self, label) -> bool:
+        return self._row(label) is not None
 
     def check_label(self, label) -> Label:
-        if not self.is_valid_label(label):
-            raise InvalidInputError(f"{label!r} is not a label of ring {self.name}")
+        self._label_row(label)
         return label
 
     def _one(self, label) -> Label:
         """The label checked, as a Python int or int tuple."""
-        return self.labels_of(self.label_table([label]))[0]
+        self._label_row(label)
+        parts = tuple(map(int, self._parts(label)))
+        return parts[0] if self.rank == 1 else parts
 
     def dim(self, label: Label) -> int:
-        return int(self.dims_of(self.label_table([label]))[0])
+        return int(self.dims_of(self._label_row(label))[0])
 
     def sort_key(self, label: Label) -> tuple:
-        return tuple(int(k[0]) for k in reversed(self.order_keys(self.label_table([label]))))
+        return tuple(int(k[0]) for k in reversed(self.order_keys(self._label_row(label))))
 
     def sorted_labels(self, labels: Iterable[Label]) -> list[Label]:
         table = self.label_table(labels)
@@ -196,7 +207,7 @@ class FusionRing(ABC):
 
     def _fused(self, a: Label, b: Label) -> dict[Label, int]:
         """Decomposition of a (x) b as {label: multiplicity}."""
-        _, prods = self.products(self.label_table([a]), self._one(b))
+        _, prods = self.products(self._label_row(a), self._one(b))
         return dict(Counter(self.labels_of(prods)))
 
     def multiplicity(self, a: Label, b: Label, c: Label) -> int:
@@ -270,60 +281,25 @@ def _weighted_sums(dims: np.ndarray, sums) -> np.ndarray:
     return np.array(exact, dtype=np.int64)
 
 
-def _step_sums(weights: np.ndarray, steps) -> np.ndarray:
-    """Sum of the weights over each step: prefixes from one cumulative sum."""
-    if all(isinstance(s, slice) for s in steps):
-        totals = np.concatenate((np.zeros(1, dtype=weights.dtype), np.cumsum(weights)))
-        return totals[[s.stop for s in steps]]
-    return np.array([weights[s].sum() for s in steps], dtype=weights.dtype)
-
-
-def _row_keys(*tables: np.ndarray) -> list[np.ndarray]:
-    """One int64 key per row of each table, equal exactly when the rows are:
-    the row itself at rank 1, mixed-radix digits over the rows' ranges
-    otherwise, or the rows' ranks in lexicographic order when those ranges
-    are too wide for int64."""
-    if tables[0].shape[1] == 1:
-        return [t[:, 0] for t in tables]
-    lo = np.min([t.min(axis=0) for t in tables], axis=0)
-    hi = np.max([t.max(axis=0) for t in tables], axis=0)
-    radix = [int(h) - int(l) + 1 for l, h in zip(lo.tolist(), hi.tolist())]
-    if math.prod(radix) <= INT64_MAX:
-        place = np.cumprod([1] + radix[:0:-1])[::-1]
-        return [(t - lo) @ place for t in tables]
-    rows = np.concatenate(tables)
-    order = np.lexsort(rows.T[::-1])
+def _ranks(rows: np.ndarray, keys) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's rank among the distinct rows in the order of the
+    `np.lexsort` keys (which must tell distinct rows apart), and the index
+    of one occurrence of each distinct row, by rank."""
+    order = np.lexsort(keys)
     ordered = rows[order]
-    new = np.concatenate(([True], np.any(ordered[1:] != ordered[:-1], axis=1)))
-    keys = np.empty(len(rows), dtype=np.int64)
-    keys[order] = np.cumsum(new) - 1
-    return np.split(keys, list(accumulate(len(t) for t in tables[:-1])))
-
-
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index of one occurrence of each distinct key, in ascending key
-    order, and each key's position among them (np.unique's index and
-    inverse, from one sort: np.unique imports numpy.ma on its first call,
-    which costs a CLI process about 15 ms)."""
-    order = np.argsort(keys)
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = keys[order[1:]] != keys[order[:-1]]
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    ranks = np.empty(len(rows), dtype=np.intp)
+    ranks[order] = np.cumsum(new) - 1
+    return ranks, order[new]
 
 
 def _sorted_set(values: np.ndarray) -> np.ndarray:
     """The distinct values, ascending."""
-    return values[_distinct(values)[0]]
-
-
-def _lookup(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """The index of each query among the distinct `keys`, or -1."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    pos = np.searchsorted(ordered, queries).clip(max=len(keys) - 1)
-    return np.where(ordered[pos] == queries, order[pos], -1)
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 class FolnerSchedule:
@@ -371,15 +347,10 @@ class FolnerSchedule:
             raise InvalidInputError("schedule must contain at least one set")
         if not all(lengths):
             raise InvalidInputError("schedule sets must be nonempty")
-        first, inverse = _distinct(_row_keys(table)[0])
-        distinct = table[first]
-        order = np.lexsort(ring.order_keys(distinct))
-        position = np.empty(len(order), dtype=np.intp)
-        position[order] = np.arange(len(order))
-        ids = position[inverse]
+        ids, first = _ranks(table, ring.order_keys(table))
         ends = np.cumsum(lengths).tolist()
         steps = [_sorted_set(ids[end - k:end]) for k, end in zip(lengths, ends)]
-        self._init(ring, distinct[order], steps, description)
+        self._init(ring, table[first], steps, description)
 
     def _init(self, ring, table, steps, description):
         if not steps:
@@ -390,7 +361,7 @@ class FolnerSchedule:
         self.description = description
         self.dims = ring.dims_of(table)
         self.weighted_cardinalities = _weighted_sums(
-            self.dims, lambda w: _step_sums(w, self.steps))
+            self.dims, lambda w: np.array([w[s].sum() for s in self.steps], dtype=w.dtype))
         for array in (self.table, self.dims, self.weighted_cardinalities):
             array.setflags(write=False)
 
@@ -759,15 +730,13 @@ def _generators(ring: FusionRing, S) -> list:
 
 
 def _fusion_pairs(schedule: FolnerSchedule, S: list):
-    """The schedule's table fused with S and with conj(S), as pairs:
-    `forward` (row, f) with f the row of a product of
-    row (x) g, or n for a label outside the table; `backward` (row, b) with
-    b numbering the products of row (x) conj(g): table rows 0..n-1, then
-    the labels outside the table.  `rows` is the table followed by those
-    outside labels."""
+    """The schedule's table fused with S and with conj(S): `ids`, the
+    position of each table row in `rows`; `forward` and `backward`, the
+    (table row, position in `rows`) pairs of the products of each row with
+    every g in S and with every conj(g); and `rows`, the distinct labels
+    among the table and all products, in lexicographic order."""
     ring, table = schedule.ring, schedule.table
-    n = len(table)
-    _check_size(2 * len(S) * n * ring.rank, "the boundary's table of fusion products")
+    _check_size(2 * len(S) * len(table) * ring.rank, "the boundary's table of fusion products")
 
     def pairs(gens):
         fused = [ring.products(table, g) for g in gens]
@@ -777,68 +746,50 @@ def _fusion_pairs(schedule: FolnerSchedule, S: list):
 
     f_rows, f_prods = pairs(S)
     b_rows, b_prods = pairs([ring.conj(g) for g in S])
-    table_keys, f_keys, b_keys = _row_keys(table, f_prods, b_prods)
-    found = _lookup(table_keys, np.concatenate([f_keys, b_keys]))
-    f, b = found[:len(f_keys)], found[len(f_keys):]
-    f[f < 0] = n
-    outside = b < 0
-    first, inverse = _distinct(b_keys[outside])
-    b[outside] = n + inverse
-    rows = np.concatenate([table, b_prods[outside][first]])
-    return (f_rows, f), (b_rows, b), rows
+    every = np.concatenate([table, f_prods, b_prods])
+    ranks, first = _ranks(every, every.T[::-1])
+    n, m = len(table), len(f_rows)
+    return ranks[:n], (f_rows, ranks[n:n + m]), (b_rows, ranks[n + m:]), every[first]
 
 
-def _gather(starts: np.ndarray, counts: np.ndarray, chosen: np.ndarray) -> np.ndarray:
-    """Positions of the pairs of the `chosen` rows, for pairs sorted by row
-    with `counts` pairs per row from `starts` on."""
-    c = counts[chosen]
-    return np.repeat(starts[chosen] - np.cumsum(c) + c, c) + np.arange(c.sum())
+def _by_row(pairs, n: int) -> tuple:
+    """(row, target) pairs sorted by row: the rows, the targets, and each
+    of the n rows' end among the sorted pairs and number of pairs."""
+    sources, targets = pairs
+    order = np.argsort(sources, kind="stable")
+    counts = np.bincount(sources, minlength=n)
+    return sources[order], targets[order], np.cumsum(counts), counts
+
+
+def _pairs_of(step, sorted_pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The sources and targets of the pairs of a step's rows."""
+    sources, targets, ends, counts = sorted_pairs
+    if isinstance(step, slice):
+        # a prefix of the rows: its pairs come first
+        at = slice(0, ends[step.stop - 1])
+    else:
+        c = counts[step]
+        at = np.repeat(ends[step] - np.cumsum(c), c) + np.arange(c.sum())
+    return sources[at], targets[at]
 
 
 def _step_boundaries(schedule: FolnerSchedule, pairs) -> list[np.ndarray]:
-    """Each step's boundary as ids into `rows` of `_fusion_pairs`: the
+    """Each step's boundary as positions in `rows` of `_fusion_pairs`: the
     step's rows with a forward product outside the step, and the backward
     products outside it."""
-    n = len(schedule.table)
-    by_row = []
-    for sources, targets in pairs[:2]:
-        order = np.argsort(sources, kind="stable")
-        counts = np.bincount(sources, minlength=n)
-        by_row.append((sources[order], targets[order], np.cumsum(counts) - counts, counts))
-    (f_rows, f, f_starts, f_counts), (_, b, b_starts, b_counts) = by_row
-    in_step = np.zeros(len(pairs[2]) + 1, dtype=bool)
+    ids, forward, backward, rows = pairs
+    forward, backward = _by_row(forward, len(ids)), _by_row(backward, len(ids))
+    in_step = np.zeros(len(rows), dtype=bool)
     out = []
     for step in schedule.steps:
-        step = np.arange(n)[step] if isinstance(step, slice) else step
-        in_step[step] = True
-        at = _gather(f_starts, f_counts, step)
-        inner = f_rows[at][~in_step[f[at]]]
-        at = _gather(b_starts, b_counts, step)
-        outer = b[at][~in_step[b[at]]]
+        in_step[ids[step]] = True
+        sources, targets = _pairs_of(step, forward)
+        inner = ids[sources[~in_step[targets]]]
+        _, targets = _pairs_of(step, backward)
+        outer = targets[~in_step[targets]]
         out.append(_sorted_set(np.concatenate([inner, outer])))
-        in_step[step] = False
+        in_step[ids[step]] = False
     return out
-
-
-def _prefix_boundary_sums(n: int, stops: list[int], pairs, weights: np.ndarray) -> np.ndarray:
-    """|boundary|_w of the first L rows for every L in `stops`, in one pass
-    over label ranks: row r is in the inner boundary for r < L <= (its
-    largest forward product's row), and a backward product e in the outer
-    boundary for (its smallest source row) < L <= e (<= n outside the
-    table).  Each adds its weight over that range of L."""
-    (f_rows, f), (b_rows, b), rows = pairs
-    last = np.zeros(n, dtype=np.intp)
-    np.maximum.at(last, f_rows, f)
-    source = np.full(len(rows), n, dtype=np.intp)
-    np.minimum.at(source, b, b_rows)
-    start = np.concatenate([np.arange(1, n + 1), source + 1])
-    end = np.concatenate([last, np.minimum(np.arange(len(rows)), n)])
-    weight = np.concatenate([weights[:n], weights])
-    keep = start <= end
-    change = np.zeros(n + 2, dtype=weights.dtype)
-    np.add.at(change, start[keep], weight[keep])
-    np.add.at(change, end[keep] + 1, -weight[keep])
-    return np.cumsum(change)[stops]
 
 
 def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
@@ -852,9 +803,8 @@ def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
     not in F; by Frobenius reciprocity (N[a,g]^b = N[b,conj(g)]^a) it equals
     the set of labels outside F reachable by fusing F with conj(S), which is
     finite and computed directly.  One pass fuses the schedule's table with
-    every g in S and every conj(g); each step then only tests membership,
-    and the weights of a prefix schedule come from one pass over label
-    ranks.  A set F is a one-step schedule.
+    every g in S and every conj(g); each step then only tests membership.
+    A set F is a one-step schedule.
     """
     S = _generators(ring, S)
     if not isinstance(F, FolnerSchedule):
@@ -864,17 +814,13 @@ def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
         return boundary(FolnerSchedule(ring, (F,)), S, ring, weighted)[0]
     schedule = F._on(ring)
     pairs = _fusion_pairs(schedule, S)
+    found = _step_boundaries(schedule, pairs)
+    rows = pairs[-1]
     if not weighted:
-        labels = ring.labels_of(pairs[-1])
-        return [frozenset(labels[i] for i in ids.tolist())
-                for ids in _step_boundaries(schedule, pairs)]
-    dims = ring.dims_of(pairs[-1])
-    if all(isinstance(s, slice) for s in schedule.steps):
-        stops = [s.stop for s in schedule.steps]
-        return _weighted_sums(
-            dims, lambda w: _prefix_boundary_sums(len(schedule.table), stops, pairs, w))
-    ids = _step_boundaries(schedule, pairs)
-    return _weighted_sums(dims, lambda w: np.array([w[i].sum() for i in ids], dtype=w.dtype))
+        labels = ring.labels_of(rows)
+        return [frozenset(labels[i] for i in ids.tolist()) for ids in found]
+    return _weighted_sums(ring.dims_of(rows),
+                          lambda w: np.array([w[ids].sum() for ids in found], dtype=w.dtype))
 
 
 def folner_series(schedule: FolnerSchedule, S: Iterable[Label]) -> tuple[np.ndarray, np.ndarray]:

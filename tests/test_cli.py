@@ -80,11 +80,14 @@ class TestFolner:
         assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("ring, S, steps", [("Z^d:3", "1,0,0;0,1,0;0,0,1", "1000000"),
-                                                ("SU2", "1", "3100000")])
+                                                ("SU2", "1", "3100000"),
+                                                ("Z^d:3", "1,0,0;0,1,0;0,0,1", "49")])
     def test_oversized_default_schedule_is_refused_at_once(self, tmp_path, capsys,
                                                            ring, S, steps):
         # Z^3 boxes to radius 10^6 hold 8e18 labels; SU2 spins to 3.1e6 have
-        # |F|_w = 9.93e18, above 2**63 - 1
+        # |F|_w = 9.93e18, above 2**63 - 1; Z^3 boxes to radius 49 fused with
+        # three generators and their conjugates give 2 * 3 * 99**3 * 3 =
+        # 17,465,382 int64 entries, above 2**24 (radius 48 still runs)
         out = tmp_path / "folner.csv"
         start = time.perf_counter()
         code = main(["folner", "--ring", ring, "--S", S, "--steps", steps, "--out", str(out)])

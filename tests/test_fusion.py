@@ -365,17 +365,17 @@ class TestLabelTables:
         (Z, 30, [1, -3]), (Z2, 6, [(1, 0), (0, 1)]), (Z2, 4, [(2, -1), (0, 3)]),
         (SU2, 40, [1, 3]), (D4, 3, [4]), (get_ring("Z^d:3"), 3, [(1, 0, 0), (0, 1, 1)]),
     ])
-    def test_prefix_pass_equals_the_stepwise_boundary(self, ring, steps, S):
+    def test_weighted_boundary_equals_the_set_boundary(self, ring, steps, S):
         schedule = ring.default_schedule(steps)
         weighted = boundary(schedule, S, ring, weighted=True)
         assert weighted.dtype == np.int64
         assert weighted.tolist() == [weighted_cardinality(B, ring)
                                      for B in boundary(schedule, S, ring)]
-        # the same sets as index steps take the stepwise pass
+        # the same sets as index steps instead of prefixes
         indexed = FolnerSchedule(ring, schedule.sets)
         assert boundary(indexed, S, ring, weighted=True).tolist() == weighted.tolist()
 
-    def test_spread_out_labels_fall_back_to_ranked_keys(self):
+    def test_labels_far_apart_keep_exact_boundaries(self):
         ring = get_ring("Z^d:3")
         far = 2 ** 40
         F = {(0, 0, 0), (far, 0, -far), (-far, far, 0)}
