@@ -6,111 +6,41 @@ atoms plus densities, Wiener-type atom detection along Folner schedules, and
 mean ergodic Cesaro operator averages converging to invariant projections.
 """
 
-from .errors import ConsistencyError, InvalidInputError
-from .fusion import (
-    FiniteDualRing,
-    FolnerSchedule,
-    FusionRing,
-    LatticeRing,
-    SU2Ring,
-    boundary,
-    folner_ratio,
-    folner_series,
-    fuse,
-    weighted_cardinality,
-)
-from .groups import (
-    CompactGroupModel,
-    FiniteGroupModel,
-    SU2Model,
-    TorusModel,
-    finite_group_model,
-    get_model,
-    get_ring,
-    resolve,
-)
-from .measures import (
-    MeasureSpec,
-    atom_list,
-    atom_weight_at,
-    conjugate_measure,
-    convolve,
-    density_eval,
-    dirac,
-    fourier_matrix,
-    haar,
-    measure_from_json,
-    measure_to_json,
-    total_mass,
-)
-from .wiener import (
-    AverageSeries,
-    ContinuityVerdict,
-    atom_average,
-    char_average,
-    continuity_test,
-    energy_average,
-    run_series,
-)
-from .ergodic import (
-    ErgodicReport,
-    FiniteDimRep,
-    cesaro_operator,
-    ergodic_limit_check,
-    gns_rep,
-    group_rep,
-    invariant_projection,
-    point_rep,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AverageSeries",
-    "CompactGroupModel",
-    "ConsistencyError",
-    "ContinuityVerdict",
-    "ErgodicReport",
-    "FiniteDimRep",
-    "FiniteDualRing",
-    "FiniteGroupModel",
-    "FolnerSchedule",
-    "FusionRing",
-    "InvalidInputError",
-    "LatticeRing",
-    "MeasureSpec",
-    "SU2Model",
-    "SU2Ring",
-    "TorusModel",
-    "atom_average",
-    "atom_list",
-    "atom_weight_at",
-    "boundary",
-    "cesaro_operator",
-    "char_average",
-    "conjugate_measure",
-    "continuity_test",
-    "convolve",
-    "density_eval",
-    "dirac",
-    "energy_average",
-    "ergodic_limit_check",
-    "finite_group_model",
-    "folner_ratio",
-    "folner_series",
-    "fourier_matrix",
-    "fuse",
-    "get_model",
-    "get_ring",
-    "gns_rep",
-    "group_rep",
-    "haar",
-    "invariant_projection",
-    "measure_from_json",
-    "measure_to_json",
-    "point_rep",
-    "resolve",
-    "run_series",
-    "total_mass",
-    "weighted_cardinality",
-]
+# the public names by the submodule that defines them; a submodule is
+# imported when one of its names is first used, so `import peterweyl` alone
+# loads none of them
+_EXPORTS = {
+    "errors": ("ConsistencyError", "InvalidInputError"),
+    "fusion": ("FiniteDualRing", "FolnerSchedule", "FusionRing", "LatticeRing", "SU2Ring",
+               "boundary", "folner_ratio", "folner_series", "fuse", "get_ring",
+               "weighted_cardinality"),
+    "groups": ("CompactGroupModel", "FiniteGroupModel", "SU2Model", "TorusModel",
+               "finite_group_model", "get_model", "resolve"),
+    "measures": ("MeasureSpec", "atom_list", "atom_weight_at", "conjugate_measure", "convolve",
+                 "density_eval", "dirac", "fourier_matrix", "haar", "measure_from_json",
+                 "measure_to_json", "total_mass"),
+    "wiener": ("AverageSeries", "ContinuityVerdict", "atom_average", "char_average",
+               "continuity_test", "energy_average", "run_series"),
+    "ergodic": ("ErgodicReport", "FiniteDimRep", "cesaro_operator", "ergodic_limit_check",
+                "gns_rep", "group_rep", "invariant_projection", "point_rep"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -4,6 +4,9 @@ Orchestration only; all mathematics lives in the library modules.  Exit
 codes: 0 success, 1 usage, 2 validation (bad files, unknown names), 3
 numeric consistency failure (including an ergodic check missing its
 tolerance).  Outputs are byte-identical across runs for a fixed config.
+Only `errors` and `fusion` load with this module; each handler imports the
+modules it runs, so `fusion` and `folner` calls load nothing else (but
+`groups` for a finite dual).
 """
 
 from __future__ import annotations
@@ -17,14 +20,8 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConsistencyError, InvalidInputError
-from .fusion import FolnerSchedule, FusionRing, folner_series
-from .groups import resolve
-from .ergodic import ergodic_limit_check, gns_rep, group_rep, point_rep
-from .measures import measure_from_json, measure_to_json, scalar_from_json, total_mass
-from .wiener import KINDS, run_series
+from .fusion import FolnerSchedule, FusionRing, folner_series, get_ring
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -32,6 +29,15 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 DEFAULT_TOL_ENV = "PETERWEYL_TOL"
+# the averages of `wiener --kind`, as in wiener.KINDS, which the parser does not import
+KINDS = ("atom", "energy", "char")
+
+
+def resolve(ring_id: str):
+    """(ring, model) of a ring identifier, from `groups.resolve`."""
+    from .groups import resolve
+
+    return resolve(ring_id)
 
 
 @dataclass
@@ -148,7 +154,7 @@ def _fmt(x: float) -> str:
 
 
 def _run_fusion(config: RunConfig) -> int:
-    ring, _ = resolve(config.ring)
+    ring = get_ring(config.ring)
     if config.a is None or config.b is None:
         raise InvalidInputError("fusion needs --a and --b labels")
     a = ring.parse_label(config.a)
@@ -163,7 +169,7 @@ def _run_fusion(config: RunConfig) -> int:
 
 
 def _run_folner(config: RunConfig) -> int:
-    ring, _ = resolve(config.ring)
+    ring = get_ring(config.ring)
     if config.s_labels is None:
         raise InvalidInputError("folner needs --S labels")
     S = _split_labels(config.s_labels, ring)
@@ -176,12 +182,15 @@ def _run_folner(config: RunConfig) -> int:
 
 
 def _run_wiener(config: RunConfig) -> int:
+    from .measures import measure_from_json, measure_to_json, total_mass
+    from .wiener import run_series
+
     if config.kind not in KINDS:
         raise InvalidInputError(f"--kind must be one of {KINDS}")
     if config.measure is None:
         raise InvalidInputError("wiener needs --measure <spec.json>")
     mu = measure_from_json(_load_json(config.measure))
-    if config.ring is not None and resolve(config.ring)[0].name != mu.model.ring.name:
+    if config.ring is not None and get_ring(config.ring).name != mu.model.ring.name:
         raise InvalidInputError(
             f"--ring {config.ring} does not match the measure's group {mu.model.ring.name!r}"
         )
@@ -218,21 +227,17 @@ def _list_field(obj: dict, name: str) -> list:
     return obj.get(name, [])
 
 
-def _matrix_from_json(rows) -> np.ndarray:
-    if not (isinstance(rows, list) and rows and all(
-            isinstance(row, list) and len(row) == len(rows[0]) for row in rows)):
-        raise InvalidInputError(f"generator {rows!r} must be a list of equally long rows")
-    return np.array([[scalar_from_json(e) for e in row] for row in rows], dtype=complex)
-
-
 def _run_ergodic(config: RunConfig) -> int:
+    from .ergodic import ergodic_limit_check, gns_rep, group_rep, point_rep
+    from .measures import matrix_from_json
+
     if config.spec is None:
         raise InvalidInputError("ergodic needs --spec <rep.json>")
     obj = _load_json(config.spec)
     if not isinstance(obj, dict) or "ring" not in obj:
         raise InvalidInputError("rep spec needs a 'ring' field")
     ring, model = resolve(obj["ring"])
-    if config.ring is not None and resolve(config.ring)[0].name != ring.name:
+    if config.ring is not None and get_ring(config.ring).name != ring.name:
         raise InvalidInputError(
             f"--ring {config.ring} does not match the rep spec's ring {ring.name!r}"
         )
@@ -241,7 +246,8 @@ def _run_ergodic(config: RunConfig) -> int:
             raise InvalidInputError("point reps need a ring with a compact-group model")
         rep = point_rep(model, [model.parse_element(p) for p in _list_field(obj, "points")])
     elif config.rep == "group":
-        rep = group_rep(ring, [_matrix_from_json(m) for m in _list_field(obj, "generators")])
+        rep = group_rep(ring, [matrix_from_json(m, "generator")
+                               for m in _list_field(obj, "generators")])
     elif config.rep == "gns":
         rep = gns_rep(model, _list_field(obj, "state"))
     else:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product, repeat
 from typing import Iterable, Union
 
@@ -47,6 +47,15 @@ LABEL_BOUND = 2**62
 # (16,426,062 entries) just fit, peaks at 700 MB of RSS in 2.1 s (x86-64,
 # numpy 2.4); radius 49 is refused.
 MAX_TABLE_ENTRIES = 2**24
+# the most visits one pass over a schedule may make.  The boundary pass
+# visits, per step, every label of the step and each of its products with S
+# and conj(S); it costs about 3.6 ns per visit and 17 us per step, so a step
+# counts as STEP_VISITS visits, and the passes that only visit labels (the
+# weighted cardinalities, an average's per-step sums) cost less.
+# `folner --ring SU2 --S 1 --steps 20000` makes 8.8e8 visits in 2.9 s
+# (x86-64, numpy 2.4); 2**30 visits take about 4 s.
+MAX_VISITS = 2**30
+STEP_VISITS = 4096
 
 
 def _is_int(x) -> bool:
@@ -57,6 +66,12 @@ def _check_size(entries: int, what: str):
     if entries > MAX_TABLE_ENTRIES:
         raise InvalidInputError(
             f"{what} would hold {entries} int64 entries, above the limit of 2**24")
+
+
+def _check_visits(steps: int, visits: int, what: str):
+    total = steps * STEP_VISITS + visits
+    if total > MAX_VISITS:
+        raise InvalidInputError(f"{what} would make {total} visits, above the limit of 2**30")
 
 
 class FusionRing(ABC):
@@ -71,7 +86,8 @@ class FusionRing(ABC):
     - ``dims_of(table)``: the dimensions, int64,
     - ``products(table, g)``: the decomposition of every row (x) g as
       (row index, product row) pairs, a product of multiplicity m listed m
-      times,
+      times, and ``product_counts(table, g)``, the number of pairs of each
+      row, without building them,
     - ``first_table(count)``: the first `count` labels in ring order (all of
       them when the ring has fewer), and ``first_weight(count)``, their
       exact sum of squared dimensions (`count` when every dimension is 1),
@@ -115,6 +131,9 @@ class FusionRing(ABC):
 
     def first_weight(self, count: int) -> int:
         return count
+
+    def product_counts(self, table: np.ndarray, g: Label) -> np.ndarray:
+        return np.bincount(self.products(table, g)[0], minlength=len(table))
 
     # -- rows and labels --------------------------------------------------
     def _parts(self, label):
@@ -255,14 +274,17 @@ class FusionRing(ABC):
         return f"<{type(self).__name__} {self.name}>"
 
 
-def _refuse_large_prefixes(ring: FusionRing, steps: int, count: int):
+def _refuse_large_prefixes(ring: FusionRing, steps: int, count: int, slots: int = 0):
     """Refuse, before anything is built, a prefix schedule of `steps` steps
     whose largest step is the first `count` labels, when its table would
-    pass MAX_TABLE_ENTRIES or that step's |F|_w would not fit in int64."""
+    pass MAX_TABLE_ENTRIES, that step's |F|_w would not fit in int64, or a
+    pass over its steps, which hold `slots` labels in all, would pass
+    MAX_VISITS."""
     _check_size(steps + count * ring.rank, "the schedule's label table")
     weight = ring.first_weight(count)
     if weight > INT64_MAX:
         raise InvalidInputError(f"weighted cardinality {weight} exceeds 2**63 - 1")
+    _check_visits(steps, slots, "a pass over the schedule's steps")
 
 
 def _weighted_sums(dims: np.ndarray, sums) -> np.ndarray:
@@ -336,7 +358,7 @@ class FolnerSchedule:
         if not all(k >= 1 for k in lengths):
             raise InvalidInputError("schedule sets must be nonempty")
         count = max(lengths, default=1)
-        _refuse_large_prefixes(ring, len(lengths), count)
+        _refuse_large_prefixes(ring, len(lengths), count, sum(lengths))
         table = ring.first_table(count)
         schedule = cls.__new__(cls)
         schedule._init(ring, table, [slice(0, min(k, len(table))) for k in lengths], description)
@@ -347,6 +369,7 @@ class FolnerSchedule:
             raise InvalidInputError("schedule must contain at least one set")
         if not all(lengths):
             raise InvalidInputError("schedule sets must be nonempty")
+        _check_visits(len(lengths), sum(lengths), "a pass over the schedule's steps")
         ids, first = _ranks(table, ring.order_keys(table))
         ends = np.cumsum(lengths).tolist()
         steps = [_sorted_set(ids[end - k:end]) for k, end in zip(lengths, ends)]
@@ -449,6 +472,9 @@ class LatticeRing(FusionRing):
 
     def products(self, table, g):
         return np.arange(len(table)), table + np.asarray(g, dtype=np.int64).reshape(1, self.rank)
+
+    def product_counts(self, table, g):
+        return np.ones(len(table), dtype=np.int64)
 
     def first_table(self, count):
         # the smallest box {-r..r}^rank holding `count` labels, in ring order
@@ -570,11 +596,14 @@ class SU2Ring(FusionRing):
 
     def products(self, table, g):
         a = table[:, 0]
-        counts = np.minimum(a, g) + 1
+        counts = self.product_counts(table, g)
         _check_size(int(counts.sum()), "a table of fusion products")
         rows = np.repeat(np.arange(len(a)), counts)
         step = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
         return rows, (np.abs(a - g)[rows] + 2 * step)[:, None]
+
+    def product_counts(self, table, g):
+        return np.minimum(table[:, 0], g) + 1
 
     def first_table(self, count):
         return np.arange(count, dtype=np.int64)[:, None]
@@ -711,6 +740,49 @@ class FiniteDualRing(FusionRing):
         return self.irrep_names[self.check_label(label)]
 
 
+def get_ring(ring_id: str) -> FusionRing:
+    """The ring of an identifier: "Z", "Z^d:<d>", "SU2", "finite:<name>" or
+    "dualgroup:Z^d:<d>", one object per ring however the id is written
+    ("Z" and "Z^d:1" are one ring).  A finite dual is built from its group's
+    character table, so only "finite:" ids load `groups`.  A dual-group
+    ring presents the group algebra of Z^d: the labels and fusion of the
+    torus dual under its own name, with no compact-group model."""
+    if not isinstance(ring_id, str):
+        raise InvalidInputError(f"ring id must be a string, got {ring_id!r}")
+    if ring_id == "SU2":
+        return _canonical_ring("SU2", 1)
+    if ring_id == "Z" or ring_id.startswith("Z^d:"):
+        rank = 1 if ring_id == "Z" else _parse_rank(ring_id[4:], ring_id)
+        return _canonical_ring("Z" if rank == 1 else f"Z^d:{rank}", rank)
+    if ring_id.startswith("dualgroup:Z^d:"):
+        rank = _parse_rank(ring_id[14:], ring_id)
+        return _canonical_ring(f"dualgroup:Z^d:{rank}", rank)
+    if ring_id.startswith("finite:"):
+        from .groups import finite_group_model
+
+        return finite_group_model(ring_id[7:]).ring
+    raise InvalidInputError(
+        f"unknown ring id {ring_id!r}; expected Z, Z^d:<d>, SU2, finite:<name> "
+        f"or dualgroup:Z^d:<d>"
+    )
+
+
+@lru_cache(maxsize=None)
+def _canonical_ring(name: str, rank: int) -> FusionRing:
+    # the ring carries its canonical identifier, for JSON round-trips
+    return SU2Ring() if name == "SU2" else LatticeRing(rank, name=name)
+
+
+def _parse_rank(text: str, ring_id: str) -> int:
+    try:
+        rank = int(text)
+    except ValueError as exc:
+        raise InvalidInputError(f"bad rank in ring id {ring_id!r}") from exc
+    if rank < 1:
+        raise InvalidInputError(f"bad rank in ring id {ring_id!r}")
+    return rank
+
+
 def weighted_cardinality(F: Iterable[Label], ring: FusionRing) -> int:
     """|F|_w = sum of squared dimensions over F.  Exact integer."""
     return sum(d * d for d in ring.dims_of(ring.label_table(F)).tolist())
@@ -727,6 +799,18 @@ def _generators(ring: FusionRing, S) -> list:
     if not S:
         raise InvalidInputError("S must be nonempty")
     return S
+
+
+def _refuse_long_boundary(schedule: FolnerSchedule, S: list):
+    """Refuse a boundary pass whose visits would pass MAX_VISITS, counted
+    from the number of products of each row with S and conj(S) before any
+    product is built."""
+    ring, table = schedule.ring, schedule.table
+    counts = sum(ring.product_counts(table, g) for g in S + [ring.conj(g) for g in S])
+    ends = np.concatenate(([0], np.cumsum(counts)))
+    visits = sum(int(ends[s.stop] - ends[s.start]) if isinstance(s, slice) else int(counts[s].sum())
+                 for s in schedule.steps)
+    _check_visits(len(schedule), visits, "the boundary pass")
 
 
 def _fusion_pairs(schedule: FolnerSchedule, S: list):
@@ -813,6 +897,7 @@ def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
             return 0 if weighted else frozenset()
         return boundary(FolnerSchedule(ring, (F,)), S, ring, weighted)[0]
     schedule = F._on(ring)
+    _refuse_long_boundary(schedule, S)
     pairs = _fusion_pairs(schedule, S)
     found = _step_boundaries(schedule, pairs)
     rows = pairs[-1]

@@ -23,11 +23,18 @@ from itertools import islice, permutations
 import numpy as np
 
 from .errors import InvalidInputError
-from .fusion import FiniteDualRing, FusionRing, LatticeRing, SU2Ring, _sorted_set
+from .fusion import FiniteDualRing, FusionRing, LatticeRing, SU2Ring, _sorted_set, get_ring
 
 # entries of one character table in `character_sums` (labels x a chunk of
 # elements), about 1 MB
 _TABLE_ENTRIES = 1 << 16
+# the Chebyshev recurrence of one SU(2) character table costs about 1.3 us
+# per step plus 1.2 ns per step and element (x86-64, numpy 2.4), so a step
+# counts as _STEP_ELEMENTS elements.  A table whose steps times (elements +
+# _STEP_ELEMENTS) would pass MAX_RECURRENCE_WORK is refused: at the limit
+# it takes about 5 s, and labels up to 4e6 still run at 48 elements.
+MAX_RECURRENCE_WORK = 2**32
+_STEP_ELEMENTS = 1024
 
 
 class CompactGroupModel(ABC):
@@ -320,10 +327,16 @@ class SU2Model(CompactGroupModel):
     def _character_table(self, table, elements):
         """The Weyl character sin((n+1)t/2)/sin(t/2) in its Chebyshev form
         U_n(x) at x = cos(t/2) = Re a, from U_{n+1} = 2x U_n - U_{n-1}, run
-        once up to the largest label for all elements together."""
+        once up to the largest label for all elements together; refused
+        before it starts when that work would pass MAX_RECURRENCE_WORK."""
         labels = table[:, 0]
         wanted = _sorted_set(labels).tolist()
         x = np.array([g[0].real for g in elements], dtype=float)
+        work = (wanted[-1] + 1 if wanted else 0) * (len(x) + _STEP_ELEMENTS)
+        if work > MAX_RECURRENCE_WORK:
+            raise InvalidInputError(
+                f"SU(2) characters up to label {wanted[-1]} at {len(x)} elements would cost "
+                f"{work} recurrence entries, above the limit of 2**32")
         two_x, rows, k = 2 * x, np.empty((len(wanted), len(x))), 0
         prev, cur = np.zeros_like(x), np.ones_like(x)  # U_{-1}, U_0
         for n in range(wanted[-1] + 1 if wanted else 0):
@@ -572,64 +585,26 @@ def finite_group_model(name: str) -> FiniteGroupModel:
 
 
 @lru_cache(maxsize=None)
-def _cached_model(kind: str, rank: int):
-    if kind == "torus":
-        # ring carries the canonical CLI identifier for JSON round-trips
-        name = "Z" if rank == 1 else f"Z^d:{rank}"
-        return TorusModel(rank, ring=LatticeRing(rank, name=name))
-    if kind == "su2":
-        return SU2Model()
-    raise AssertionError(kind)
-
-
-@lru_cache(maxsize=None)
-def _dual_group_ring(rank: int) -> LatticeRing:
-    return LatticeRing(rank, name=f"dualgroup:Z^d:{rank}")
+def _model_on(ring: FusionRing) -> CompactGroupModel | None:
+    """The model of a ring of `get_ring`, built on that ring object."""
+    if isinstance(ring, FiniteDualRing):
+        return finite_group_model(ring.name[7:])
+    if isinstance(ring, SU2Ring):
+        return SU2Model(ring)
+    return None if ring.name.startswith("dualgroup:") else TorusModel(ring.rank, ring=ring)
 
 
 def resolve(ring_id: str) -> tuple[FusionRing, CompactGroupModel | None]:
-    """Resolve a ring identifier to (ring, model).
+    """Resolve a ring identifier to (ring, model), the ring being the one
+    `get_ring` returns.
 
     Identifiers: "Z", "Z^d:<d>", "SU2", "finite:<name>", "dualgroup:Z^d:<d>".
     The dual-group rings have no model attached: they present the group
     algebra of the discrete group, whose function "space" is noncommutative,
     so only fusion combinatorics and operator averages apply.
     """
-    if not isinstance(ring_id, str):
-        raise InvalidInputError(f"ring id must be a string, got {ring_id!r}")
-    if ring_id == "Z":
-        model = _cached_model("torus", 1)
-        return model.ring, model
-    if ring_id == "SU2":
-        model = _cached_model("su2", 0)
-        return model.ring, model
-    if ring_id.startswith("Z^d:"):
-        rank = _parse_rank(ring_id[4:], ring_id)
-        model = _cached_model("torus", rank)
-        return model.ring, model
-    if ring_id.startswith("dualgroup:Z^d:"):
-        return _dual_group_ring(_parse_rank(ring_id[14:], ring_id)), None
-    if ring_id.startswith("finite:"):
-        model = finite_group_model(ring_id[7:])
-        return model.ring, model
-    raise InvalidInputError(
-        f"unknown ring id {ring_id!r}; expected Z, Z^d:<d>, SU2, finite:<name> "
-        f"or dualgroup:Z^d:<d>"
-    )
-
-
-def _parse_rank(text: str, ring_id: str) -> int:
-    try:
-        rank = int(text)
-    except ValueError as exc:
-        raise InvalidInputError(f"bad rank in ring id {ring_id!r}") from exc
-    if rank < 1:
-        raise InvalidInputError(f"bad rank in ring id {ring_id!r}")
-    return rank
-
-
-def get_ring(ring_id: str) -> FusionRing:
-    return resolve(ring_id)[0]
+    ring = get_ring(ring_id)
+    return ring, _model_on(ring)
 
 
 def get_model(ring_id: str) -> CompactGroupModel:

@@ -223,6 +223,14 @@ def scalar_from_json(entry) -> complex:
     return complex(re, im)
 
 
+def matrix_from_json(rows, what: str) -> np.ndarray:
+    """A complex matrix from a list of equally long rows of entries."""
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(row, list) and len(row) == len(rows[0]) for row in rows)):
+        raise InvalidInputError(f"{what} {rows!r} must be a list of equally long rows")
+    return np.array([[scalar_from_json(e) for e in row] for row in rows], dtype=complex)
+
+
 def scalar_to_json(z: complex):
     return [z.real, z.imag]
 
@@ -243,6 +251,8 @@ def measure_from_json(obj: dict) -> MeasureSpec:
         raise InvalidInputError(
             f"ring {obj['group']!r} has no point model; measures need a compact group"
         )
+    if not all(isinstance(obj.get(name, []), list) for name in ("atoms", "density")):
+        raise InvalidInputError("measure spec fields 'atoms' and 'density' must be lists")
     atoms = []
     for k, entry in enumerate(obj.get("atoms", [])):
         try:
@@ -260,8 +270,12 @@ def measure_from_json(obj: dict) -> MeasureSpec:
             raise InvalidInputError(f"density[{k}] needs 'irrep' and 'matrix' fields") from exc
         if label in density:
             raise InvalidInputError(f"density[{k}] repeats irrep {entry['irrep']!r}")
-        density[label] = [[scalar_from_json(e) for e in row] for row in rows]
-    return MeasureSpec(model, atoms=atoms, density=density)
+        density[label] = matrix_from_json(rows, f"density[{k}] matrix")
+    try:
+        return MeasureSpec(model, atoms=atoms, density=density)
+    except ConsistencyError as exc:
+        # a complex mass is a fault of the file, not of the arithmetic
+        raise InvalidInputError(str(exc)) from exc
 
 
 def measure_to_json(mu: MeasureSpec) -> dict:

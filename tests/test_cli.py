@@ -365,6 +365,42 @@ class TestUsageErrors:
                      "--schedule", "spins"]) == EXIT_VALIDATION
 
 
+class TestWorkGuards:
+    """Inputs that pass every size guard but would run for hours exit 2 at once."""
+
+    def _refused(self, capsys, out, argv):
+        start = time.perf_counter()
+        code = main(argv + ["--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION and not out.exists()
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    def test_su2_characters_of_a_label_near_the_bound(self, tmp_path, capsys):
+        # a valid label: its dimension squared still fits in int64
+        schedule = write_json(tmp_path / "s.json", {"sets": [[0, 3_037_000_000]]})
+        measure = write_json(tmp_path / "m.json", {
+            "group": "SU2", "atoms": [{"element": "q:0.6,0.8,0,0", "weight": 1},
+                                      {"element": "q:0,1,0,0", "weight": 1}],
+            "density": [{"irrep": "0", "matrix": [[1]]}]})
+        spec = write_json(tmp_path / "rep.json", {"ring": "SU2", "points": ["q:0.6,0.8,0,0"]})
+        out = tmp_path / "out.csv"
+        for kind in ("atom", "energy", "char"):
+            err = self._refused(capsys, out, ["wiener", "--kind", kind, "--measure", measure,
+                                              "--at", "q:1,0,0,0", "--schedule", schedule])
+            assert "2**32" in err
+        self._refused(capsys, out, ["ergodic", "--rep", "point", "--spec", spec,
+                                    "--schedule", schedule])
+        self._refused(capsys, out, ["ergodic", "--rep", "point", "--spec", spec,
+                                    "--labels", "3037000000"])
+
+    def test_long_prefix_schedule_of_a_boundary_pass(self, tmp_path, capsys):
+        err = self._refused(capsys, tmp_path / "folner.csv",
+                            ["folner", "--ring", "SU2", "--S", "1", "--steps", "3000000"])
+        assert "2**30" in err
+
+
 class TestRunConfigApi:
     def test_run_directly(self, tmp_path):
         out = tmp_path / "out.csv"

@@ -19,6 +19,7 @@ from peterweyl import (
     get_ring,
     weighted_cardinality,
 )
+from peterweyl import fusion
 from peterweyl.fusion import SU2_LABEL_BOUND
 
 Z = get_ring("Z")
@@ -402,6 +403,23 @@ class TestLabelTables:
             folner_series(schedule, [1])
         # just below the limit the exact value survives
         assert weighted_cardinality({top}, SU2) == int(schedule.weighted_cardinalities[0])
+
+    def test_passes_above_the_visit_limit_are_refused_before_they_start(self):
+        # SU2 spins 1..20000 with S = {1}: a boundary pass of 8.8e8 visits runs
+        schedule = SU2.default_schedule(20000)
+        fusion._refuse_long_boundary(schedule, [1])
+        start = time.perf_counter()
+        # 3e6 steps: the steps alone count 1.2e10 visits, refused before any table
+        with pytest.raises(InvalidInputError, match="2\\*\\*30"):
+            SU2.default_schedule(3_000_000)
+        with pytest.raises(InvalidInputError, match="2\\*\\*30"):
+            FolnerSchedule.from_table(SU2, np.zeros((300_000, 1), dtype=np.int64), [1] * 300_000)
+        # 200 steps of spins 0..3000 fused with 3000: each step has 9e6
+        # products, within the size limit, but the pass would visit 1.8e9
+        schedule = FolnerSchedule.prefixes(SU2, [3001] * 200)
+        with pytest.raises(InvalidInputError, match="boundary pass.*2\\*\\*30"):
+            folner_series(schedule, [3000])
+        assert time.perf_counter() - start < 1.0
 
     def test_tables_above_the_size_limit_are_refused(self):
         Z3 = get_ring("Z^d:3")

@@ -1,6 +1,7 @@
 """Group models: unitarity, homomorphism, characters, Schur orthogonality."""
 
 import cmath
+import time
 
 import numpy as np
 import pytest
@@ -117,6 +118,22 @@ class TestEvaluation:
         half = np.arccos([g[0].real for g in elements])
         weyl = np.sin((n[:, None] + 1) * half) / np.sin(half)
         assert np.all(np.abs(table - weyl) <= 1e-9 * (n[:, None] + 1))
+
+    def test_su2_characters_refuse_a_recurrence_past_the_work_limit(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        elements = [SU2.haar_sample(rng) for _ in range(48)]
+        start = time.perf_counter()
+        with pytest.raises(InvalidInputError, match="2\\*\\*32"):
+            SU2.characters([3_037_000_000], elements)
+        with pytest.raises(InvalidInputError, match="2\\*\\*32"):
+            SU2.character_sums([3_037_000_000], [(1.0, g) for g in elements])
+        assert time.perf_counter() - start < 1.0
+        assert SU2.characters([10 ** 5], elements).shape == (1, 48)
+        # labels 0..99 at 48 elements are 100 steps of 48 + _STEP_ELEMENTS each
+        monkeypatch.setattr(groups, "MAX_RECURRENCE_WORK", 100 * (48 + groups._STEP_ELEMENTS))
+        assert SU2.characters([99, 3], elements).shape == (2, 48)
+        with pytest.raises(InvalidInputError):
+            SU2.characters([100, 3], elements)
 
     def test_su2_atom_series_stays_accurate_at_high_spin(self):
         # delta_g + Haar at a generic h != g: the atom series tends to mu{h} = 0
