@@ -18,7 +18,8 @@ that sums an average's terms along a schedule.  Folner boundaries are read
 from the same table: one pass fuses it with S and with conj(S) and ranks
 the table and all products together with one sort, so each product knows
 its row; each step then only tests which of its rows' products fall
-outside it.
+outside it.  Ring identifiers resolve here too (`get_ring`), to one cached
+ring object each, so the ring combinatorics need no other module.
 """
 
 from __future__ import annotations
