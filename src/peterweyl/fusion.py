@@ -57,6 +57,13 @@ MAX_TABLE_ENTRIES = 2**24
 # (x86-64, numpy 2.4); 2**30 visits take about 4 s.
 MAX_VISITS = 2**30
 STEP_VISITS = 4096
+# the most entries the per-step sums of one reduction may add: every label
+# of a step adds its row of the term table.  A one-column table costs about
+# 2.4 ns per row; with more columns numpy pays about 30 ns per row plus
+# 1.5 ns per entry, so such a row counts ROW_ENTRIES entries more than it
+# holds.  At the limit the sums take 2.5 to 5 s (x86-64, numpy 2.4).
+MAX_SUM_ENTRIES = 2**31
+ROW_ENTRIES = 16
 
 
 def _is_int(x) -> bool:
@@ -133,8 +140,8 @@ class FusionRing(ABC):
     def first_weight(self, count: int) -> int:
         return count
 
-    def product_counts(self, table: np.ndarray, g: Label) -> np.ndarray:
-        return np.bincount(self.products(table, g)[0], minlength=len(table))
+    @abstractmethod
+    def product_counts(self, table: np.ndarray, g: Label) -> np.ndarray: ...
 
     # -- rows and labels --------------------------------------------------
     def _parts(self, label):
@@ -242,8 +249,11 @@ class FusionRing(ABC):
         _check_size(bound * self.rank, "a label table")
         return self.labels_of(self.first_table(bound))
 
-    def parse_table(self, literals) -> np.ndarray:
-        raise NotImplementedError
+    @abstractmethod
+    def parse_table(self, literals) -> np.ndarray: ...
+
+    def parse_label(self, literal) -> Label:
+        return self.labels_of(self.parse_table([literal]))[0]
 
     def _int_literal_table(self, literals, names=()) -> np.ndarray:
         """Rank-1 literals: ints (not bool), irrep names, or strings read by
@@ -286,6 +296,15 @@ def _refuse_large_prefixes(ring: FusionRing, steps: int, count: int, slots: int 
     if weight > INT64_MAX:
         raise InvalidInputError(f"weighted cardinality {weight} exceeds 2**63 - 1")
     _check_visits(steps, slots, "a pass over the schedule's steps")
+
+
+def _step_sums(values: np.ndarray, steps) -> np.ndarray:
+    """One total of `values` per step: a prefix step reads a running sum (so
+    a prefix schedule costs one pass, exact for integer values), an index
+    step sums its entries."""
+    ends = np.concatenate(([0], np.cumsum(values)))
+    return np.array([ends[s.stop] - ends[s.start] if isinstance(s, slice) else values[s].sum()
+                     for s in steps], dtype=values.dtype)
 
 
 def _weighted_sums(dims: np.ndarray, sums) -> np.ndarray:
@@ -384,10 +403,14 @@ class FolnerSchedule:
         self.steps = tuple(steps)
         self.description = description
         self.dims = ring.dims_of(table)
-        self.weighted_cardinalities = _weighted_sums(
-            self.dims, lambda w: np.array([w[s].sum() for s in self.steps], dtype=w.dtype))
+        self.weighted_cardinalities = _weighted_sums(self.dims, lambda w: _step_sums(w, self.steps))
         for array in (self.table, self.dims, self.weighted_cardinalities):
             array.setflags(write=False)
+
+    @cached_property
+    def slots(self) -> int:
+        """The sum of |F| over the steps."""
+        return int(_step_sums(np.ones(len(self.table), dtype=np.int64), self.steps).sum())
 
     @cached_property
     def labels(self) -> tuple:
@@ -425,10 +448,16 @@ def reduce_along(schedule: FolnerSchedule, ring: FusionRing, terms) -> tuple[lis
     step's sum is the same to the bit as the sum over that set alone,
     provided a label's term does not depend on the rest of the batch.  A
     schedule built on another ring object is rebuilt on `ring` first, which
-    checks its labels there.
+    checks its labels there.  Sums that would pass MAX_SUM_ENTRIES are
+    refused once the terms are known, before any is added.
     """
     schedule = schedule._on(ring)
     table = np.asarray(terms(schedule.table, schedule.dims), dtype=complex)
+    columns = math.prod(table.shape[1:])
+    entries = schedule.slots * (columns + ROW_ENTRIES * (columns > 1))
+    if entries > MAX_SUM_ENTRIES:
+        raise InvalidInputError(
+            f"the per-step sums would add {entries} entries, above the limit of 2**31")
     return [np.sum(table[s], axis=0) for s in schedule.steps], schedule.weighted_cardinalities
 
 
@@ -553,9 +582,6 @@ class LatticeRing(FusionRing):
                 f"label components of ring {self.name} must be below 2**62 in modulus") from exc
         return self._checked(values.reshape(len(texts), self.rank), texts)
 
-    def parse_label(self, literal):
-        return self.labels_of(self.parse_table([literal]))[0]
-
     def format_label(self, label):
         if self.rank == 1:
             return str(label)
@@ -632,67 +658,40 @@ class SU2Ring(FusionRing):
         """Ints, or strings read by int()."""
         return self._int_literal_table(literals)
 
-    def parse_label(self, literal):
-        return self.labels_of(self.parse_table([literal]))[0]
-
 
 class FiniteDualRing(FusionRing):
-    """Dual of a finite group, built from tabulated irrep data.
+    """A finite dual given by its fusion table alone.
 
-    Labels are indices into `irrep_names` (trivial first).  Fusion
-    multiplicities come from character orthogonality,
-    N[a,b]^c = (1/|G|) sum_g chi_a(g) chi_b(g) conj(chi_c(g)),
-    rounded to the nearest integer after checking the residue is tiny.
+    Labels are indices into `irrep_names` (trivial first), and `fusion` is
+    the read-only int64 array fusion[a, b, c] = N[a,b]^c.  Conjugation (the
+    b with N[a,b]^0 = 1), the fusion products and their counts all read that
+    table, so any finite fusion ring fits, with a group behind it or not.  A
+    finite group model derives the table from its character table, which it
+    keeps itself.
     """
 
     schedule_name = "full"
 
     def __init__(self, name: str, irrep_names: tuple[str, ...], dims: tuple[int, ...],
-                 character_table: np.ndarray):
-        # character_table[a, i] = chi_a(g_i) over the group's element list
+                 fusion: np.ndarray):
         self.name = name
         self.irrep_names = tuple(irrep_names)
         self.dims = tuple(int(d) for d in dims)
-        self.characters = np.asarray(character_table, dtype=complex)
-        self.order = self.characters.shape[1]
-        if self.characters.shape[0] != len(self.dims):
-            raise InvalidInputError("character table / dimension list mismatch")
-        if sum(d * d for d in self.dims) != self.order:
-            raise InvalidInputError("irrep dimensions do not sum-of-squares to the group order")
-        self._conj = [self._match_character(np.conj(self.characters[a])) for a in range(len(dims))]
-        # the dual is tiny, so the whole fusion table is materialized up front
-        # and instances stay immutable
+        self.fusion = np.array(fusion, dtype=np.int64)
+        self.fusion.setflags(write=False)
         k = len(self.dims)
-        self._fusion = {
-            (a, b): self._fuse_from_characters(a, b) for a in range(k) for b in range(k)
-        }
-
-    def _match_character(self, chi: np.ndarray) -> int:
-        for b in range(self.characters.shape[0]):
-            if np.max(np.abs(self.characters[b] - chi)) < 1e-8:
-                return b
-        raise InvalidInputError(f"character table of {self.name} is not closed under conjugation")
+        if self.fusion.shape != (k, k, k) or len(self.irrep_names) != k:
+            raise InvalidInputError(f"fusion table of {name} does not match its {k} irreps")
+        rows, self._conj = np.nonzero(self.fusion[:, :, 0])
+        if not np.array_equal(rows, np.arange(k)) or np.any(self.fusion[rows, self._conj, 0] != 1):
+            raise InvalidInputError(f"fusion table of {name} gives some label no conjugate")
 
     @property
     def trivial(self):
         return 0
 
     def conj(self, label):
-        return self._conj[self._one(label)]
-
-    def _fuse_from_characters(self, a: int, b: int) -> dict[int, int]:
-        prod = self.characters[a] * self.characters[b]
-        out = {}
-        for c in range(len(self.dims)):
-            n = np.vdot(self.characters[c], prod) / self.order
-            n_int = int(round(n.real))
-            if abs(n - n_int) > 1e-8:
-                raise InvalidInputError(
-                    f"non-integer fusion multiplicity {n} in ring {self.name}"
-                )
-            if n_int:
-                out[c] = n_int
-        return out
+        return int(self._conj[self._one(label)])
 
     def fuse(self, a, b):
         return self._fused(a, b)
@@ -707,10 +706,13 @@ class FiniteDualRing(FusionRing):
         return np.array(self.dims, dtype=np.int64)[table[:, 0]]
 
     def products(self, table, g):
-        pairs = [(i, c) for i, a in enumerate(table[:, 0].tolist())
-                 for c, m in self._fusion[(a, g)].items() for _ in range(m)]
-        rows, prods = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2).T
+        # each row's products in label order, a product of multiplicity m m times
+        counts = self.fusion[table[:, 0], g]
+        rows, prods = np.divmod(np.repeat(np.arange(counts.size), counts.ravel()), len(self.dims))
         return rows, prods[:, None]
+
+    def product_counts(self, table, g):
+        return self.fusion[table[:, 0], g].sum(axis=1)
 
     def first_table(self, count):
         return np.arange(min(count, len(self.dims)), dtype=np.int64)[:, None]
@@ -734,9 +736,6 @@ class FiniteDualRing(FusionRing):
         """Ints, irrep names, or strings read by int()."""
         return self._int_literal_table(literals, self.irrep_names)
 
-    def parse_label(self, literal):
-        return self.labels_of(self.parse_table([literal]))[0]
-
     def format_label(self, label):
         return self.irrep_names[self.check_label(label)]
 
@@ -744,10 +743,11 @@ class FiniteDualRing(FusionRing):
 def get_ring(ring_id: str) -> FusionRing:
     """The ring of an identifier: "Z", "Z^d:<d>", "SU2", "finite:<name>" or
     "dualgroup:Z^d:<d>", one object per ring however the id is written
-    ("Z" and "Z^d:1" are one ring).  A finite dual is built from its group's
-    character table, so only "finite:" ids load `groups`.  A dual-group
-    ring presents the group algebra of Z^d: the labels and fusion of the
-    torus dual under its own name, with no compact-group model."""
+    ("Z" and "Z^d:1" are one ring).  A finite dual's fusion table is derived
+    from its group's character table, so only "finite:" ids load `groups`.
+    A dual-group ring presents the group algebra of Z^d: the labels and
+    fusion of the torus dual under its own name, with no compact-group
+    model."""
     if not isinstance(ring_id, str):
         raise InvalidInputError(f"ring id must be a string, got {ring_id!r}")
     if ring_id == "SU2":
@@ -785,8 +785,10 @@ def _parse_rank(text: str, ring_id: str) -> int:
 
 
 def weighted_cardinality(F: Iterable[Label], ring: FusionRing) -> int:
-    """|F|_w = sum of squared dimensions over F.  Exact integer."""
-    return sum(d * d for d in ring.dims_of(ring.label_table(F)).tolist())
+    """|F|_w = sum of squared dimensions over the labels of F, each counted
+    once: the |F|_w of the one-set schedule; 0 for an empty F."""
+    F = list(F)
+    return int(FolnerSchedule(ring, (F,)).weighted_cardinalities[0]) if F else 0
 
 
 def fuse(a: Label, b: Label, ring: FusionRing) -> dict[Label, int]:
@@ -808,10 +810,8 @@ def _refuse_long_boundary(schedule: FolnerSchedule, S: list):
     product is built."""
     ring, table = schedule.ring, schedule.table
     counts = sum(ring.product_counts(table, g) for g in S + [ring.conj(g) for g in S])
-    ends = np.concatenate(([0], np.cumsum(counts)))
-    visits = sum(int(ends[s.stop] - ends[s.start]) if isinstance(s, slice) else int(counts[s].sum())
-                 for s in schedule.steps)
-    _check_visits(len(schedule), visits, "the boundary pass")
+    _check_visits(len(schedule), sum(_step_sums(counts, schedule.steps).tolist()),
+                  "the boundary pass")
 
 
 def _fusion_pairs(schedule: FolnerSchedule, S: list):

@@ -375,7 +375,8 @@ class FiniteGroupModel(CompactGroupModel):
 
     Elements are exposed as integer indices into the fixed element list; the
     Cayley table, inverses and the character table are precomputed, and the
-    fusion ring is derived from the characters.  Haar measure is uniform.
+    fusion ring is the fusion table derived once from the characters.  Haar
+    measure is uniform.
     """
 
     def __init__(self, name: str, elements: list, mult, irreps: list[tuple]):
@@ -400,10 +401,19 @@ class FiniteGroupModel(CompactGroupModel):
             mats = [np.asarray(func(e), dtype=complex) for e in self._elements]
             self._matrices.append(mats)
         dims = tuple(m[0].shape[0] for m in self._matrices)
-        table = np.array(
-            [[np.trace(m) for m in mats] for mats in self._matrices], dtype=complex
-        )
-        self.ring = FiniteDualRing(f"finite:{name}", self.irrep_names, dims, table)
+        if sum(d * d for d in dims) != order:
+            raise InvalidInputError("irrep dimensions do not sum-of-squares to the group order")
+        chars = np.array([[np.trace(m) for m in mats] for mats in self._matrices], dtype=complex)
+        # character orthogonality: N[a,b]^c = (1/|G|) sum_g chi_a(g) chi_b(g) conj(chi_c(g))
+        fusion = np.einsum("ag,bg,cg->abc", chars, chars, chars.conj()) / order
+        if np.max(np.abs(fusion - np.rint(fusion.real))) > 1e-8:
+            raise InvalidInputError(f"non-integer fusion multiplicity in group {name}")
+        self.ring = FiniteDualRing(f"finite:{name}", self.irrep_names, dims,
+                                   np.rint(fusion.real).astype(np.int64))
+        conj = [self.ring.conj(a) for a in range(len(dims))]
+        if np.max(np.abs(chars[conj] - chars.conj())) >= 1e-8:
+            raise InvalidInputError(f"character table of {name} is not closed under conjugation")
+        self._characters = chars
 
     @property
     def order(self) -> int:
@@ -432,7 +442,7 @@ class FiniteGroupModel(CompactGroupModel):
 
     def _character_table(self, table, elements):
         cols = np.array([self._check(g) for g in elements], dtype=np.intp)
-        return self.ring.characters[np.ix_(table[:, 0], cols)]
+        return self._characters[np.ix_(table[:, 0], cols)]
 
     def haar_sample(self, rng):
         return int(rng.integers(self.order))

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -399,6 +400,24 @@ class TestWorkGuards:
         err = self._refused(capsys, tmp_path / "folner.csv",
                             ["folner", "--ring", "SU2", "--S", "1", "--steps", "3000000"])
         assert "2**30" in err
+
+    def test_long_cesaro_sums_of_a_point_rep(self, tmp_path, capsys):
+        # spins 1..42000 pass the schedule's visit guard, but their sums over
+        # four points add (42000**2 / 2) * (4 + 16) entries, above 2**31
+        spec = write_json(tmp_path / "rep.json", {"ring": "SU2", "points": [
+            "q:1,0,0,0", "q:0.5,0.5,0.5,0.5", "q:0,1,0,0", "q:0.6,0,0.8,0"]})
+        err = self._refused(capsys, tmp_path / "ergodic.csv",
+                            ["ergodic", "--rep", "point", "--spec", spec, "--steps", "42000"])
+        assert "2**31" in err
+
+    def test_dense_operators_of_a_large_point_rep(self, tmp_path, capsys):
+        # 4000 points: one 4000 x 4000 operator per step, 22 in all, and
+        # their commutators with pi(chi(1)), 6.4e10 multiply-adds each
+        points = [f"z:{math.cos(t)!r},{math.sin(t)!r}" for t in range(4000)]
+        spec = write_json(tmp_path / "rep.json", {"ring": "Z", "points": points})
+        err = self._refused(capsys, tmp_path / "ergodic.csv",
+                            ["ergodic", "--rep", "point", "--spec", spec])
+        assert "2**24" in err
 
 
 class TestRunConfigApi:

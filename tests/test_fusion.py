@@ -21,6 +21,7 @@ from peterweyl import (
 )
 from peterweyl import fusion
 from peterweyl.fusion import SU2_LABEL_BOUND
+from peterweyl.groups import _FINITE_NAMES, finite_group_model
 
 Z = get_ring("Z")
 Z2 = get_ring("Z^d:2")
@@ -58,6 +59,11 @@ class TestWeightedCardinality:
         # dims of 2j = 0, 1, 2 are 1, 2, 3; sum of squares frozen
         assert [SU2.dim(n) for n in (0, 1, 2)] == [1, 2, 3]
         assert weighted_cardinality({0, 1, 2}, SU2) == 14
+        # a repeated label counts once, as in the one-set schedule
+        assert weighted_cardinality([1, 1, 2], SU2) == 4 + 9
+        assert weighted_cardinality([1, 1, 2], Z) == 2
+        # the boundary {0, 2} over the same |F|_w = 2
+        assert folner_ratio([1, 1, 2], [1], Z) == 1.0
 
     @pytest.mark.parametrize("N", [0, 1, 4, 100])
     def test_circle_box(self, N):
@@ -119,6 +125,60 @@ class TestFuse:
             fuse(1, -2, SU2)
         with pytest.raises(InvalidInputError):
             fuse(0, 7, S3)
+
+
+class TestFusionTable:
+    """The fusion table of every finite dual against character orthogonality
+    computed here, and a ring built from a table with no group behind it."""
+
+    @pytest.mark.parametrize("name", _FINITE_NAMES)
+    def test_table_is_character_orthogonality(self, name):
+        model = finite_group_model(name)
+        ring = model.ring
+        k = len(ring.dims)
+        chars = model.characters(list(range(k)), model.elements())
+        oracle = np.zeros((k, k, k), dtype=np.int64)
+        for a in range(k):
+            for b in range(k):
+                for c in range(k):
+                    n = np.vdot(chars[c], chars[a] * chars[b]) / model.order
+                    oracle[a, b, c] = round(n.real)
+                    assert abs(n - oracle[a, b, c]) < 1e-9
+        assert ring.fusion.dtype == np.int64 and not ring.fusion.flags.writeable
+        assert np.array_equal(ring.fusion, oracle)
+        for a in range(k):
+            # conj(a) is the label of the conjugate character
+            assert np.allclose(chars[ring.conj(a)], chars[a].conj())
+            for b in range(k):
+                for c in range(k):
+                    # Frobenius reciprocity
+                    assert ring.fusion[a, b, c] == ring.fusion[c, ring.conj(b), a]
+        table = np.array([[a] for a in [*range(k), *range(k)[::-1], 0]], dtype=np.int64)
+        for g in range(k):
+            rows, _ = ring.products(table, g)
+            assert ring.product_counts(table, g).tolist() == np.bincount(
+                rows, minlength=len(table)).tolist()
+
+    def test_ring_from_a_fusion_table_alone(self):
+        names = ("1", "a", "b", "ab", "u")
+        ring = fusion.FiniteDualRing("table:D4", names, D4.dims, D4.fusion)
+        for a in range(5):
+            assert ring.conj(a) == D4.conj(a)
+            for b in range(5):
+                assert ring.fuse(a, b) == D4.fuse(a, b)
+        assert ring.parse_label("u") == 4 and ring.format_label(4) == "u"
+        full = ring.full_dual()
+        assert boundary(full, full, ring) == frozenset()
+        wcards, boundary_wcards = folner_series(ring.default_schedule(3), list(full))
+        assert wcards.tolist() == [8, 8, 8] and boundary_wcards.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("table, why", [
+        (np.zeros((5, 5, 4), dtype=np.int64), "does not match"),
+        (np.zeros((5, 5, 5), dtype=np.int64), "no conjugate"),
+    ])
+    def test_malformed_tables_are_rejected(self, table, why):
+        with pytest.raises(InvalidInputError, match=why):
+            fusion.FiniteDualRing("bad", ("1", "a", "b", "ab", "u"), D4.dims, table)
 
 
 class TestRingAxioms:
