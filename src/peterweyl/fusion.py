@@ -99,7 +99,8 @@ class FusionRing(ABC):
     - ``first_table(count)``: the first `count` labels in ring order (all of
       them when the ring has fewer), and ``first_weight(count)``, their
       exact sum of squared dimensions (`count` when every dimension is 1),
-    - ``parse_table(literals)``: label literals read into a checked table,
+    - ``parse_table(literals)``: label literals read into a checked table
+      (canonical decimal strings at once by ``_decimal_table``, others by int()),
 
     and ``trivial``, ``conj(a)``, ``fuse(a, b)`` (the one-label case of
     `products`, as ``_fused``) and ``parse_label`` (the one-literal case of
@@ -255,10 +256,46 @@ class FusionRing(ABC):
     def parse_label(self, literal) -> Label:
         return self.labels_of(self.parse_table([literal]))[0]
 
+    def _decimal_table(self, texts: list[str], prefix: str = "") -> np.ndarray | None:
+        """The unchecked (m, rank) table of m canonical literals, or None
+        when one is not canonical.  A canonical literal is ASCII: an optional
+        `prefix`, then `rank` components -?[0-9]{1,18} (each fits in int64,
+        and int() reads the same value) separated by ',' or ';'.  The batch
+        is joined, scanned in numpy and read by one np.fromstring, with no
+        Python work per literal."""
+        text = "\n".join(texts)
+        if prefix:
+            # a literal's prefix follows a line break (none is inside a literal: checked next)
+            text = text.replace("\n" + prefix, "\n").removeprefix(prefix)
+        if not text.isascii() or text.count("\n") != len(texts) - 1:
+            return None
+        codes = np.frombuffer(text.encode(), dtype=np.uint8)
+        cuts = np.flatnonzero((codes == ord(",")) | (codes == ord(";")) | (codes == ord("\n")))
+        # rank components per literal: the line breaks are every rank-th cut
+        if cuts.size != len(texts) * self.rank - 1 or np.any(
+                codes[cuts[self.rank - 1::self.rank]] != ord("\n")):
+            return None
+        sizes = np.diff(cuts, prepend=-1, append=codes.size) - 1
+        if sizes.min() < 1:
+            return None
+        # 1 to 18 digits after an optional sign, and no other byte
+        digits = sizes - (codes[np.concatenate(([0], cuts + 1))] == ord("-"))
+        if (digits.min() < 1 or digits.max() > 18
+                or np.count_nonzero(codes - ord("0") < 10) != digits.sum()):
+            return None
+        values = np.fromstring(text.replace(";", ",").replace("\n", ","), dtype=np.int64, sep=",")
+        return values.reshape(len(texts), self.rank)
+
     def _int_literal_table(self, literals, names=()) -> np.ndarray:
         """Rank-1 literals: ints (not bool), irrep names, or strings read by
-        int()."""
+        int(); strings, none of them a name, are read at once when all of
+        them are canonical (`_decimal_table`)."""
         literals = list(literals)
+        _check_size(len(literals), "a label table")
+        if set(map(type, literals)) == {str} and set(names).isdisjoint(literals):
+            table = self._decimal_table(literals)
+            if table is not None:
+                return self._checked(table, literals)
         parts = []
         for x in literals:
             if isinstance(x, str):
@@ -540,8 +577,9 @@ class LatticeRing(FusionRing):
 
     def parse_table(self, literals):
         """Strings such as "w:1,-2", "1;-2" or "3" (components split on ','
-        or ';', empty parts skipped, each part read by int()), ints at rank
-        1 and lists of int components (not bool, not float)."""
+        or ';', empty parts skipped, each part read by int(); read at once
+        when every string is canonical), ints at rank 1 and lists of int
+        components (not bool, not float)."""
         literals = list(literals)
         _check_size(len(literals) * self.rank, "a label table")
         if set(map(type, literals)) <= {str}:
@@ -555,10 +593,15 @@ class LatticeRing(FusionRing):
         return rows
 
     def _split_ints(self, texts: list[str]) -> np.ndarray:
-        """String literals to a checked (m, rank) table: one join and split
-        over all of them, int() on every part."""
+        """String literals to a checked (m, rank) table, each without a
+        leading "w:": at once when all of them are canonical
+        (`_decimal_table`), else by one join and split over all of them and
+        int() on every part."""
         if not texts:
             return np.zeros((0, self.rank), dtype=np.int64)
+        table = self._decimal_table(texts, prefix="w:")
+        if table is not None:
+            return self._checked(table, texts)
         parts = ",".join(map(str.removeprefix, texts, repeat("w:"))).replace(";", ",").split(",")
         pieces = np.array([t.count(",") + t.count(";") + 1 for t in texts], dtype=np.int64)
         if np.any(pieces != self.rank):
@@ -655,7 +698,7 @@ class SU2Ring(FusionRing):
         return [1]
 
     def parse_table(self, literals):
-        """Ints, or strings read by int()."""
+        """Ints, or strings read by int() (at once when all are canonical)."""
         return self._int_literal_table(literals)
 
 
@@ -733,7 +776,8 @@ class FiniteDualRing(FusionRing):
         return list(range(len(self.dims)))
 
     def parse_table(self, literals):
-        """Ints, irrep names, or strings read by int()."""
+        """Ints, irrep names, or strings read by int() (at once when all are
+        canonical and none is a name)."""
         return self._int_literal_table(literals, self.irrep_names)
 
     def format_label(self, label):

@@ -2,6 +2,7 @@
 
 import time
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -527,6 +528,117 @@ class TestLabelTables:
                           (Z, ["1", 2.0]), (SU2, ["1", "-1"]), (D4, ["twodim", "5"])]:
             with pytest.raises(InvalidInputError):
                 ring.parse_table(bad)
+
+
+# components on the edge of the canonical grammar -?[0-9]{1,18}: the first
+# ones canonical, the others read by int() alone or refused
+CANONICAL_EDGES = ["0", "-0", "007", "-0012", "9" * 18, "-" + "9" * 18, "1" + "0" * 17]
+EDGE_COMPONENTS = CANONICAL_EDGES + [
+    "9" * 19, "1" + "0" * 18, "-" + "9" * 19, "0" * 18 + "1", str(2 ** 62 - 1),
+    str(-(2 ** 62 - 1)), str(2 ** 62), str(-(2 ** 62)), "", " 1 ", "+3", "3_0", "\u0661",
+    "\u0661,2", "-", "--1", "1-", "w:2", "1w:2", "w:", "\xe9", "0x1", "1e3", "\n1", "\ud800",
+]
+
+
+@st.composite
+def _literals(draw, rank: int, canonical: bool):
+    """A literal of `rank` components (about as often one more or one
+    fewer when not `canonical`), each either canonical or from the edge
+    list, separated by ',' or ';', maybe after "w:"."""
+    count = rank if canonical else draw(st.sampled_from([rank - 1, rank, rank, rank + 1]))
+    digits = st.integers(-10 ** 6, 10 ** 6).map(str) | st.sampled_from(CANONICAL_EDGES)
+    parts = [draw(digits if canonical else digits | st.sampled_from(EDGE_COMPONENTS))
+             for _ in range(count)]
+    text = parts[0] if parts else ""
+    for part in parts[1:]:
+        text += draw(st.sampled_from(",;")) + part
+    return draw(st.sampled_from(["", "", "w:"] if canonical else ["", "w:", "w:w:", " w:"])) + text
+
+
+def _outcome(ring, literals):
+    try:
+        table = ring.parse_table(literals)
+    except InvalidInputError as exc:
+        return str(exc)
+    assert table.dtype == np.int64 and table.shape == (len(literals), ring.rank)
+    return table.tolist()
+
+
+def _int_outcome(ring, literals):
+    """The outcome of the int() path alone."""
+    with mock.patch.object(FusionRing, "_decimal_table", return_value=None):
+        return _outcome(ring, literals)
+
+
+class TestCanonicalLiterals:
+    RINGS = ["Z", "Z^d:2", "Z^d:3", "SU2", "finite:D4"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), ring_id=st.sampled_from(RINGS))
+    def test_the_canonical_reader_agrees_with_int(self, data, ring_id):
+        ring = get_ring(ring_id)
+        literals = data.draw(st.lists(_literals(ring.rank, True), min_size=1, max_size=8))
+        # maybe one literal from anywhere in the wider grammar, first, in the middle or last
+        if data.draw(st.booleans()):
+            odd = data.draw(_literals(ring.rank, False) | st.text(max_size=8)
+                            | st.sampled_from(["w:", "twodim", "sign_s"]))
+            where = data.draw(st.sampled_from([0, len(literals) // 2, len(literals)]))
+            literals.insert(where, odd)
+        assert _outcome(ring, literals) == _int_outcome(ring, literals)
+
+    @pytest.mark.parametrize("ring_id", RINGS)
+    def test_edge_literals_agree_with_int(self, ring_id):
+        ring = get_ring(ring_id)
+        for part in EDGE_COMPONENTS:
+            for literal in [part, "w:" + part, ",".join([part] * ring.rank),
+                            ";".join(["1"] * (ring.rank - 1) + [part]), "w:" + ";".join([part] * ring.rank)]:
+                for batch in ([literal], ["0", literal], [literal, "0"], ["0", literal, "0"]):
+                    batch = [",".join([x] * ring.rank) if x == "0" else x for x in batch]
+                    assert _outcome(ring, batch) == _int_outcome(ring, batch), batch
+
+    def test_wrong_component_counts_agree_with_int(self):
+        Z3 = get_ring("Z^d:3")
+        for at in (0, 2, 4):
+            for wrong in ("1,2", "1,2,3,4", "1;2;;3", "1,2,"):
+                batch = ["1,2,3"] * 5
+                batch[at] = wrong
+                assert _outcome(Z3, batch) == _int_outcome(Z3, batch)
+        assert "does not have the 3 components" in _outcome(Z3, ["1,2,3", "1,2", "4,5,6"])
+        # counts that add up to the batch's, and a line break inside a literal
+        for ring, batch in [(Z2, ["1,2,3", "4"]), (Z3, ["1,2", "3,4,5,6"]), (Z2, ["1\n2"]),
+                            (Z2, ["1,2", "3\n4,5", "6"])]:
+            message = _outcome(ring, batch)
+            assert "does not have" in message and message == _int_outcome(ring, batch)
+
+    def test_irrep_names_come_before_decimals(self):
+        # a finite dual whose irreps are named "1" and "0"
+        C2 = get_ring("finite:C2")
+        swapped = fusion.FiniteDualRing("swapped", ("1", "0"), C2.dims, C2.fusion)
+        for batch in (["0", "1", "0"], ["0", "007"]):
+            assert _outcome(swapped, batch) == _int_outcome(swapped, batch)
+        assert swapped.parse_table(["0", "1", "0"]).tolist() == [[1], [0], [1]]
+
+    @pytest.mark.parametrize("ring_id, canonical, odd", [
+        ("Z", ["w:-3", "4", "-0"], " 5"),
+        ("Z^d:2", ["w:1,-2", "3;4", "007,-0"], "w:1,,2"),
+        ("Z^d:3", ["1,2,3", "w:-1;0;" + "9" * 18], "+1,2,3"),
+        ("SU2", ["0", "17", "007"], "3_0"),
+        ("finite:D4", ["0", "4", "2"], "twodim"),
+    ])
+    def test_which_path_a_batch_takes(self, monkeypatch, ring_id, canonical, odd):
+        ring = get_ring(ring_id)
+        expected = ring.parse_table(canonical).tolist()
+
+        def refuse(*args):
+            raise AssertionError("the int() path was taken")
+
+        # the int() path calls the module's int on every part
+        monkeypatch.setattr(fusion, "int", refuse, raising=False)
+        assert ring.parse_table(canonical).tolist() == expected
+        with pytest.raises(AssertionError, match="int\\(\\) path"):
+            ring.parse_table(canonical + [odd])
+        monkeypatch.undo()
+        assert ring.parse_table(canonical + [odd]).tolist()[:-1] == expected
 
 
 class TestSchedulesAndEnumeration:
