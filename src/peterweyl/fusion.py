@@ -257,12 +257,15 @@ class FusionRing(ABC):
         return self.labels_of(self.parse_table([literal]))[0]
 
     def _decimal_table(self, texts: list[str], prefix: str = "") -> np.ndarray | None:
-        """The unchecked (m, rank) table of m canonical literals, or None
+        """The unchecked (m, rank) table of m > 1 canonical literals, or None
         when one is not canonical.  A canonical literal is ASCII: an optional
         `prefix`, then `rank` components -?[0-9]{1,18} (each fits in int64,
         and int() reads the same value) separated by ',' or ';'.  The batch
         is joined, scanned in numpy and read by one np.fromstring, with no
-        Python work per literal."""
+        Python work per literal.  One literal (`parse_label`) is left to
+        int(), which reads it faster than numpy's per-call costs."""
+        if len(texts) < 2:
+            return None
         text = "\n".join(texts)
         if prefix:
             # a literal's prefix follows a line break (none is inside a literal: checked next)

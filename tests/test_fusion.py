@@ -605,7 +605,7 @@ class TestCanonicalLiterals:
                 assert _outcome(Z3, batch) == _int_outcome(Z3, batch)
         assert "does not have the 3 components" in _outcome(Z3, ["1,2,3", "1,2", "4,5,6"])
         # counts that add up to the batch's, and a line break inside a literal
-        for ring, batch in [(Z2, ["1,2,3", "4"]), (Z3, ["1,2", "3,4,5,6"]), (Z2, ["1\n2"]),
+        for ring, batch in [(Z2, ["1,2,3", "4"]), (Z3, ["1,2", "3,4,5,6"]), (Z2, ["1,2\n3", "4"]),
                             (Z2, ["1,2", "3\n4,5", "6"])]:
             message = _outcome(ring, batch)
             assert "does not have" in message and message == _int_outcome(ring, batch)
@@ -637,6 +637,9 @@ class TestCanonicalLiterals:
         assert ring.parse_table(canonical).tolist() == expected
         with pytest.raises(AssertionError, match="int\\(\\) path"):
             ring.parse_table(canonical + [odd])
+        # so does a single literal, which int() reads faster
+        with pytest.raises(AssertionError, match="int\\(\\) path"):
+            ring.parse_label(canonical[0])
         monkeypatch.undo()
         assert ring.parse_table(canonical + [odd]).tolist()[:-1] == expected
 
