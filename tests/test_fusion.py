@@ -591,7 +591,8 @@ class TestCanonicalLiterals:
         ring = get_ring(ring_id)
         for part in EDGE_COMPONENTS:
             for literal in [part, "w:" + part, ",".join([part] * ring.rank),
-                            ";".join(["1"] * (ring.rank - 1) + [part]), "w:" + ";".join([part] * ring.rank)]:
+                            ";".join(["1"] * (ring.rank - 1) + [part]),
+                            "w:" + ";".join([part] * ring.rank)]:
                 for batch in ([literal], ["0", literal], [literal, "0"], ["0", literal, "0"]):
                     batch = [",".join([x] * ring.rank) if x == "0" else x for x in batch]
                     assert _outcome(ring, batch) == _int_outcome(ring, batch), batch
