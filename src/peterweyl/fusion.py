@@ -17,9 +17,10 @@ arithmetic, except the Folner ratio and `reduce_along`, the one reduction
 that sums an average's terms along a schedule.  Folner boundaries are read
 from the same table: one pass fuses it with S and with conj(S) and ranks
 the table and all products together with one sort, so each product knows
-its row; each step then only tests which of its rows' products fall
-outside it.  Ring identifiers resolve here too (`get_ring`), to one cached
-ring object each, so the ring combinatorics need no other module.
+its row.  Weighted boundaries of prefix steps then take one linear pass
+over ring ranks; other steps each test which of their rows' products fall
+outside them.  Ring identifiers resolve here too (`get_ring`), to one
+cached ring object each, so the ring combinatorics need no other module.
 """
 
 from __future__ import annotations
@@ -48,13 +49,13 @@ LABEL_BOUND = 2**62
 # (16,426,062 entries) just fit, peaks at 700 MB of RSS in 2.1 s (x86-64,
 # numpy 2.4); radius 49 is refused.
 MAX_TABLE_ENTRIES = 2**24
-# the most visits one pass over a schedule may make.  The boundary pass
-# visits, per step, every label of the step and each of its products with S
-# and conj(S); it costs about 3.6 ns per visit and 17 us per step, so a step
-# counts as STEP_VISITS visits, and the passes that only visit labels (the
-# weighted cardinalities, an average's per-step sums) cost less.
-# `folner --ring SU2 --S 1 --steps 20000` makes 8.8e8 visits in 2.9 s
-# (x86-64, numpy 2.4); 2**30 visits take about 4 s.
+# the most visits one pass over a schedule may make.  An average's per-step
+# sums (`reduce_along`) visit every label of every step, and a step costs
+# about 17 us besides, so it counts as STEP_VISITS visits.  The stepwise
+# boundary pass (index steps, sets) also visits each product of a step's
+# labels with S and conj(S), about 32 ns each: 100 steps of SU2 spins
+# 0..3000 fused with 3000 (9e8 visits) take 29 s (x86-64, numpy 2.4).
+# Weighted boundaries of prefix steps are one linear pass, with no visits.
 MAX_VISITS = 2**30
 STEP_VISITS = 4096
 # the most entries the per-step sums of one reduction may add: every label
@@ -339,12 +340,13 @@ def _refuse_large_prefixes(ring: FusionRing, steps: int, count: int, slots: int 
 
 
 def _step_sums(values: np.ndarray, steps) -> np.ndarray:
-    """One total of `values` per step: a prefix step reads a running sum (so
-    a prefix schedule costs one pass, exact for integer values), an index
-    step sums its entries."""
-    ends = np.concatenate(([0], np.cumsum(values)))
-    return np.array([ends[s.stop] - ends[s.start] if isinstance(s, slice) else values[s].sum()
-                     for s in steps], dtype=values.dtype)
+    """One total of `values` per step: prefix (slice) steps read a running
+    sum with one index (so a prefix schedule costs one pass, exact for
+    integer values), index steps sum their entries."""
+    if all(isinstance(s, slice) for s in steps):
+        ends = np.concatenate(([0], np.cumsum(values)))
+        return ends[[s.stop for s in steps]] - ends[[s.start for s in steps]]
+    return np.array([values[s].sum() for s in steps], dtype=values.dtype)
 
 
 def _weighted_sums(dims: np.ndarray, sums) -> np.ndarray:
@@ -852,9 +854,9 @@ def _generators(ring: FusionRing, S) -> list:
 
 
 def _refuse_long_boundary(schedule: FolnerSchedule, S: list):
-    """Refuse a boundary pass whose visits would pass MAX_VISITS, counted
-    from the number of products of each row with S and conj(S) before any
-    product is built."""
+    """Refuse a stepwise boundary pass whose visits would pass MAX_VISITS,
+    counted from the number of products of each row with S and conj(S)
+    before any product is built."""
     ring, table = schedule.ring, schedule.table
     counts = sum(ring.product_counts(table, g) for g in S + [ring.conj(g) for g in S])
     _check_visits(len(schedule), sum(_step_sums(counts, schedule.steps).tolist()),
@@ -924,6 +926,28 @@ def _step_boundaries(schedule: FolnerSchedule, pairs) -> list[np.ndarray]:
     return out
 
 
+def _prefix_boundary_sums(steps, pairs, w: np.ndarray) -> np.ndarray:
+    """Totals of `w` (a weight per row of `rows`) over each prefix step's
+    boundary, by ring rank (table position, n outside the table): table row
+    a is inner for a < L <= max rank of its forward products, a backward
+    product y outer for min rank reaching y < L <= rank y.  Each adds its
+    weight over its range of L - 1 in a difference array read by
+    `_step_sums`; int64 sums wrap, so totals that fit are exact."""
+    ids, (f_rows, f_targets), (b_rows, b_targets), rows = pairs
+    n = len(ids)
+    rank = np.full(len(rows), n)
+    rank[ids] = np.arange(n)
+    last = np.arange(n)
+    np.maximum.at(last, f_rows, rank[f_targets])
+    first = rank.copy()
+    np.minimum.at(first, b_targets, b_rows)
+    weights = np.concatenate([w[ids], w])
+    change = np.zeros(n + 1, dtype=w.dtype)
+    np.add.at(change, np.concatenate([np.arange(n), first]), weights)
+    np.subtract.at(change, np.concatenate([last, rank]), weights)
+    return _step_sums(change, steps)
+
+
 def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
     """Boundary of F relative to S; empty for an empty F.  F may also be a
     FolnerSchedule, whose steps' boundaries are returned as a list.  With
@@ -935,7 +959,9 @@ def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
     not in F; by Frobenius reciprocity (N[a,g]^b = N[b,conj(g)]^a) it equals
     the set of labels outside F reachable by fusing F with conj(S), which is
     finite and computed directly.  One pass fuses the schedule's table with
-    every g in S and every conj(g); each step then only tests membership.
+    every g in S and every conj(g).  Weighted boundaries of prefix steps are
+    then one running sum, linear in the table, products and steps; other
+    steps each test membership, refused above MAX_VISITS before they start.
     A set F is a one-step schedule.
     """
     S = _generators(ring, S)
@@ -945,10 +971,15 @@ def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
             return 0 if weighted else frozenset()
         return boundary(FolnerSchedule(ring, (F,)), S, ring, weighted)[0]
     schedule = F._on(ring)
-    _refuse_long_boundary(schedule, S)
+    prefix = weighted and all(isinstance(s, slice) for s in schedule.steps)
+    if not prefix:
+        _refuse_long_boundary(schedule, S)
     pairs = _fusion_pairs(schedule, S)
-    found = _step_boundaries(schedule, pairs)
     rows = pairs[-1]
+    if prefix:
+        return _weighted_sums(ring.dims_of(rows),
+                              lambda w: _prefix_boundary_sums(schedule.steps, pairs, w))
+    found = _step_boundaries(schedule, pairs)
     if not weighted:
         labels = ring.labels_of(rows)
         return [frozenset(labels[i] for i in ids.tolist()) for ids in found]

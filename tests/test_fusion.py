@@ -329,6 +329,17 @@ SERIES_CASES = {
     "D4": (D4, list(range(5)), list(range(5)), D4.enumerate_labels(5)),
 }
 
+# ring and labels to draw S from (with SU2's {1, 3}, or D4's and S3's
+# two-dimensional irreps, a label is reached by several products)
+PREFIX_CASES = {
+    "Z": (Z, [1, -1, 2, -3]),
+    "Z2": (Z2, [(1, 0), (0, 1), (2, -1), (-1, -1)]),
+    "Z3": (get_ring("Z^d:3"), [(1, 0, 0), (0, 1, 1), (0, -2, 0)]),
+    "SU2": (SU2, [1, 2, 3, 5]),
+    "D4": (D4, list(range(5))),
+    "S3": (S3, list(range(3))),
+}
+
 
 class TestFolnerSeries:
     def test_circle_boxes(self):
@@ -371,6 +382,23 @@ class TestFolnerSeries:
         assert boundary(schedule, S, ring) == [
             brute_force_boundary(F, S, ring, prefix) for F in sets
         ]
+
+    @pytest.mark.parametrize("name", sorted(PREFIX_CASES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_prefix_boundaries_equal_the_stepwise_ones(self, name, data):
+        # prefix lengths in any order, repeated, longer than a finite dual
+        ring, gens = PREFIX_CASES[name]
+        lengths = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+        S = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3))
+        schedule = FolnerSchedule.prefixes(ring, lengths)
+        weighted = boundary(schedule, S, ring, weighted=True)
+        assert weighted.dtype == np.int64
+        # the same sets as index steps, and the set-valued boundaries
+        indexed = FolnerSchedule(ring, schedule.sets)
+        assert boundary(indexed, S, ring, weighted=True).tolist() == weighted.tolist()
+        assert [weighted_cardinality(B, ring)
+                for B in boundary(schedule, S, ring)] == weighted.tolist()
 
     def test_boundary_of_a_schedule_lists_each_steps_boundary(self):
         schedule = Z2.default_schedule(3)
@@ -464,22 +492,44 @@ class TestLabelTables:
             folner_series(schedule, [1])
         # just below the limit the exact value survives
         assert weighted_cardinality({top}, SU2) == int(schedule.weighted_cardinalities[0])
+        # the prefix pass: {0} has boundary {0, top}, just below the limit,
+        # and {0, 1} reaches top + 1, above it
+        assert folner_series(FolnerSchedule.prefixes(SU2, [1]), [top])[1].tolist() == [
+            1 + (top + 1) ** 2]
+        with pytest.raises(InvalidInputError, match="exceeds"):
+            folner_series(FolnerSchedule.prefixes(SU2, [1, 2]), [top])
+
+    def test_prefix_step_sums_are_the_per_step_loop(self):
+        rng = np.random.default_rng(5)
+        steps = [slice(0, int(k)) for k in rng.integers(0, 1501, size=600)] + [slice(3, 9)]
+        for values in (rng.integers(-2 ** 40, 2 ** 40, size=1500), rng.standard_normal(1500)):
+            ends = np.concatenate(([0], np.cumsum(values)))
+            loop = np.array([ends[s.stop] - ends[s.start] for s in steps], dtype=values.dtype)
+            sums = fusion._step_sums(values, steps)
+            assert sums.dtype == values.dtype and sums.tobytes() == loop.tobytes()
 
     def test_passes_above_the_visit_limit_are_refused_before_they_start(self):
-        # SU2 spins 1..20000 with S = {1}: a boundary pass of 8.8e8 visits runs
+        # SU2 spins 1..20000 with S = {1}: a stepwise pass of 8.8e8 visits is admitted
         schedule = SU2.default_schedule(20000)
         fusion._refuse_long_boundary(schedule, [1])
+        # the weighted boundaries of prefix steps are one linear pass and
+        # count no visits: spins 1..42424, the longest schedule the
+        # schedule's own guard admits, run
+        schedule = SU2.default_schedule(42424)
+        assert folner_series(schedule, [1])[1].tolist() == [
+            (n + 1) ** 2 + (n + 2) ** 2 for n in range(1, 42425)]
+        # 200 steps of spins 0..3000 as index steps (the form of a schedule
+        # file) fused with 3000: each step has 9e6 products, within the size
+        # limit, but the stepwise pass would visit 1.8e9
+        indexed = FolnerSchedule(SU2, [range(3001)] * 200)
         start = time.perf_counter()
         # 3e6 steps: the steps alone count 1.2e10 visits, refused before any table
         with pytest.raises(InvalidInputError, match="2\\*\\*30"):
             SU2.default_schedule(3_000_000)
         with pytest.raises(InvalidInputError, match="2\\*\\*30"):
             FolnerSchedule.from_table(SU2, np.zeros((300_000, 1), dtype=np.int64), [1] * 300_000)
-        # 200 steps of spins 0..3000 fused with 3000: each step has 9e6
-        # products, within the size limit, but the pass would visit 1.8e9
-        schedule = FolnerSchedule.prefixes(SU2, [3001] * 200)
         with pytest.raises(InvalidInputError, match="boundary pass.*2\\*\\*30"):
-            folner_series(schedule, [3000])
+            folner_series(indexed, [3000])
         assert time.perf_counter() - start < 1.0
 
     def test_tables_above_the_size_limit_are_refused(self):
