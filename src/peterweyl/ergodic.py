@@ -13,7 +13,9 @@ takes one scalar average a_F(p) per point, from one batched
 schedule it converges to the projection onto the vectors on which the
 representation acts by evaluation at the identity: the span of the basis
 vectors whose point has chi_a(p) = dim(a) for every generating label a.
-Dimensions are finite, so strong convergence is checked in Frobenius norm.
+Dimensions are finite, so strong convergence is checked in Frobenius norm,
+which in the basis V is the 2-norm of the difference of two diagonals: no
+dense operator is built unless one is asked for.
 """
 
 from __future__ import annotations
@@ -26,31 +28,26 @@ from .errors import InvalidInputError
 from .fusion import FolnerSchedule, LatticeRing, reduce_along
 from .groups import CompactGroupModel, FiniteGroupModel, TorusModel
 
-# A check builds dense dim x dim operators (every step's average, all kept
-# in its report, one pi(chi(a)) per generating label and the projection) and
-# multiplies them: two products per step and generating label for the
-# commutant residues, and one per operator when the basis is not the
-# standard one.  An operator entry costs 16 bytes and about 7 ns (building
-# it and its distance to the projection), a complex multiply-add in a
-# product about 0.11 ns (x86-64, numpy 2.4, two threads).  Above
-# MAX_OPERATOR_ENTRIES (256 MB of operators) or MAX_PRODUCT_WORK
-# multiply-adds (about 4 s) the check is refused before any is built; near
-# both limits a check takes 2.5 to 3.3 s and peaks at about 320 MB of RSS.
+# A dense dim x dim operator (16 bytes an entry) is built only on request,
+# by cesaro_operator, invariant_projection and FiniteDimRep.chi; one above
+# MAX_OPERATOR_ENTRIES (256 MB) is refused before it is allocated.
 MAX_OPERATOR_ENTRIES = 2**24
-MAX_PRODUCT_WORK = 2**35
 
 
 @dataclass(eq=False)
 class FiniteDimRep:
     """A *-representation on a finite-dimensional Hilbert space in diagonal
     form: the points of `model` on the diagonal and the unitary `basis` V
-    that carries the diagonal (None for the standard basis)."""
+    that carries the diagonal (None for the standard basis), with
+    `basis_residue` = ||V^H V - I||_F, measured once (0.0 for the standard
+    basis)."""
 
     model: CompactGroupModel
     points: list
     kind: str
     basis: np.ndarray | None = None
     cyclic_vector: np.ndarray | None = None
+    basis_residue: float = 0.0
 
     @property
     def ring(self):
@@ -62,6 +59,10 @@ class FiniteDimRep:
 
     def operator(self, diagonal) -> np.ndarray:
         """V diag(diagonal) V^H as a dim x dim complex matrix."""
+        if self.dim**2 > MAX_OPERATOR_ENTRIES:
+            raise InvalidInputError(
+                f"an operator of dimension {self.dim} would hold {self.dim**2} entries, "
+                f"above the limit of 2**24")
         diagonal = np.asarray(diagonal, dtype=complex)
         if self.basis is None:
             return np.diag(diagonal)
@@ -101,7 +102,8 @@ def group_rep(ring: LatticeRing, generator_images, tol: float = 1e-10) -> Finite
 
     The eigenvectors V of one fixed Hermitian combination of the images must
     make every V^H U_j V diagonal to `tol`; the diagonals are the joint
-    eigenvalues, read as points of the torus dual to `ring`.
+    eigenvalues, read as points of the torus dual to `ring`.  The basis
+    residue ||V^H V - I||_F is measured once, here.
     """
     if not isinstance(ring, LatticeRing):
         raise InvalidInputError("group_rep needs a dual-group (lattice) ring")
@@ -124,7 +126,9 @@ def group_rep(ring: LatticeRing, generator_images, tol: float = 1e-10) -> Finite
                 f"generator images must commute: they are not jointly diagonal to {tol:g}")
         joint.append(np.diag(d) / np.abs(np.diag(d)))
     points = [complex(p[0]) if ring.rank == 1 else tuple(map(complex, p)) for p in zip(*joint)]
-    return FiniteDimRep(TorusModel(ring.rank, ring=ring), points, "group-rep", basis=basis)
+    residue = float(np.linalg.norm(basis.conj().T @ basis - np.eye(k)))
+    return FiniteDimRep(TorusModel(ring.rank, ring=ring), points, "group-rep", basis=basis,
+                        basis_residue=residue)
 
 
 def gns_rep(model: FiniteGroupModel, state) -> FiniteDimRep:
@@ -150,34 +154,31 @@ def gns_rep(model: FiniteGroupModel, state) -> FiniteDimRep:
     return FiniteDimRep(model, support, "gns-rep", cyclic_vector=np.sqrt(phi[support]))
 
 
-def _refuse_large_operators(rep: FiniteDimRep, operators: int, products: int):
-    """Refuse `operators` dense operators of the representation and
-    `products` products of them, before any is built."""
-    entries, work = operators * rep.dim**2, products * rep.dim**3
-    if entries > MAX_OPERATOR_ENTRIES:
-        raise InvalidInputError(
-            f"{operators} operators of dimension {rep.dim} would hold {entries} entries, "
-            f"above the limit of 2**24")
-    if work > MAX_PRODUCT_WORK:
-        raise InvalidInputError(
-            f"{products} products of dimension {rep.dim} would cost {work} multiply-adds, "
-            f"above the limit of 2**35")
-
-
-def _cesaro_averages(rep: FiniteDimRep, schedule: FolnerSchedule) -> tuple[list, np.ndarray]:
-    """The averages M_n of every schedule step, and their weighted cardinalities."""
-    _refuse_large_operators(rep, len(schedule), len(schedule) * (rep.basis is not None))
+def _averages(rep: FiniteDimRep, schedule: FolnerSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal a_n of every step's average M_n in the representation's
+    basis, one row per step, and the steps' weighted cardinalities."""
 
     def terms(table, dims):
         return dims[:, None] * rep.model.characters(table, rep.points)
 
     sums, wcards = reduce_along(schedule, rep.ring, terms)
-    return [rep.operator(s / int(w)) for s, w in zip(sums, wcards)], wcards
+    return np.asarray(sums) / np.asarray(wcards, dtype=float)[:, None], wcards
 
 
 def cesaro_operator(rep: FiniteDimRep, F) -> np.ndarray:
     """(1/|F|_w) sum over F of dim(a) * pi(chi(a)), in ring label order."""
-    return _cesaro_averages(rep, FolnerSchedule(rep.ring, (F,)))[0][0]
+    return rep.operator(_averages(rep, FolnerSchedule(rep.ring, (F,)))[0][0])
+
+
+def _invariant(rep: FiniteDimRep, generating_labels) -> np.ndarray:
+    """The diagonal of the invariant projection, 1.0 at its points and 0.0 elsewhere."""
+    labels = list(generating_labels)
+    if not labels:
+        raise InvalidInputError("generating_labels must be nonempty")
+    table = rep.ring.label_table(labels)
+    dims = rep.ring.dims_of(table).astype(float)[:, None]
+    chis = rep.model.characters(table, rep.points)
+    return np.all(np.abs(chis - dims) <= 1e-8 * dims, axis=0).astype(float)
 
 
 def invariant_projection(rep: FiniteDimRep, generating_labels) -> np.ndarray:
@@ -186,57 +187,49 @@ def invariant_projection(rep: FiniteDimRep, generating_labels) -> np.ndarray:
     the basis vectors whose point p has |chi_a(p) - dim(a)| <= 1e-8 * dim(a)
     for every generating label a (|chi_a| is at most dim(a), so the threshold
     scales with it).  No such point yields the zero projection."""
-    labels = list(generating_labels)
-    if not labels:
-        raise InvalidInputError("generating_labels must be nonempty")
-    table = rep.ring.label_table(labels)
-    dims = rep.ring.dims_of(table).astype(float)[:, None]
-    chis = rep.model.characters(table, rep.points)
-    _refuse_large_operators(rep, 1, rep.basis is not None)
-    return rep.operator(np.all(np.abs(chis - dims) <= 1e-8 * dims, axis=0))
+    return rep.operator(_invariant(rep, generating_labels))
 
 
 @dataclass
 class ErgodicReport:
-    """Per-step Cesaro averages with convergence diagnostics.
+    """Per-step Cesaro averages with convergence diagnostics, in the
+    representation's basis, where every M_n and P are diagonal.
 
-    The operator averages M_n themselves are kept (dimensions are desk
-    scale); each satisfies ||M_n||_op <= 1 + roundoff, being an average of
-    contractions with weights dim^2/|F|_w summing to one."""
+    Each average satisfies max|a_n| <= 1 + roundoff, its entries being
+    averages of chi_a(p)/dim(a), of modulus at most one, with weights
+    dim(a)^2/|F|_w summing to one."""
 
     schedule: FolnerSchedule
     weighted_cardinalities: np.ndarray
-    operators: tuple                # the averages M_n, one per step
-    distances: np.ndarray           # ||M_n - P||_F
-    commutant_residues: np.ndarray  # max_gamma ||[M_n, pi(chi(gamma))]||_F
-    projection: np.ndarray
+    averages: np.ndarray            # row n: the diagonal a_n of M_n
+    distances: np.ndarray           # ||M_n - P||_F = ||a_n - p||_2
+    commutant_residues: np.ndarray  # the basis residue at every step
+    invariant: np.ndarray           # the diagonal p of P
     tol: float
     passed: bool
 
 
 def ergodic_limit_check(rep: FiniteDimRep, schedule: FolnerSchedule, generating_labels,
                         tol: float = 1e-8) -> ErgodicReport:
-    """Track ||M_n - P||_F and the commutant residues of M_n along the
-    schedule, where P is the invariant projection of the generating labels.
-    Passes when both final values are below tol.  The operators it would
-    build and multiply, and the per-step sums, are counted first; a check
-    above their limits is refused before any operator is built."""
-    gens = list(generating_labels)
-    built = len(schedule) + len(gens) + 1
-    _refuse_large_operators(rep, built,
-                            2 * len(gens) * len(schedule) + built * (rep.basis is not None))
-    operators, wcards = _cesaro_averages(rep, schedule)
-    proj = invariant_projection(rep, gens)  # checks the labels and rejects an empty list
-    dists = [float(np.linalg.norm(m - proj)) for m in operators]
-    chis = [rep.chi(g) for g in gens]
-    comms = [max(float(np.linalg.norm(m @ c - c @ m)) for c in chis) for m in operators]
+    """Track ||M_n - P||_F along the schedule, where P is the invariant
+    projection of the generating labels.  M_n and P are diagonal in the
+    representation's basis V, so each distance is the row norm ||a_n - p||_2
+    and no dense operator is built.  Every commutator [M_n, pi(chi(g))]
+    vanishes there; with V unitary only to ||V^H V - I||_F, its norm is at
+    most 2 dim(g) times that basis residue plus rounding, so the residue
+    stands for the commutant residues.  Passes when the final distance and
+    the basis residue are below tol."""
+    averages, wcards = _averages(rep, schedule)
+    invariant = _invariant(rep, generating_labels)  # checks the labels, rejects an empty list
+    diff = averages - invariant
+    dists = np.sqrt(np.sum(diff.real**2, axis=1) + np.sum(diff.imag**2, axis=1))
     return ErgodicReport(
         schedule=schedule,
         weighted_cardinalities=wcards,
-        operators=tuple(operators),
-        distances=np.asarray(dists),
-        commutant_residues=np.asarray(comms),
-        projection=proj,
+        averages=averages,
+        distances=dists,
+        commutant_residues=np.full(len(dists), rep.basis_residue),
+        invariant=invariant,
         tol=tol,
-        passed=bool(dists[-1] < tol and comms[-1] < tol),
+        passed=bool(dists[-1] < tol and rep.basis_residue < tol),
     )

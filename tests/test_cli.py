@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -331,6 +332,58 @@ class TestErgodic:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_large_point_rep_matches_dirichlet_kernel(self, tmp_path):
+        # 4000 points e^{it}: the check reads the diagonal only, so no
+        # 4000 x 4000 operator is built; each step's average at a point is
+        # the Dirichlet kernel D_n(t) / (2n + 1)
+        points = [f"z:{math.cos(t)!r},{math.sin(t)!r}" for t in range(4000)]
+        spec = write_json(tmp_path / "rep.json", {"ring": "Z", "points": points})
+        out = tmp_path / "ergodic.csv"
+        assert main(["ergodic", "--rep", "point", "--spec", spec, "--tol", "100",
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out)
+        n = np.arange(1, 21)[:, None]
+        t = np.arange(4000)[None, :]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            kernel = np.where(t == 0, 2 * n + 1.0, np.sin((n + 0.5) * t) / np.sin(t / 2))
+        oracle = np.linalg.norm(kernel / (2 * n + 1) - (t == 0), axis=1)
+        assert [int(r[1]) for r in rows] == (2 * n[:, 0] + 1).tolist()
+        assert np.max(np.abs([float(r[2]) for r in rows] - oracle)) < 1e-12
+        assert all(float(r[3]) == 0.0 for r in rows)
+
+    def test_run_builds_no_dense_operator(self, tmp_path, monkeypatch):
+        from peterweyl.ergodic import FiniteDimRep
+
+        specs = [
+            ("point", {"ring": "SU2", "points": ["q:1,0,0,0", "q:0.6,0,0.8,0"]}),
+            ("gns", {"ring": "finite:D4", "state": [1] * 8}),
+            ("group", {"ring": "dualgroup:Z^d:2", "generators": [
+                [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}),
+        ]
+        runs = {}
+        for patched in (False, True):
+            if patched:
+                def refuse(rep, diagonal):
+                    raise AssertionError("a dense operator was built")
+
+                monkeypatch.setattr(FiniteDimRep, "operator", refuse)
+            for rep, doc in specs:
+                spec = write_json(tmp_path / f"{rep}.json", doc)
+                out = tmp_path / f"{rep}-{patched}.csv"
+                assert main(["ergodic", "--rep", rep, "--spec", spec, "--steps", "20",
+                             "--tol", "10", "--out", str(out)]) == EXIT_OK
+                runs[rep, patched] = out.read_bytes()
+        for rep, _ in specs:
+            assert runs[rep, True] == runs[rep, False]
+
+    def test_long_gns_run(self, tmp_path):
+        spec = write_json(tmp_path / "rep.json", {"ring": "finite:D4", "state": [1] * 8})
+        out = tmp_path / "ergodic.csv"
+        assert main(["ergodic", "--rep", "gns", "--spec", spec, "--steps", "50000",
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert len(rows) == 50000 and float(rows[-1][2]) == 0.0
+
 
 class TestFusionCommand:
     def test_s3_std_squared(self, capsys):
@@ -409,15 +462,6 @@ class TestWorkGuards:
         err = self._refused(capsys, tmp_path / "ergodic.csv",
                             ["ergodic", "--rep", "point", "--spec", spec, "--steps", "42000"])
         assert "2**31" in err
-
-    def test_dense_operators_of_a_large_point_rep(self, tmp_path, capsys):
-        # 4000 points: one 4000 x 4000 operator per step, 22 in all, and
-        # their commutators with pi(chi(1)), 6.4e10 multiply-adds each
-        points = [f"z:{math.cos(t)!r},{math.sin(t)!r}" for t in range(4000)]
-        spec = write_json(tmp_path / "rep.json", {"ring": "Z", "points": points})
-        err = self._refused(capsys, tmp_path / "ergodic.csv",
-                            ["ergodic", "--rep", "point", "--spec", spec])
-        assert "2**24" in err
 
 
 class TestRunConfigApi:

@@ -2,6 +2,7 @@
 
 import cmath
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,10 +267,9 @@ class TestErgodicLimitCheck:
             g1 = sum(1j**n for n in range(-N, N + 1)) / (2 * N + 1)
             g2 = sum((-1.0) ** n for n in range(-N, N + 1)) / (2 * N + 1)
             assert abs(report.distances[i] - abs(g1 * g2)) < 1e-12
-        assert np.allclose(report.projection, np.diag([1.0, 0.0]), atol=1e-12)
-        assert len(report.operators) == len(steps)
-        for m in report.operators:
-            assert np.linalg.norm(m, 2) <= 1 + 1e-10
+        assert np.allclose(rep.operator(report.invariant), np.diag([1.0, 0.0]), atol=1e-12)
+        assert report.averages.shape == (len(steps), 2)
+        assert np.max(np.abs(report.averages)) <= 1 + 1e-10
 
     def test_finite_group_full_dual_is_exact_in_one_step(self):
         rng = np.random.default_rng(8)
@@ -308,8 +308,8 @@ class TestErgodicLimitCheck:
                 for a, b, l1, l2 in ((0, 0, 3, 4), (-5, 2, 10, 7), (4, -9, 6, 6), (1, 1, 1, 1))
             ], "windows")
         report = ergodic_limit_check(rep, schedule, [(1, 0), (0, 1)], tol=1.0)
-        for m, F in zip(report.operators, schedule):
-            assert np.array_equal(m, cesaro_operator(rep, F))
+        for a, F in zip(report.averages, schedule):
+            assert np.array_equal(rep.operator(a), cesaro_operator(rep, F))
 
     def test_full_dual_average_equals_projection_on_finite_groups(self):
         # the boundary of the full dual is empty, so the limit is attained
@@ -323,6 +323,87 @@ class TestErgodicLimitCheck:
                 M = cesaro_operator(rep, full)
                 P = invariant_projection(rep, full)
                 assert np.max(np.abs(M - P)) < 1e-10
+
+
+class TestDiagonalReport:
+    """The report is read on the diagonal; the dense library path is its oracle."""
+
+    def reps(self):
+        rng = np.random.default_rng(31)
+        d4 = finite_group_model("D4")
+        yield point_rep(SU2, [SU2.identity()] + [SU2.haar_sample(rng) for _ in range(5)]), [1]
+        yield point_rep(CIRCLE, [CIRCLE.identity()] + [CIRCLE.haar_sample(rng)
+                                                       for _ in range(4)]), [1]
+        yield gns_rep(d4, rng.dirichlet(np.ones(8))), d4.ring.generating_labels()
+        yield gns_rep(S3, np.full(6, 1.0)), S3.ring.generating_labels()
+        q = random_unitary(rng, 6)
+        theta = rng.uniform(0, 6, (2, 6))
+        theta[:, :2] = 0.0  # a two-dimensional invariant subspace
+        yield group_rep(DUAL_Z2, [q @ np.diag(np.exp(1j * t)) @ q.conj().T
+                                  for t in theta]), [(1, 0), (0, 1)]
+
+    def schedules(self, ring, rng):
+        nested = ring.default_schedule(8)
+        labels = nested.labels
+        yield nested
+        yield FolnerSchedule(ring, [
+            [labels[i] for i in rng.choice(len(labels), size=int(rng.integers(1, len(labels))),
+                                           replace=False)]
+            for _ in range(6)
+        ], "windows")
+
+    def test_distances_and_averages_match_the_dense_path(self):
+        rng = np.random.default_rng(32)
+        for rep, gens in self.reps():
+            for schedule in self.schedules(rep.ring, rng):
+                report = ergodic_limit_check(rep, schedule, gens, tol=1.0)
+                P = rep.operator(report.invariant)
+                assert np.array_equal(P, invariant_projection(rep, gens))
+                assert np.max(np.abs(report.averages)) <= 1 + 1e-10
+                for i, F in enumerate(schedule):
+                    M = cesaro_operator(rep, F)
+                    assert np.array_equal(rep.operator(report.averages[i]), M)
+                    assert abs(report.distances[i] - np.linalg.norm(M - P)) <= 1e-12
+                    for g in gens:
+                        chi = rep.chi(g)
+                        assert np.linalg.norm(M @ chi - chi @ M) <= 1e-12
+                assert np.all(report.commutant_residues == rep.basis_residue)
+
+    def test_basis_residue(self):
+        for rep, _ in self.reps():
+            if rep.basis is None:
+                assert rep.basis_residue == 0.0
+            else:
+                v = rep.basis
+                assert rep.basis_residue == np.linalg.norm(v.conj().T @ v - np.eye(rep.dim))
+                assert 0.0 < rep.basis_residue < 1e-13
+
+    def test_basis_residue_decides_with_the_distance(self):
+        rep = point_rep(CIRCLE, [CIRCLE.identity()])
+        rep.basis_residue = 1e-6
+        schedule = CIRCLE.ring.default_schedule(3)
+        for tol, passed in ((1e-8, False), (1e-5, True)):
+            report = ergodic_limit_check(rep, schedule, [1], tol=tol)
+            assert report.passed is passed
+            assert np.all(report.distances == 0.0)
+            assert np.all(report.commutant_residues == 1e-6)
+
+    def test_large_operators_are_refused_before_they_are_built(self):
+        rng = np.random.default_rng(33)
+        rep = point_rep(CIRCLE, [CIRCLE.haar_sample(rng) for _ in range(5000)])
+        report = ergodic_limit_check(rep, CIRCLE.ring.default_schedule(3), [1], tol=10.0)
+        assert report.averages.shape == (3, 5000)
+        tracemalloc.start()
+        try:
+            for build in (lambda: cesaro_operator(rep, box(3)),
+                          lambda: invariant_projection(rep, [1]),
+                          lambda: rep.chi(1)):
+                with pytest.raises(InvalidInputError, match=r"2\*\*24"):
+                    build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24  # one 5000 x 5000 operator would take 400 MB
 
 
 class TestStateCharacterSeparation:
