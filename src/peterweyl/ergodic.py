@@ -161,8 +161,8 @@ def _averages(rep: FiniteDimRep, schedule: FolnerSchedule) -> tuple[np.ndarray, 
     def terms(table, dims):
         return dims[:, None] * rep.model.characters(table, rep.points)
 
-    sums, wcards = reduce_along(schedule, rep.ring, terms)
-    return np.asarray(sums) / np.asarray(wcards, dtype=float)[:, None], wcards
+    sums, wcards = reduce_along(schedule, rep.ring, terms, len(rep.points))
+    return sums / np.asarray(wcards, dtype=float)[:, None], wcards
 
 
 def cesaro_operator(rep: FiniteDimRep, F) -> np.ndarray:

@@ -49,22 +49,24 @@ LABEL_BOUND = 2**62
 # (16,426,062 entries) just fit, peaks at 700 MB of RSS in 2.1 s (x86-64,
 # numpy 2.4); radius 49 is refused.
 MAX_TABLE_ENTRIES = 2**24
-# the most visits one pass over a schedule may make.  An average's per-step
-# sums (`reduce_along`) visit every label of every step, and a step costs
-# about 17 us besides, so it counts as STEP_VISITS visits.  The stepwise
-# boundary pass (index steps, sets) also visits each product of a step's
-# labels with S and conj(S), about 32 ns each: 100 steps of SU2 spins
-# 0..3000 fused with 3000 (9e8 visits) take 29 s (x86-64, numpy 2.4).
-# Weighted boundaries of prefix steps are one linear pass, with no visits.
+# the most visits one pass over a schedule may make, a visit being about
+# 3.6 ns (4 s at the limit).  Measured per step (x86-64, numpy 2.4): a
+# prefix step costs about 6 us, mostly its CSV row; an index step (a
+# schedule file's or a set list's) 19 us, as it sorts and sums its own
+# rows, plus a visit per label; a step of the stepwise boundary pass (index
+# steps, sets) 54 us, plus 18 ns per product of its labels with S and
+# conj(S): 5, 10 and 20 steps of SU2 spins 0..3000 fused with 3000 take
+# 2.6, 3.3 and 5.4 s.  Weighted boundaries of prefix steps are one linear
+# pass, with no visits.
 MAX_VISITS = 2**30
-STEP_VISITS = 4096
-# the most entries the per-step sums of one reduction may add: every label
-# of a step adds its row of the term table.  A one-column table costs about
-# 2.4 ns per row; with more columns numpy pays about 30 ns per row plus
-# 1.5 ns per entry, so such a row counts ROW_ENTRIES entries more than it
-# holds.  At the limit the sums take 2.5 to 5 s (x86-64, numpy 2.4).
-MAX_SUM_ENTRIES = 2**31
-ROW_ENTRIES = 16
+STEP_VISITS = 2048
+INDEX_STEP_VISITS = 5120
+BOUNDARY_STEP_VISITS = 15360
+PRODUCT_VISITS = 5
+# the most entries one reduction may sum: its term table once for a prefix
+# schedule, each step's rows for index steps, times the columns.  The sums
+# hold three float copies of their terms: 512 MB and 0.7 s at the limit.
+MAX_SUM_ENTRIES = 2**23
 
 
 def _is_int(x) -> bool:
@@ -77,10 +79,9 @@ def _check_size(entries: int, what: str):
             f"{what} would hold {entries} int64 entries, above the limit of 2**24")
 
 
-def _check_visits(steps: int, visits: int, what: str):
-    total = steps * STEP_VISITS + visits
-    if total > MAX_VISITS:
-        raise InvalidInputError(f"{what} would make {total} visits, above the limit of 2**30")
+def _check_visits(visits: int, what: str):
+    if visits > MAX_VISITS:
+        raise InvalidInputError(f"{what} would make {visits} visits, above the limit of 2**30")
 
 
 class FusionRing(ABC):
@@ -326,27 +327,43 @@ class FusionRing(ABC):
         return f"<{type(self).__name__} {self.name}>"
 
 
-def _refuse_large_prefixes(ring: FusionRing, steps: int, count: int, slots: int = 0):
+def _refuse_large_prefixes(ring: FusionRing, steps: int, count: int):
     """Refuse, before anything is built, a prefix schedule of `steps` steps
     whose largest step is the first `count` labels, when its table would
     pass MAX_TABLE_ENTRIES, that step's |F|_w would not fit in int64, or a
-    pass over its steps, which hold `slots` labels in all, would pass
-    MAX_VISITS."""
+    pass over its steps would pass MAX_VISITS."""
     _check_size(steps + count * ring.rank, "the schedule's label table")
     weight = ring.first_weight(count)
     if weight > INT64_MAX:
         raise InvalidInputError(f"weighted cardinality {weight} exceeds 2**63 - 1")
-    _check_visits(steps, slots, "a pass over the schedule's steps")
+    _check_visits(steps * STEP_VISITS, "a pass over the schedule's steps")
 
 
-def _step_sums(values: np.ndarray, steps) -> np.ndarray:
-    """One total of `values` per step: prefix (slice) steps read a running
-    sum with one index (so a prefix schedule costs one pass, exact for
-    integer values), index steps sum their entries."""
-    if all(isinstance(s, slice) for s in steps):
-        ends = np.concatenate(([0], np.cumsum(values)))
-        return ends[[s.stop for s in steps]] - ends[[s.start for s in steps]]
-    return np.array([values[s].sum() for s in steps], dtype=values.dtype)
+def _step_sums(values: np.ndarray, schedule: "FolnerSchedule") -> np.ndarray:
+    """One total of `values` per step of the schedule: prefix steps read one
+    running sum at their stops (one pass, exact for integer values), index
+    steps sum their entries."""
+    if schedule.stops is not None:
+        return np.cumsum(values)[schedule.stops - 1]
+    return np.array([values[s].sum() for s in schedule.steps], dtype=values.dtype)
+
+
+def _compensated_sums(x: np.ndarray) -> np.ndarray:
+    """Running sums of the rows of the float table x by Sum2 (Ogita, Rump and
+    Oishi, SIAM J. Sci. Comput. 26, 2005): the running sum plus the running
+    sum of the exact error of each addition (Knuth's TwoSum).  np.cumsum adds
+    in row order, so row k depends on rows 0..k alone; it is within
+    eps|S| + gamma(k)**2 sum|x_i| of their exact sum S, eps = 2**-53 and
+    gamma(k) = k eps / (1 - k eps)."""
+    s = np.cumsum(x, axis=0)
+    with np.errstate(invalid="ignore"):  # an infinite sum turns to nan
+        z = s[1:] - s[:-1]
+        err = s[1:] - z
+        np.subtract(s[:-1], err, out=err)
+        np.subtract(x[1:], z, out=z)
+        err += z
+        s[1:] += np.cumsum(err, axis=0, out=err)
+    return s
 
 
 def _weighted_sums(dims: np.ndarray, sums) -> np.ndarray:
@@ -391,10 +408,11 @@ class FolnerSchedule:
 
     Stored as one table: `table`, the (n, rank) int64 rows of the distinct
     labels in ring order, and `steps`, one ascending index array into it
-    per step (a slice for a prefix).  `dims` holds the labels' dimensions
-    and `weighted_cardinalities` each step's |F|_w, both exact int64 and
-    read-only.  `labels` (the table as a tuple of labels) and the step sets
-    are built only on demand.
+    per step, or for a prefix schedule `stops`, each step's length (slices
+    as `steps` on demand; `stops` is None otherwise).  `dims` holds the
+    labels' dimensions and `weighted_cardinalities` each step's |F|_w; these
+    and `stops` are exact int64 and read-only.  `labels` (the table as a
+    tuple of labels) and the step sets are built only on demand.
     """
 
     def __init__(self, ring: FusionRing, sets: Iterable[Iterable[Label]], description: str = ""):
@@ -419,11 +437,15 @@ class FolnerSchedule:
         lengths = list(lengths)
         if not all(k >= 1 for k in lengths):
             raise InvalidInputError("schedule sets must be nonempty")
-        count = max(lengths, default=1)
-        _refuse_large_prefixes(ring, len(lengths), count, sum(lengths))
+        if not lengths:
+            raise InvalidInputError("schedule must contain at least one set")
+        count = max(lengths)
+        _refuse_large_prefixes(ring, len(lengths), count)
         table = ring.first_table(count)
         schedule = cls.__new__(cls)
-        schedule._init(ring, table, [slice(0, min(k, len(table))) for k in lengths], description)
+        schedule.stops = np.minimum(np.array(lengths, dtype=np.int64), len(table))
+        schedule.stops.setflags(write=False)
+        schedule._init(ring, table, description)
         return schedule
 
     def _index(self, ring, table, lengths, description):
@@ -431,28 +453,27 @@ class FolnerSchedule:
             raise InvalidInputError("schedule must contain at least one set")
         if not all(lengths):
             raise InvalidInputError("schedule sets must be nonempty")
-        _check_visits(len(lengths), sum(lengths), "a pass over the schedule's steps")
+        _check_visits(len(lengths) * INDEX_STEP_VISITS + sum(lengths),
+                      "a pass over the schedule's steps")
         ids, first = _ranks(table, ring.order_keys(table))
         ends = np.cumsum(lengths).tolist()
-        steps = [_sorted_set(ids[end - k:end]) for k, end in zip(lengths, ends)]
-        self._init(ring, table[first], steps, description)
+        self.stops = None
+        self.steps = tuple(_sorted_set(ids[end - k:end]) for k, end in zip(lengths, ends))
+        self._init(ring, table[first], description)
 
-    def _init(self, ring, table, steps, description):
-        if not steps:
-            raise InvalidInputError("schedule must contain at least one set")
+    def _init(self, ring, table, description):
         self.ring = ring
         self.table = table
-        self.steps = tuple(steps)
         self.description = description
         self.dims = ring.dims_of(table)
-        self.weighted_cardinalities = _weighted_sums(self.dims, lambda w: _step_sums(w, self.steps))
+        self.weighted_cardinalities = _weighted_sums(self.dims, lambda w: _step_sums(w, self))
         for array in (self.table, self.dims, self.weighted_cardinalities):
             array.setflags(write=False)
 
     @cached_property
-    def slots(self) -> int:
-        """The sum of |F| over the steps."""
-        return int(_step_sums(np.ones(len(self.table), dtype=np.int64), self.steps).sum())
+    def steps(self) -> tuple:
+        """A prefix schedule's steps as slices of the table."""
+        return tuple(slice(0, k) for k in self.stops.tolist())
 
     @cached_property
     def labels(self) -> tuple:
@@ -471,7 +492,7 @@ class FolnerSchedule:
         return tuple(map(self._set, self.steps))
 
     def __len__(self):
-        return len(self.steps)
+        return len(self.weighted_cardinalities)
 
     def __iter__(self):
         return map(self._set, self.steps)
@@ -480,27 +501,42 @@ class FolnerSchedule:
         return self._set(self.steps[i])
 
 
-def reduce_along(schedule: FolnerSchedule, ring: FusionRing, terms) -> tuple[list, np.ndarray]:
-    """Per-step sums of the terms over the schedule's sets, and their
-    weighted cardinalities.
+def reduce_along(schedule: FolnerSchedule, ring: FusionRing, terms,
+                 columns: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step sums of the terms over the schedule's sets, one row per
+    step, and their weighted cardinalities.
 
-    `terms(table, dims)` returns an array whose first axis runs over the
-    rows of the schedule's label table, given with their dimensions; it is
-    called once.  Each step is then summed with np.sum in ring order, so a
-    step's sum is the same to the bit as the sum over that set alone,
-    provided a label's term does not depend on the rest of the batch.  A
-    schedule built on another ring object is rebuilt on `ring` first, which
-    checks its labels there.  Sums that would pass MAX_SUM_ENTRIES are
-    refused once the terms are known, before any is added.
+    `terms(table, dims)` returns `columns` values (a scalar for one) for
+    each row of the schedule's label table, given with their dimensions; it
+    is called once.  Each step's sum is the compensated running sum of its
+    rows in ring order (`_compensated_sums`, on the real view): one pass
+    over a prefix schedule's table, read at each stop, or over an index
+    step's own rows.  So a step's sum is the same to the bit as the sum over
+    that set alone, provided a label's term does not depend on the rest of
+    the batch.  A schedule built on another ring object is rebuilt on
+    `ring` first, which checks its labels there.  Sums of more than
+    MAX_SUM_ENTRIES entries are refused before the terms are built.
     """
     schedule = schedule._on(ring)
-    table = np.asarray(terms(schedule.table, schedule.dims), dtype=complex)
-    columns = math.prod(table.shape[1:])
-    entries = schedule.slots * (columns + ROW_ENTRIES * (columns > 1))
+    prefix = schedule.stops is not None
+    lengths = schedule.stops if prefix else np.array([len(s) for s in schedule.steps])
+    entries = (len(schedule.table) if prefix else int(lengths.sum())) * columns
     if entries > MAX_SUM_ENTRIES:
         raise InvalidInputError(
-            f"the per-step sums would add {entries} entries, above the limit of 2**31")
-    return [np.sum(table[s], axis=0) for s in schedule.steps], schedule.weighted_cardinalities
+            f"the sums would take in {entries} entries, above the limit of 2**23")
+    table = np.asarray(terms(schedule.table, schedule.dims), dtype=complex)
+    x = np.ascontiguousarray(table.reshape(len(table), columns)).view(float)
+    if prefix:
+        sums = _compensated_sums(x)[lengths - 1]
+    else:
+        # the index steps of one length side by side, a column each
+        sums = np.empty((len(lengths), x.shape[1]))
+        for k in np.unique(lengths).tolist():
+            at = np.flatnonzero(lengths == k)
+            rows = np.stack([schedule.steps[i] for i in at.tolist()], axis=1)
+            sums[at] = _compensated_sums(x[rows])[-1]
+    sums = sums.view(complex).reshape((len(sums),) + table.shape[1:])
+    return sums, schedule.weighted_cardinalities
 
 
 class LatticeRing(FusionRing):
@@ -855,11 +891,12 @@ def _generators(ring: FusionRing, S) -> list:
 
 def _refuse_long_boundary(schedule: FolnerSchedule, S: list):
     """Refuse a stepwise boundary pass whose visits would pass MAX_VISITS,
-    counted from the number of products of each row with S and conj(S)
-    before any product is built."""
+    counted from its steps and the number of products of each row with S
+    and conj(S), before any product is built."""
     ring, table = schedule.ring, schedule.table
     counts = sum(ring.product_counts(table, g) for g in S + [ring.conj(g) for g in S])
-    _check_visits(len(schedule), sum(_step_sums(counts, schedule.steps).tolist()),
+    products = sum(_step_sums(counts, schedule).tolist())
+    _check_visits(len(schedule) * BOUNDARY_STEP_VISITS + products * PRODUCT_VISITS,
                   "the boundary pass")
 
 
@@ -926,7 +963,7 @@ def _step_boundaries(schedule: FolnerSchedule, pairs) -> list[np.ndarray]:
     return out
 
 
-def _prefix_boundary_sums(steps, pairs, w: np.ndarray) -> np.ndarray:
+def _prefix_boundary_sums(schedule: FolnerSchedule, pairs, w: np.ndarray) -> np.ndarray:
     """Totals of `w` (a weight per row of `rows`) over each prefix step's
     boundary, by ring rank (table position, n outside the table): table row
     a is inner for a < L <= max rank of its forward products, a backward
@@ -945,7 +982,7 @@ def _prefix_boundary_sums(steps, pairs, w: np.ndarray) -> np.ndarray:
     change = np.zeros(n + 1, dtype=w.dtype)
     np.add.at(change, np.concatenate([np.arange(n), first]), weights)
     np.subtract.at(change, np.concatenate([last, rank]), weights)
-    return _step_sums(change, steps)
+    return _step_sums(change, schedule)
 
 
 def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
@@ -971,14 +1008,14 @@ def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
             return 0 if weighted else frozenset()
         return boundary(FolnerSchedule(ring, (F,)), S, ring, weighted)[0]
     schedule = F._on(ring)
-    prefix = weighted and all(isinstance(s, slice) for s in schedule.steps)
+    prefix = weighted and schedule.stops is not None
     if not prefix:
         _refuse_long_boundary(schedule, S)
     pairs = _fusion_pairs(schedule, S)
     rows = pairs[-1]
     if prefix:
         return _weighted_sums(ring.dims_of(rows),
-                              lambda w: _prefix_boundary_sums(schedule.steps, pairs, w))
+                              lambda w: _prefix_boundary_sums(schedule, pairs, w))
     found = _step_boundaries(schedule, pairs)
     if not weighted:
         labels = ring.labels_of(rows)

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from peterweyl import InvalidInputError, get_ring, weighted_cardinality
 from peterweyl.cli import (EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, RunConfig,
                            load_schedule, main, run)
+from peterweyl.groups import TorusModel
 
 
 def read_csv(path):
@@ -247,6 +248,26 @@ class TestWiener:
                      "--steps", "5", "--out", str(out)]) == EXIT_VALIDATION
 
 
+    def test_long_circle_energy_series_runs(self, tmp_path):
+        # three atoms, boxes to radius 40000: the energy average is
+        # sum_ij w_i w_j D_n(t_i - t_j) / (2n + 1), D_n the Dirichlet kernel
+        angles, weights = np.array([0.3, 2.0, -1.2]), np.array([0.3, 0.2, 0.25])
+        measure = write_json(tmp_path / "circle.json", {"group": "Z", "atoms": [
+            {"element": f"z:{math.cos(t)!r},{math.sin(t)!r}", "weight": w}
+            for t, w in zip(angles, weights)]})
+        out = tmp_path / "series.csv"
+        assert main(["wiener", "--kind", "energy", "--measure", measure,
+                     "--steps", "40000", "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert len(rows) == 40000
+        t = angles[:, None] - angles[None, :]
+        for n in (1, 39999, 40000):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                kernel = np.where(t == 0, 2 * n + 1, np.sin((n + 0.5) * t) / np.sin(t / 2))
+            expected = float(weights @ kernel @ weights) / (2 * n + 1)
+            assert abs(float(rows[n - 1][2]) - expected) <= 1e-12
+
+
 class TestErgodic:
     def test_group_rep_failing_tolerance_exits_numeric(self, tmp_path):
         spec = write_json(
@@ -454,14 +475,40 @@ class TestWorkGuards:
                             ["folner", "--ring", "SU2", "--S", "1", "--steps", "3000000"])
         assert "2**30" in err
 
-    def test_long_cesaro_sums_of_a_point_rep(self, tmp_path, capsys):
-        # spins 1..42000 pass the schedule's visit guard, but their sums over
-        # four points add (42000**2 / 2) * (4 + 16) entries, above 2**31
+    def test_long_cesaro_sums_of_a_point_rep(self, tmp_path):
+        # spins 1..42000 at four points: one pass over the character table,
+        # checked against Weyl characters chi_n = sin((n+1) phi) / sin(phi)
+        # at the points' half-angles phi = acos(Re a)
+        cos_half = [1.0, 0.5, 0.0, 0.6]
         spec = write_json(tmp_path / "rep.json", {"ring": "SU2", "points": [
             "q:1,0,0,0", "q:0.5,0.5,0.5,0.5", "q:0,1,0,0", "q:0.6,0,0.8,0"]})
+        out = tmp_path / "ergodic.csv"
+        assert main(["ergodic", "--rep", "point", "--spec", spec, "--steps", "42000",
+                     "--tol", "1e-8", "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert len(rows) == 42000
+        dims = np.arange(1, 42002, dtype=float)
+        phi = np.arccos(cos_half)[:, None]
+        with np.errstate(invalid="ignore"):
+            chi = np.where(phi > 0, np.sin(dims * phi) / np.sin(phi), dims)
+        invariant = [1.0, 0.0, 0.0, 0.0]  # chi_1 = 2 only at the identity
+        for step in (1, 2, 1000, 41999, 42000):
+            d = dims[:step + 1]
+            averages = [math.fsum(d * c[:step + 1]) / math.fsum(d * d) for c in chi]
+            assert abs(float(rows[step - 1][2]) - math.dist(averages, invariant)) <= 1e-12
+
+    def test_term_table_guard_refuses_before_any_character(self, tmp_path, capsys, monkeypatch):
+        # 4000 points on boxes to radius 1100: 2201 labels x 4000 points
+        # would take in 8.8e6 entries, above 2**23
+        def unreachable(*args):
+            raise AssertionError("a character was evaluated")
+
+        monkeypatch.setattr(TorusModel, "characters", unreachable)
+        points = [f"z:{math.cos(t)!r},{math.sin(t)!r}" for t in range(4000)]
+        spec = write_json(tmp_path / "rep.json", {"ring": "Z", "points": points})
         err = self._refused(capsys, tmp_path / "ergodic.csv",
-                            ["ergodic", "--rep", "point", "--spec", spec, "--steps", "42000"])
-        assert "2**31" in err
+                            ["ergodic", "--rep", "point", "--spec", spec, "--steps", "1100"])
+        assert "8804000 entries" in err and "2**23" in err
 
 
 class TestRunConfigApi:

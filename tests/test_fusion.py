@@ -1,7 +1,10 @@
 """Fusion combinatorics: dimensions, boundaries, Folner ratios."""
 
+import re
 import time
 from collections import Counter
+from fractions import Fraction
+from itertools import accumulate, product
 from unittest import mock
 
 import numpy as np
@@ -501,36 +504,67 @@ class TestLabelTables:
 
     def test_prefix_step_sums_are_the_per_step_loop(self):
         rng = np.random.default_rng(5)
-        steps = [slice(0, int(k)) for k in rng.integers(0, 1501, size=600)] + [slice(3, 9)]
+        stops = rng.integers(1, 1501, size=600)
+        schedule = FolnerSchedule.prefixes(Z, stops.tolist())
+        assert schedule.stops.dtype == np.int64 and not schedule.stops.flags.writeable
+        assert schedule.stops.tolist() == stops.tolist() and "steps" not in vars(schedule)
         for values in (rng.integers(-2 ** 40, 2 ** 40, size=1500), rng.standard_normal(1500)):
-            ends = np.concatenate(([0], np.cumsum(values)))
-            loop = np.array([ends[s.stop] - ends[s.start] for s in steps], dtype=values.dtype)
-            sums = fusion._step_sums(values, steps)
+            running = list(accumulate(values.tolist()))
+            loop = np.array([running[k - 1] for k in stops.tolist()], dtype=values.dtype)
+            sums = fusion._step_sums(values, schedule)
             assert sums.dtype == values.dtype and sums.tobytes() == loop.tobytes()
 
     def test_passes_above_the_visit_limit_are_refused_before_they_start(self):
-        # SU2 spins 1..20000 with S = {1}: a stepwise pass of 8.8e8 visits is admitted
-        schedule = SU2.default_schedule(20000)
-        fusion._refuse_long_boundary(schedule, [1])
+        # SU2 spins 1..5000 with S = {1}: a stepwise pass of 3.3e8 visits
+        # (5000 steps and 5e7 products) is admitted, spins 1..20000 are not
+        fusion._refuse_long_boundary(SU2.default_schedule(5000), [1])
+        with pytest.raises(InvalidInputError, match="boundary pass.*2\\*\\*30"):
+            fusion._refuse_long_boundary(SU2.default_schedule(20000), [1])
         # the weighted boundaries of prefix steps are one linear pass and
-        # count no visits: spins 1..42424, the longest schedule the
+        # count no visits: spins 1..524288, the longest schedule the
         # schedule's own guard admits, run
-        schedule = SU2.default_schedule(42424)
+        steps = fusion.MAX_VISITS // fusion.STEP_VISITS
+        schedule = SU2.default_schedule(steps)
         assert folner_series(schedule, [1])[1].tolist() == [
-            (n + 1) ** 2 + (n + 2) ** 2 for n in range(1, 42425)]
-        # 200 steps of spins 0..3000 as index steps (the form of a schedule
-        # file) fused with 3000: each step has 9e6 products, within the size
-        # limit, but the stepwise pass would visit 1.8e9
-        indexed = FolnerSchedule(SU2, [range(3001)] * 200)
+            (n + 1) ** 2 + (n + 2) ** 2 for n in range(1, steps + 1)]
+        with pytest.raises(InvalidInputError, match="2\\*\\*30"):
+            SU2.default_schedule(steps + 1)
         start = time.perf_counter()
-        # 3e6 steps: the steps alone count 1.2e10 visits, refused before any table
+        # 3e6 steps: the steps alone count 6e9 visits, refused before any table
         with pytest.raises(InvalidInputError, match="2\\*\\*30"):
             SU2.default_schedule(3_000_000)
+        # 300,000 index steps count 1.5e9 visits
         with pytest.raises(InvalidInputError, match="2\\*\\*30"):
             FolnerSchedule.from_table(SU2, np.zeros((300_000, 1), dtype=np.int64), [1] * 300_000)
+        assert time.perf_counter() - start < 1.0
+
+    def test_stepwise_boundary_pass_is_refused_before_any_product(self, monkeypatch):
+        # 100 index steps of spins 0..3000 fused with 3000: each step has
+        # 9e6 products, within the size limit, but the pass counts 4.5e9
+        # visits at PRODUCT_VISITS each (about 16 s)
+        indexed = FolnerSchedule(SU2, [range(3001)] * 100)
+
+        def unreachable(*args):
+            raise AssertionError("the products were built")
+
+        monkeypatch.setattr(fusion, "_fusion_pairs", unreachable)
         with pytest.raises(InvalidInputError, match="boundary pass.*2\\*\\*30"):
             folner_series(indexed, [3000])
-        assert time.perf_counter() - start < 1.0
+
+    def test_refused_visit_figures_grow_with_the_steps(self):
+        # the early check of a default schedule and the one of `prefixes`
+        # count the same visits, so more steps never report fewer
+        def figure(make):
+            with pytest.raises(InvalidInputError, match="2\\*\\*30") as refused:
+                make()
+            return int(re.search(r"make (\d+) visits", str(refused.value)).group(1))
+
+        limit = fusion.MAX_VISITS // fusion.STEP_VISITS
+        figures = []
+        for steps in (limit + 1, limit + 200, 10 ** 7):
+            figures.append(figure(lambda: D4.default_schedule(steps)))
+            assert figure(lambda: FolnerSchedule.prefixes(D4, [5] * steps)) == figures[-1]
+        assert figures == sorted(set(figures))
 
     def test_tables_above_the_size_limit_are_refused(self):
         Z3 = get_ring("Z^d:3")
@@ -582,6 +616,97 @@ class TestLabelTables:
 
 # components on the edge of the canonical grammar -?[0-9]{1,18}: the first
 # ones canonical, the others read by int() alone or refused
+@st.composite
+def _ill_conditioned(draw, n: int, columns: int) -> np.ndarray:
+    """An (n, columns) float table from 1e-13 to 1e13 in modulus, drawn from
+    a seed, with some entries the negatives of others, so that sums cancel."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.uniform(-10, 10, n * columns) * 10.0 ** rng.integers(-13, 14, n * columns)
+    pairs = rng.integers(0, n * columns, size=(2, rng.integers(0, n + 1)))
+    values[pairs[1]] = -values[pairs[0]]
+    return values.reshape(n, columns)
+
+
+# a ring, and the radius of the box of labels that carry terms
+SUM_CASES = {"Z": (Z, 12), "Z^d:2": (Z2, 3)}
+
+
+class TestStepSums:
+    """`reduce_along` sums each step by Sum2 over one running pass."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 60), columns=st.integers(1, 3))
+    def test_cumsum_adds_strictly_left_to_right(self, data, n, columns):
+        x = data.draw(_ill_conditioned(n, columns))
+        loop = np.array([list(accumulate(x[:, j].tolist())) for j in range(columns)]).T
+        assert np.cumsum(x, axis=0).tobytes() == loop.tobytes()
+        assert np.cumsum(x[:, 0]).tobytes() == loop[:, 0].tobytes()
+
+    def _draw(self, data, name, nested):
+        ring, radius = SUM_CASES[name]
+        side = 2 * radius + 1
+        columns = data.draw(st.integers(1, 3))
+        values = data.draw(_ill_conditioned(side ** ring.rank, 2 * columns))
+        values = values[:, :columns] + 1j * values[:, columns:]
+
+        def terms(table, dims):
+            rows = values[np.ravel_multi_index(tuple((table + radius).T), (side,) * ring.rank)]
+            return rows if columns > 1 else rows[:, 0]
+
+        if nested:
+            lengths = data.draw(st.lists(st.integers(1, side ** ring.rank),
+                                         min_size=1, max_size=6))
+            schedule = FolnerSchedule.prefixes(ring, lengths)
+        else:
+            # translated windows inside the box
+            def window(corner, size):
+                ranges = [range(c, min(c + size, radius + 1)) for c in corner]
+                return frozenset(product(*ranges)) if ring.rank > 1 else frozenset(ranges[0])
+
+            corners = st.lists(st.integers(-radius, radius), min_size=ring.rank,
+                               max_size=ring.rank)
+            sets = data.draw(st.lists(st.builds(window, corners, st.integers(1, side)),
+                                      min_size=1, max_size=6))
+            schedule = FolnerSchedule(ring, sets)
+        return ring, terms, columns, schedule
+
+    @pytest.mark.parametrize("nested", [True, False], ids=["nested", "windows"])
+    @pytest.mark.parametrize("name", sorted(SUM_CASES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_step_equals_its_set_alone(self, name, nested, data):
+        ring, terms, columns, schedule = self._draw(data, name, nested)
+        sums, _ = fusion.reduce_along(schedule, ring, terms, columns)
+        assert sums.shape == (len(schedule),) + ((columns,) if columns > 1 else ())
+        indexed, _ = fusion.reduce_along(FolnerSchedule(ring, schedule.sets), ring, terms, columns)
+        assert indexed.tobytes() == sums.tobytes()
+        for k, F in enumerate(schedule):
+            alone, _ = fusion.reduce_along(FolnerSchedule(ring, (F,)), ring, terms, columns)
+            assert alone[0].tobytes() == sums[k].tobytes()
+
+    @pytest.mark.parametrize("nested", [True, False], ids=["nested", "windows"])
+    @pytest.mark.parametrize("name", sorted(SUM_CASES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_step_is_within_the_sum2_bound(self, name, nested, data):
+        # |sum - S| <= eps |S| + gamma(n - 1)**2 sum |x_i| (Ogita, Rump and
+        # Oishi), S the exact sum of the n terms, gamma(k) = k eps / (1 - k eps)
+        ring, terms, columns, schedule = self._draw(data, name, nested)
+        sums, _ = fusion.reduce_along(schedule, ring, terms, columns)
+        sums = sums.reshape(len(schedule), columns)
+        eps = Fraction(1, 2 ** 53)
+        for k, F in enumerate(schedule):
+            rows = np.asarray(terms(ring.label_table(ring.sorted_labels(F)), None))
+            rows = rows.reshape(len(F), columns)
+            gamma = (len(F) - 1) * eps / (1 - (len(F) - 1) * eps)
+            for part in ("real", "imag"):
+                for x, got in zip(getattr(rows, part).T, getattr(sums[k], part)):
+                    exact = sum(map(Fraction, x.tolist()), Fraction(0))
+                    total = sum(abs(Fraction(v)) for v in x.tolist())
+                    bound = eps * abs(exact) + gamma ** 2 * total
+                    assert abs(Fraction(float(got)) - exact) <= bound
+
+
 CANONICAL_EDGES = ["0", "-0", "007", "-0012", "9" * 18, "-" + "9" * 18, "1" + "0" * 17]
 EDGE_COMPONENTS = CANONICAL_EDGES + [
     "9" * 19, "1" + "0" * 18, "-" + "9" * 19, "0" * 18 + "1", str(2 ** 62 - 1),
