@@ -42,31 +42,25 @@ INT64_MAX = 2**63 - 1
 # label components stay below this in modulus, so a label plus a label
 # (a lattice fusion product) still fits in int64
 LABEL_BOUND = 2**62
-# the most int64 entries one table may hold: a schedule's table and steps,
-# a schedule file's literals, the products of a boundary pass with S (and
-# with conj(S)).  A boundary pass holds several arrays of that size at once:
-# `folner` on Z^3 boxes to radius 48 with three generators, whose products
-# (16,426,062 entries) just fit, peaks at 700 MB of RSS in 2.1 s (x86-64,
-# numpy 2.4); radius 49 is refused.
+# the most entries one table may hold: a schedule's table and steps, a
+# schedule file's literals, the products of a boundary pass with S (and with
+# conj(S)), the terms an average sums (its term table for a prefix schedule,
+# each index step's rows, times the columns).  A boundary pass holds several
+# arrays of that size at once: `folner` on Z^3 boxes to radius 48 with three
+# generators, whose products (16,426,062 entries) just fit, peaks at 700 MB
+# of RSS in 2.1 s, radius 49 is refused; the sums of 2.7e6 labels at 6
+# columns, at 1.1 GB in 1.9 s (x86-64, numpy 2.4).
 MAX_TABLE_ENTRIES = 2**24
 # the most visits one pass over a schedule may make, a visit being about
-# 3.6 ns (4 s at the limit).  Measured per step (x86-64, numpy 2.4): a
-# prefix step costs about 6 us, mostly its CSV row; an index step (a
-# schedule file's or a set list's) 19 us, as it sorts and sums its own
-# rows, plus a visit per label; a step of the stepwise boundary pass (index
-# steps, sets) 54 us, plus 18 ns per product of its labels with S and
-# conj(S): 5, 10 and 20 steps of SU2 spins 0..3000 fused with 3000 take
-# 2.6, 3.3 and 5.4 s.  Weighted boundaries of prefix steps are one linear
-# pass, with no visits.
+# 3.6 ns (4 s at the limit).  A step counts STEP_VISITS (it costs about 6 us
+# in a prefix schedule, mostly its CSV row, and 19 us as an index step), an
+# index step's label one visit.  Each product of the stepwise boundary pass
+# (index steps, sets) with S and conj(S) counts PRODUCT_VISITS: 5, 10 and 20
+# steps of SU2 spins 0..3000 fused with 3000 take 2.6, 3.3 and 5.4 s, about
+# 18 ns a product (x86-64, numpy 2.4).
 MAX_VISITS = 2**30
-STEP_VISITS = 2048
-INDEX_STEP_VISITS = 5120
-BOUNDARY_STEP_VISITS = 15360
+STEP_VISITS = 4096
 PRODUCT_VISITS = 5
-# the most entries one reduction may sum: its term table once for a prefix
-# schedule, each step's rows for index steps, times the columns.  The sums
-# hold three float copies of their terms: 512 MB and 0.7 s at the limit.
-MAX_SUM_ENTRIES = 2**23
 
 
 def _is_int(x) -> bool:
@@ -76,12 +70,13 @@ def _is_int(x) -> bool:
 def _check_size(entries: int, what: str):
     if entries > MAX_TABLE_ENTRIES:
         raise InvalidInputError(
-            f"{what} would hold {entries} int64 entries, above the limit of 2**24")
+            f"{what} would hold {entries} entries, above the limit of 2**24")
 
 
-def _check_visits(visits: int, what: str):
-    if visits > MAX_VISITS:
-        raise InvalidInputError(f"{what} would make {visits} visits, above the limit of 2**30")
+def _check_visits(steps: int, visits: int, what: str):
+    total = steps * STEP_VISITS + visits
+    if total > MAX_VISITS:
+        raise InvalidInputError(f"{what} would make {total} visits, above the limit of 2**30")
 
 
 class FusionRing(ABC):
@@ -329,20 +324,18 @@ class FusionRing(ABC):
 
 def _refuse_large_prefixes(ring: FusionRing, steps: int, count: int):
     """Refuse, before anything is built, a prefix schedule of `steps` steps
-    whose largest step is the first `count` labels, when its table would
-    pass MAX_TABLE_ENTRIES, that step's |F|_w would not fit in int64, or a
-    pass over its steps would pass MAX_VISITS."""
+    whose largest step is the first `count` labels when its table would pass
+    MAX_TABLE_ENTRIES, that step's |F|_w INT64_MAX or a pass MAX_VISITS."""
     _check_size(steps + count * ring.rank, "the schedule's label table")
     weight = ring.first_weight(count)
     if weight > INT64_MAX:
         raise InvalidInputError(f"weighted cardinality {weight} exceeds 2**63 - 1")
-    _check_visits(steps * STEP_VISITS, "a pass over the schedule's steps")
+    _check_visits(steps, 0, "a pass over the schedule's steps")
 
 
 def _step_sums(values: np.ndarray, schedule: "FolnerSchedule") -> np.ndarray:
-    """One total of `values` per step of the schedule: prefix steps read one
-    running sum at their stops (one pass, exact for integer values), index
-    steps sum their entries."""
+    """One total of `values` per step: one running sum read at each prefix
+    stop (exact for integer values), or the sum of an index step's entries."""
     if schedule.stops is not None:
         return np.cumsum(values)[schedule.stops - 1]
     return np.array([values[s].sum() for s in schedule.steps], dtype=values.dtype)
@@ -350,19 +343,17 @@ def _step_sums(values: np.ndarray, schedule: "FolnerSchedule") -> np.ndarray:
 
 def _compensated_sums(x: np.ndarray) -> np.ndarray:
     """Running sums of the rows of the float table x by Sum2 (Ogita, Rump and
-    Oishi, SIAM J. Sci. Comput. 26, 2005): the running sum plus the running
-    sum of the exact error of each addition (Knuth's TwoSum).  np.cumsum adds
-    in row order, so row k depends on rows 0..k alone; it is within
-    eps|S| + gamma(k)**2 sum|x_i| of their exact sum S, eps = 2**-53 and
-    gamma(k) = k eps / (1 - k eps)."""
-    s = np.cumsum(x, axis=0)
+    Oishi, SIAM J. Sci. Comput. 26, 2005): np.add.accumulate, which adds in
+    row order, plus the running sum of each addition's exact error (Knuth's
+    TwoSum).  Row k is within eps|S| + gamma(k)**2 sum|x_i| of the exact sum
+    S of rows 0..k, gamma(k) = k eps / (1 - k eps) and eps = 2**-53."""
+    s = np.add.accumulate(x)
     with np.errstate(invalid="ignore"):  # an infinite sum turns to nan
         z = s[1:] - s[:-1]
         err = s[1:] - z
         np.subtract(s[:-1], err, out=err)
-        np.subtract(x[1:], z, out=z)
-        err += z
-        s[1:] += np.cumsum(err, axis=0, out=err)
+        err += np.subtract(x[1:], z, out=z)
+        s[1:] += np.add.accumulate(err, out=err)
     return s
 
 
@@ -407,12 +398,11 @@ class FolnerSchedule:
     """An ordered list of finite nonempty label sets (nesting not required).
 
     Stored as one table: `table`, the (n, rank) int64 rows of the distinct
-    labels in ring order, and `steps`, one ascending index array into it
-    per step, or for a prefix schedule `stops`, each step's length (slices
-    as `steps` on demand; `stops` is None otherwise).  `dims` holds the
-    labels' dimensions and `weighted_cardinalities` each step's |F|_w; these
-    and `stops` are exact int64 and read-only.  `labels` (the table as a
-    tuple of labels) and the step sets are built only on demand.
+    labels in ring order, and per step an ascending index array into it
+    (`steps`), or for a prefix schedule its length (`stops`, else None;
+    `steps` are then slices, built on demand).  `dims`, `stops` and
+    `weighted_cardinalities` (each step's |F|_w) are exact int64 and
+    read-only.  `labels` and the step sets are built only on demand.
     """
 
     def __init__(self, ring: FusionRing, sets: Iterable[Iterable[Label]], description: str = ""):
@@ -437,9 +427,7 @@ class FolnerSchedule:
         lengths = list(lengths)
         if not all(k >= 1 for k in lengths):
             raise InvalidInputError("schedule sets must be nonempty")
-        if not lengths:
-            raise InvalidInputError("schedule must contain at least one set")
-        count = max(lengths)
+        count = max(lengths, default=1)
         _refuse_large_prefixes(ring, len(lengths), count)
         table = ring.first_table(count)
         schedule = cls.__new__(cls)
@@ -449,12 +437,9 @@ class FolnerSchedule:
         return schedule
 
     def _index(self, ring, table, lengths, description):
-        if not lengths:
-            raise InvalidInputError("schedule must contain at least one set")
         if not all(lengths):
             raise InvalidInputError("schedule sets must be nonempty")
-        _check_visits(len(lengths) * INDEX_STEP_VISITS + sum(lengths),
-                      "a pass over the schedule's steps")
+        _check_visits(len(lengths), sum(lengths), "a pass over the schedule's steps")
         ids, first = _ranks(table, ring.order_keys(table))
         ends = np.cumsum(lengths).tolist()
         self.stops = None
@@ -467,6 +452,8 @@ class FolnerSchedule:
         self.description = description
         self.dims = ring.dims_of(table)
         self.weighted_cardinalities = _weighted_sums(self.dims, lambda w: _step_sums(w, self))
+        if not len(self):
+            raise InvalidInputError("schedule must contain at least one set")
         for array in (self.table, self.dims, self.weighted_cardinalities):
             array.setflags(write=False)
 
@@ -506,35 +493,22 @@ def reduce_along(schedule: FolnerSchedule, ring: FusionRing, terms,
     """Per-step sums of the terms over the schedule's sets, one row per
     step, and their weighted cardinalities.
 
-    `terms(table, dims)` returns `columns` values (a scalar for one) for
-    each row of the schedule's label table, given with their dimensions; it
-    is called once.  Each step's sum is the compensated running sum of its
-    rows in ring order (`_compensated_sums`, on the real view): one pass
-    over a prefix schedule's table, read at each stop, or over an index
-    step's own rows.  So a step's sum is the same to the bit as the sum over
-    that set alone, provided a label's term does not depend on the rest of
-    the batch.  A schedule built on another ring object is rebuilt on
-    `ring` first, which checks its labels there.  Sums of more than
-    MAX_SUM_ENTRIES entries are refused before the terms are built.
+    `terms(table, dims)` returns `columns` values (a scalar for one) per row
+    of the schedule's table; it is called once, after a MAX_TABLE_ENTRIES
+    check.  A step's sum is the running Sum2 of its rows in ring order
+    (`_compensated_sums`, one pass read at each prefix stop), so it equals
+    the sum over that set alone to the bit if a label's term does not depend
+    on the rest of the batch.  A schedule on another ring object is rebuilt
+    on `ring` first.
     """
     schedule = schedule._on(ring)
     prefix = schedule.stops is not None
-    lengths = schedule.stops if prefix else np.array([len(s) for s in schedule.steps])
-    entries = (len(schedule.table) if prefix else int(lengths.sum())) * columns
-    if entries > MAX_SUM_ENTRIES:
-        raise InvalidInputError(
-            f"the sums would take in {entries} entries, above the limit of 2**23")
+    rows = len(schedule.table) if prefix else sum(map(len, schedule.steps))
+    _check_size(rows * columns, "the terms of the sums")
     table = np.asarray(terms(schedule.table, schedule.dims), dtype=complex)
     x = np.ascontiguousarray(table.reshape(len(table), columns)).view(float)
-    if prefix:
-        sums = _compensated_sums(x)[lengths - 1]
-    else:
-        # the index steps of one length side by side, a column each
-        sums = np.empty((len(lengths), x.shape[1]))
-        for k in np.unique(lengths).tolist():
-            at = np.flatnonzero(lengths == k)
-            rows = np.stack([schedule.steps[i] for i in at.tolist()], axis=1)
-            sums[at] = _compensated_sums(x[rows])[-1]
+    sums = (_compensated_sums(x)[schedule.stops - 1] if prefix
+            else np.array([_compensated_sums(x[s])[-1] for s in schedule.steps]))
     sums = sums.view(complex).reshape((len(sums),) + table.shape[1:])
     return sums, schedule.weighted_cardinalities
 
@@ -889,17 +863,6 @@ def _generators(ring: FusionRing, S) -> list:
     return S
 
 
-def _refuse_long_boundary(schedule: FolnerSchedule, S: list):
-    """Refuse a stepwise boundary pass whose visits would pass MAX_VISITS,
-    counted from its steps and the number of products of each row with S
-    and conj(S), before any product is built."""
-    ring, table = schedule.ring, schedule.table
-    counts = sum(ring.product_counts(table, g) for g in S + [ring.conj(g) for g in S])
-    products = sum(_step_sums(counts, schedule).tolist())
-    _check_visits(len(schedule) * BOUNDARY_STEP_VISITS + products * PRODUCT_VISITS,
-                  "the boundary pass")
-
-
 def _fusion_pairs(schedule: FolnerSchedule, S: list):
     """The schedule's table fused with S and with conj(S): `ids`, the
     position of each table row in `rows`; `forward` and `backward`, the
@@ -935,12 +898,8 @@ def _by_row(pairs, n: int) -> tuple:
 def _pairs_of(step, sorted_pairs) -> tuple[np.ndarray, np.ndarray]:
     """The sources and targets of the pairs of a step's rows."""
     sources, targets, ends, counts = sorted_pairs
-    if isinstance(step, slice):
-        # a prefix of the rows: its pairs come first
-        at = slice(0, ends[step.stop - 1])
-    else:
-        c = counts[step]
-        at = np.repeat(ends[step] - np.cumsum(c), c) + np.arange(c.sum())
+    c = counts[step]
+    at = np.repeat(ends[step] - np.cumsum(c), c) + np.arange(c.sum())
     return sources[at], targets[at]
 
 
@@ -1010,7 +969,10 @@ def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
     schedule = F._on(ring)
     prefix = weighted and schedule.stops is not None
     if not prefix:
-        _refuse_long_boundary(schedule, S)
+        # count the stepwise pass's products with S and conj(S) before building any
+        counts = sum(ring.product_counts(schedule.table, g) for g in S + [ring.conj(g) for g in S])
+        products = sum(_step_sums(counts, schedule).tolist())
+        _check_visits(len(schedule), products * PRODUCT_VISITS, "the boundary pass")
     pairs = _fusion_pairs(schedule, S)
     rows = pairs[-1]
     if prefix:

@@ -90,7 +90,7 @@ class TestFolner:
         # Z^3 boxes to radius 10^6 hold 8e18 labels; SU2 spins to 3.1e6 have
         # |F|_w = 9.93e18, above 2**63 - 1; Z^3 boxes to radius 49 fused with
         # three generators and their conjugates give 2 * 3 * 99**3 * 3 =
-        # 17,465,382 int64 entries, above 2**24 (radius 48 still runs)
+        # 17,465,382 entries, above 2**24 (radius 48 still runs)
         out = tmp_path / "folner.csv"
         start = time.perf_counter()
         code = main(["folner", "--ring", ring, "--S", S, "--steps", steps, "--out", str(out)])
@@ -246,7 +246,6 @@ class TestWiener:
                      "--steps", "5", "--out", str(out)]) == EXIT_OK
         assert main(["wiener", "--kind", "energy", "--measure", measure, "--ring", "SU2",
                      "--steps", "5", "--out", str(out)]) == EXIT_VALIDATION
-
 
     def test_long_circle_energy_series_runs(self, tmp_path):
         # three atoms, boxes to radius 40000: the energy average is
@@ -498,8 +497,8 @@ class TestWorkGuards:
             assert abs(float(rows[step - 1][2]) - math.dist(averages, invariant)) <= 1e-12
 
     def test_term_table_guard_refuses_before_any_character(self, tmp_path, capsys, monkeypatch):
-        # 4000 points on boxes to radius 1100: 2201 labels x 4000 points
-        # would take in 8.8e6 entries, above 2**23
+        # 4000 points on boxes to radius 2200: 4401 labels x 4000 points
+        # would take in 1.76e7 entries, above 2**24
         def unreachable(*args):
             raise AssertionError("a character was evaluated")
 
@@ -507,8 +506,8 @@ class TestWorkGuards:
         points = [f"z:{math.cos(t)!r},{math.sin(t)!r}" for t in range(4000)]
         spec = write_json(tmp_path / "rep.json", {"ring": "Z", "points": points})
         err = self._refused(capsys, tmp_path / "ergodic.csv",
-                            ["ergodic", "--rep", "point", "--spec", spec, "--steps", "1100"])
-        assert "8804000 entries" in err and "2**23" in err
+                            ["ergodic", "--rep", "point", "--spec", spec, "--steps", "2200"])
+        assert "17604000 entries" in err and "2**24" in err
 
 
 class TestRunConfigApi:

@@ -514,14 +514,23 @@ class TestLabelTables:
             sums = fusion._step_sums(values, schedule)
             assert sums.dtype == values.dtype and sums.tobytes() == loop.tobytes()
 
-    def test_passes_above_the_visit_limit_are_refused_before_they_start(self):
-        # SU2 spins 1..5000 with S = {1}: a stepwise pass of 3.3e8 visits
+    def test_passes_above_the_visit_limit_are_refused_before_they_start(self, monkeypatch):
+        # SU2 spins 1..5000 with S = {1}: a stepwise pass of 2.7e8 visits
         # (5000 steps and 5e7 products) is admitted, spins 1..20000 are not
-        fusion._refuse_long_boundary(SU2.default_schedule(5000), [1])
-        with pytest.raises(InvalidInputError, match="boundary pass.*2\\*\\*30"):
-            fusion._refuse_long_boundary(SU2.default_schedule(20000), [1])
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fusion, "_fusion_pairs", admitted)
+            with pytest.raises(Admitted):
+                boundary(SU2.default_schedule(5000), [1], SU2)
+            with pytest.raises(InvalidInputError, match="boundary pass.*2\\*\\*30"):
+                boundary(SU2.default_schedule(20000), [1], SU2)
         # the weighted boundaries of prefix steps are one linear pass and
-        # count no visits: spins 1..524288, the longest schedule the
+        # count no visits: spins 1..262144, the longest schedule the
         # schedule's own guard admits, run
         steps = fusion.MAX_VISITS // fusion.STEP_VISITS
         schedule = SU2.default_schedule(steps)
@@ -533,7 +542,7 @@ class TestLabelTables:
         # 3e6 steps: the steps alone count 6e9 visits, refused before any table
         with pytest.raises(InvalidInputError, match="2\\*\\*30"):
             SU2.default_schedule(3_000_000)
-        # 300,000 index steps count 1.5e9 visits
+        # 300,000 index steps count 1.2e9 visits
         with pytest.raises(InvalidInputError, match="2\\*\\*30"):
             FolnerSchedule.from_table(SU2, np.zeros((300_000, 1), dtype=np.int64), [1] * 300_000)
         assert time.perf_counter() - start < 1.0
@@ -636,11 +645,12 @@ class TestStepSums:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 60), columns=st.integers(1, 3))
-    def test_cumsum_adds_strictly_left_to_right(self, data, n, columns):
+    def test_running_sums_add_strictly_left_to_right(self, data, n, columns):
         x = data.draw(_ill_conditioned(n, columns))
         loop = np.array([list(accumulate(x[:, j].tolist())) for j in range(columns)]).T
+        assert np.add.accumulate(x).tobytes() == loop.tobytes()
+        assert np.add.accumulate(x[:, 0]).tobytes() == loop[:, 0].tobytes()
         assert np.cumsum(x, axis=0).tobytes() == loop.tobytes()
-        assert np.cumsum(x[:, 0]).tobytes() == loop[:, 0].tobytes()
 
     def _draw(self, data, name, nested):
         ring, radius = SUM_CASES[name]
@@ -705,6 +715,21 @@ class TestStepSums:
                     total = sum(abs(Fraction(v)) for v in x.tolist())
                     bound = eps * abs(exact) + gamma ** 2 * total
                     assert abs(Fraction(float(got)) - exact) <= bound
+
+    def test_long_index_steps_are_summed_one_at_a_time(self):
+        # 20 windows of 100,000 labels at 6 columns take in 1.2e7 entries,
+        # within 2**24: the sums hold one step's rows at a time
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((119_000, 12)).view(complex)
+        table = np.concatenate([np.arange(1000 * i, 1000 * i + 100_000) for i in range(20)])
+        schedule = FolnerSchedule.from_table(Z, table[:, None], [100_000] * 20)
+        sums, _ = fusion.reduce_along(schedule, Z, lambda t, d: values[t[:, 0]], 6)
+        for i in range(20):
+            assert np.allclose(sums[i], values[1000 * i:1000 * i + 100_000].sum(axis=0),
+                               rtol=0, atol=1e-10)
+        # at 9 columns they would take in 1.8e7, refused before any term
+        with pytest.raises(InvalidInputError, match="18000000 entries.*2\\*\\*24"):
+            fusion.reduce_along(schedule, Z, None, 9)
 
 
 CANONICAL_EDGES = ["0", "-0", "007", "-0012", "9" * 18, "-" + "9" * 18, "1" + "0" * 17]
