@@ -15,10 +15,13 @@ import argparse
 import csv
 import json
 import math
+import operator
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError
 from .fusion import FolnerSchedule, FusionRing, folner_series, get_ring
@@ -133,24 +136,24 @@ def _open_out(path: str | None):
             yield fh
 
 
-def _write_tables(config: RunConfig, header: list[str], rows):
-    rows = list(rows)
+def _write_tables(config: RunConfig, header: list[str], columns):
+    """The columns as CSV (floats by repr), and with --gnuplot the same rows
+    space-separated under a commented header; a non-finite float is a
+    ConsistencyError before any output is opened."""
+    columns = [np.asarray(column) for column in columns]
+    for column in columns:
+        if column.dtype.kind == "f" and not np.isfinite(column).all():
+            value = column[~np.isfinite(column)][0].item()
+            raise ConsistencyError(f"non-finite value {value!r} in the output")
+    rows = list(zip(*(column.tolist() for column in columns)))
     with _open_out(config.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     if config.gnuplot is not None:
-        # same table, whitespace-separated with a commented header
         with _open_out(config.gnuplot) as fh:
             fh.write("# " + " ".join(header) + "\n")
-            fh.writelines(" ".join(str(x) for x in row) + "\n" for row in rows)
-
-
-def _fmt(x: float) -> str:
-    value = float(x)
-    if not math.isfinite(value):
-        raise ConsistencyError(f"non-finite value {value!r} in the output")
-    return repr(value)
+            csv.writer(fh, delimiter=" ", lineterminator="\n").writerows(rows)
 
 
 def _run_fusion(config: RunConfig) -> int:
@@ -160,11 +163,10 @@ def _run_fusion(config: RunConfig) -> int:
     a = ring.parse_label(config.a)
     b = ring.parse_label(config.b)
     decomposition = ring.fuse(a, b)
-    rows = [
-        [ring.format_label(c), decomposition[c], ring.dim(c)]
-        for c in ring.sorted_labels(decomposition)
-    ]
-    _write_tables(config, ["label", "multiplicity", "dim"], rows)
+    labels = ring.sorted_labels(decomposition)
+    _write_tables(config, ["label", "multiplicity", "dim"],
+                  [list(map(ring.format_label, labels)), list(map(decomposition.get, labels)),
+                   list(map(ring.dim, labels))])
     return EXIT_OK
 
 
@@ -175,9 +177,10 @@ def _run_folner(config: RunConfig) -> int:
     S = _split_labels(config.s_labels, ring)
     schedule = load_schedule(ring, config.schedule, config.steps)
     wcards, boundary_wcards = folner_series(schedule, S)
-    rows = [[step, wf, wb, _fmt(wb / wf)] for step, (wf, wb)
-            in enumerate(zip(wcards.tolist(), boundary_wcards.tolist()), start=1)]
-    _write_tables(config, ["step", "wcard", "boundary_wcard", "ratio"], rows)
+    # exact ints divided by Python, which rounds the quotient correctly
+    ratios = list(map(operator.truediv, boundary_wcards.tolist(), wcards.tolist()))
+    _write_tables(config, ["step", "wcard", "boundary_wcard", "ratio"],
+                  [np.arange(1, len(wcards) + 1), wcards, boundary_wcards, ratios])
     return EXIT_OK
 
 
@@ -208,16 +211,16 @@ def _run_wiener(config: RunConfig) -> int:
         at = mu.model.parse_element(config.at)
     schedule = load_schedule(ring, config.schedule, config.steps)
     series = run_series(config.kind, mu, schedule, at=at, with_target=config.ground_truth)
+    values = series.values
     header = ["step", "wcard", "value_re", "value_im"]
+    columns = [np.arange(1, len(values) + 1), series.weighted_cardinalities,
+               values.real, values.imag]
     if config.ground_truth:
         header += ["target", "abs_error"]
-    rows = []
-    for i, value in enumerate(series.values):
-        row = [i + 1, int(series.weighted_cardinalities[i]), _fmt(value.real), _fmt(value.imag)]
-        if config.ground_truth:
-            row += [_fmt(series.target), _fmt(abs(value - series.target))]
-        rows.append(row)
-    _write_tables(config, header, rows)
+        errors = values - series.target
+        # hypot, as abs() of one complex scalar (np.abs on an array may round otherwise)
+        columns += [np.full(len(values), float(series.target)), np.hypot(errors.real, errors.imag)]
+    _write_tables(config, header, columns)
     return EXIT_OK
 
 
@@ -256,12 +259,9 @@ def _run_ergodic(config: RunConfig) -> int:
             else _split_labels(config.labels, ring))
     schedule = load_schedule(ring, config.schedule, config.steps)
     report = ergodic_limit_check(rep, schedule, gens, tol=config.tol)
-    rows = [
-        [i + 1, int(report.weighted_cardinalities[i]), _fmt(report.distances[i]),
-         _fmt(report.commutant_residues[i])]
-        for i in range(len(schedule))
-    ]
-    _write_tables(config, ["step", "wcard", "dist_to_projection", "commutant_residue"], rows)
+    _write_tables(config, ["step", "wcard", "dist_to_projection", "commutant_residue"],
+                  [np.arange(1, len(schedule) + 1), report.weighted_cardinalities,
+                   report.distances, report.commutant_residues])
     if not report.passed:
         print(
             f"ergodic check failed: final distance {report.distances[-1]:.3e}, "

@@ -11,8 +11,8 @@ and finite duals.  Each ring states its rules once, on a table: which rows
 are labels, the sort keys of its total order, the dimensions, and the
 fusion products of every row with a label g.  The one-label methods (`dim`,
 `fuse`, `check_label`, `sort_key`, `parse_label`) are the one-row case.  A
-Folner schedule is one table of its distinct labels in ring order plus one
-index array (or prefix length) per step.  Everything here is exact integer
+Folner schedule is one table of its distinct labels in ring order plus
+prefix lengths or a CSR table of its steps.  Everything here is exact integer
 arithmetic, except the Folner ratio and `reduce_along`, the one reduction
 that sums an average's terms along a schedule.  Folner boundaries are read
 from the same table: one pass fuses it with S and with conj(S) and ranks
@@ -52,8 +52,8 @@ LABEL_BOUND = 2**62
 # columns, at 1.1 GB in 1.9 s (x86-64, numpy 2.4).
 MAX_TABLE_ENTRIES = 2**24
 # the most visits one pass over a schedule may make, a visit being about
-# 3.6 ns (4 s at the limit).  A step counts STEP_VISITS (it costs about 6 us
-# in a prefix schedule, mostly its CSV row, and 19 us as an index step), an
+# 3.6 ns (4 s at the limit).  A step counts STEP_VISITS (it costs about 4 us
+# in a prefix schedule, mostly its CSV row, and 14 us as an index step), an
 # index step's label one visit.  Each product of the stepwise boundary pass
 # (index steps, sets) with S and conj(S) counts PRODUCT_VISITS: 5, 10 and 20
 # steps of SU2 spins 0..3000 fused with 3000 take 2.6, 3.3 and 5.4 s, about
@@ -335,10 +335,10 @@ def _refuse_large_prefixes(ring: FusionRing, steps: int, count: int):
 
 def _step_sums(values: np.ndarray, schedule: "FolnerSchedule") -> np.ndarray:
     """One total of `values` per step: one running sum read at each prefix
-    stop (exact for integer values), or the sum of an index step's entries."""
+    stop (exact for integer values), or one reduceat (no step is empty)."""
     if schedule.stops is not None:
         return np.cumsum(values)[schedule.stops - 1]
-    return np.array([values[s].sum() for s in schedule.steps], dtype=values.dtype)
+    return np.add.reduceat(values[schedule.indices], schedule.indptr[:-1])
 
 
 def _compensated_sums(x: np.ndarray) -> np.ndarray:
@@ -386,24 +386,29 @@ def _ranks(rows: np.ndarray, keys) -> tuple[np.ndarray, np.ndarray]:
     return ranks, order[new]
 
 
-def _sorted_set(values: np.ndarray) -> np.ndarray:
-    """The distinct values, ascending."""
-    values = np.sort(values)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
+def _csr(lengths, ranks: np.ndarray, n: int) -> tuple:
+    """`indptr` and `indices` of the steps whose rows are the next lengths[i]
+    of `ranks` (each below n): each step's distinct ranks, ascending, by one
+    sort of the keys step * n + rank and a mask that drops repeats."""
+    keys = np.sort(np.repeat(np.arange(len(lengths)) * n, lengths) + ranks)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    keys = keys[keep]
+    return np.searchsorted(keys, np.arange(len(lengths) + 1) * n), keys % n
 
 
 class FolnerSchedule:
     """An ordered list of finite nonempty label sets (nesting not required).
 
     Stored as one table: `table`, the (n, rank) int64 rows of the distinct
-    labels in ring order, and per step an ascending index array into it
-    (`steps`), or for a prefix schedule its length (`stops`, else None;
-    `steps` are then slices, built on demand).  `dims`, `stops` and
+    labels in ring order, and each step's rows of it: the first `stops[i]`
+    of a prefix schedule, else `indices[indptr[i]:indptr[i + 1]]`, ascending
+    (the other form's attributes are None).  These, `dims` and
     `weighted_cardinalities` (each step's |F|_w) are exact int64 and
-    read-only.  `labels` and the step sets are built only on demand.
+    read-only.  `labels`, `steps` and the step sets are built on demand.
     """
+
+    stops = indptr = indices = None
 
     def __init__(self, ring: FusionRing, sets: Iterable[Iterable[Label]], description: str = ""):
         sets = [list(F) for F in sets]
@@ -432,7 +437,6 @@ class FolnerSchedule:
         table = ring.first_table(count)
         schedule = cls.__new__(cls)
         schedule.stops = np.minimum(np.array(lengths, dtype=np.int64), len(table))
-        schedule.stops.setflags(write=False)
         schedule._init(ring, table, description)
         return schedule
 
@@ -441,9 +445,7 @@ class FolnerSchedule:
             raise InvalidInputError("schedule sets must be nonempty")
         _check_visits(len(lengths), sum(lengths), "a pass over the schedule's steps")
         ids, first = _ranks(table, ring.order_keys(table))
-        ends = np.cumsum(lengths).tolist()
-        self.stops = None
-        self.steps = tuple(_sorted_set(ids[end - k:end]) for k, end in zip(lengths, ends))
+        self.indptr, self.indices = _csr(lengths, ids, len(first))
         self._init(ring, table[first], description)
 
     def _init(self, ring, table, description):
@@ -454,22 +456,36 @@ class FolnerSchedule:
         self.weighted_cardinalities = _weighted_sums(self.dims, lambda w: _step_sums(w, self))
         if not len(self):
             raise InvalidInputError("schedule must contain at least one set")
-        for array in (self.table, self.dims, self.weighted_cardinalities):
-            array.setflags(write=False)
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
 
     @cached_property
     def steps(self) -> tuple:
-        """A prefix schedule's steps as slices of the table."""
-        return tuple(slice(0, k) for k in self.stops.tolist())
+        """Each step's rows of the table: slices (prefix steps) or views of `indices`."""
+        if self.stops is not None:
+            return tuple(slice(0, k) for k in self.stops.tolist())
+        return tuple(np.split(self.indices, self.indptr[1:-1]))
 
     @cached_property
     def labels(self) -> tuple:
         return tuple(self.ring.labels_of(self.table))
 
     def _on(self, ring: FusionRing) -> "FolnerSchedule":
-        """This schedule on `ring`: itself, or rebuilt there, which checks
-        its labels there."""
-        return self if ring is self.ring else FolnerSchedule(ring, self.sets, self.description)
+        """This schedule on `ring`, its table checked there at once: the same
+        steps when `ring` orders the table alike, else rebuilt from them."""
+        if ring is self.ring:
+            return self
+        table = ring.label_table(self.table)
+        if not np.array_equal(np.lexsort(ring.order_keys(table)), np.arange(len(table))):
+            lengths = self.stops if self.stops is not None else np.diff(self.indptr)
+            _check_size(int(lengths.sum()) * ring.rank, "the schedule's label table")
+            rows = np.concatenate([np.arange(len(table))[step] for step in self.steps])
+            return FolnerSchedule.from_table(ring, table[rows], lengths.tolist(), self.description)
+        schedule = FolnerSchedule.__new__(FolnerSchedule)
+        schedule.stops, schedule.indptr, schedule.indices = self.stops, self.indptr, self.indices
+        schedule._init(ring, table, self.description)
+        return schedule
 
     def _set(self, step) -> frozenset:
         return frozenset(self.ring.labels_of(self.table[step]))
@@ -498,12 +514,12 @@ def reduce_along(schedule: FolnerSchedule, ring: FusionRing, terms,
     check.  A step's sum is the running Sum2 of its rows in ring order
     (`_compensated_sums`, one pass read at each prefix stop), so it equals
     the sum over that set alone to the bit if a label's term does not depend
-    on the rest of the batch.  A schedule on another ring object is rebuilt
-    on `ring` first.
+    on the rest of the batch.  A schedule on another ring object moves to
+    `ring` first (`FolnerSchedule._on`).
     """
     schedule = schedule._on(ring)
     prefix = schedule.stops is not None
-    rows = len(schedule.table) if prefix else sum(map(len, schedule.steps))
+    rows = len(schedule.table if prefix else schedule.indices)
     _check_size(rows * columns, "the terms of the sums")
     table = np.asarray(terms(schedule.table, schedule.dims), dtype=complex)
     x = np.ascontiguousarray(table.reshape(len(table), columns)).view(float)
@@ -903,10 +919,10 @@ def _pairs_of(step, sorted_pairs) -> tuple[np.ndarray, np.ndarray]:
     return sources[at], targets[at]
 
 
-def _step_boundaries(schedule: FolnerSchedule, pairs) -> list[np.ndarray]:
-    """Each step's boundary as positions in `rows` of `_fusion_pairs`: the
-    step's rows with a forward product outside the step, and the backward
-    products outside it."""
+def _step_boundaries(schedule: FolnerSchedule, pairs) -> tuple:
+    """Each step's boundary as a CSR table of positions in `rows` of
+    `_fusion_pairs` (`_csr`): the step's rows with a forward product outside
+    the step, and the backward products outside it."""
     ids, forward, backward, rows = pairs
     forward, backward = _by_row(forward, len(ids)), _by_row(backward, len(ids))
     in_step = np.zeros(len(rows), dtype=bool)
@@ -917,9 +933,9 @@ def _step_boundaries(schedule: FolnerSchedule, pairs) -> list[np.ndarray]:
         inner = ids[sources[~in_step[targets]]]
         _, targets = _pairs_of(step, backward)
         outer = targets[~in_step[targets]]
-        out.append(_sorted_set(np.concatenate([inner, outer])))
+        out.append(np.concatenate([inner, outer]))
         in_step[ids[step]] = False
-    return out
+    return _csr(np.fromiter(map(len, out), dtype=np.int64), np.concatenate(out), len(rows))
 
 
 def _prefix_boundary_sums(schedule: FolnerSchedule, pairs, w: np.ndarray) -> np.ndarray:
@@ -978,12 +994,19 @@ def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
     if prefix:
         return _weighted_sums(ring.dims_of(rows),
                               lambda w: _prefix_boundary_sums(schedule, pairs, w))
-    found = _step_boundaries(schedule, pairs)
+    indptr, indices = _step_boundaries(schedule, pairs)
     if not weighted:
         labels = ring.labels_of(rows)
-        return [frozenset(labels[i] for i in ids.tolist()) for ids in found]
-    return _weighted_sums(ring.dims_of(rows),
-                          lambda w: np.array([w[ids].sum() for ids in found], dtype=w.dtype))
+        return [frozenset(labels[i] for i in ids.tolist())
+                for ids in np.split(indices, indptr[1:-1])]
+    owners = np.repeat(np.arange(len(schedule)), np.diff(indptr))
+
+    def totals(w):  # not by reduceat: a boundary may be empty
+        out = np.zeros(len(schedule), dtype=w.dtype)
+        np.add.at(out, owners, w[indices])
+        return out
+
+    return _weighted_sums(ring.dims_of(rows), totals)
 
 
 def folner_series(schedule: FolnerSchedule, S: Iterable[Label]) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from itertools import islice, permutations
 import numpy as np
 
 from .errors import InvalidInputError
-from .fusion import FiniteDualRing, FusionRing, LatticeRing, SU2Ring, _sorted_set, get_ring
+from .fusion import FiniteDualRing, FusionRing, LatticeRing, SU2Ring, get_ring
 
 # entries of one character table in `character_sums` (labels x a chunk of
 # elements), about 1 MB
@@ -330,7 +330,7 @@ class SU2Model(CompactGroupModel):
         once up to the largest label for all elements together; refused
         before it starts when that work would pass MAX_RECURRENCE_WORK."""
         labels = table[:, 0]
-        wanted = _sorted_set(labels).tolist()
+        wanted = sorted(set(labels.tolist()))
         x = np.array([g[0].real for g in elements], dtype=float)
         work = (wanted[-1] + 1 if wanted else 0) * (len(x) + _STEP_ELEMENTS)
         if work > MAX_RECURRENCE_WORK:

@@ -59,6 +59,21 @@ class TestFolner:
             assert row[:3] == [str(step), str(wcard), str(bcard)]
             assert float(row[3]) == bcard / wcard
 
+    def test_ratio_is_the_correctly_rounded_quotient(self, tmp_path):
+        # steps {n} for n = 10**8 + k: |F|_w = (n + 1)**2 is above 2**53, so
+        # dividing the floats of the two cardinalities rounds twice
+        labels = range(100_000_000, 100_000_020)
+        schedule = write_json(tmp_path / "s.json", {"sets": [[str(n)] for n in labels]})
+        out = tmp_path / "folner.csv"
+        assert main(["folner", "--ring", "SU2", "--S", "1", "--schedule", schedule,
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert [row[1:3] for row in rows] == [
+            [str((n + 1) ** 2), str(n ** 2 + (n + 1) ** 2 + (n + 2) ** 2)] for n in labels]
+        assert [row[3] for row in rows] == [repr(int(b) / int(w)) for _, w, b, _ in rows]
+        assert any(row[3] != repr(float(np.float64(int(row[2])) / np.float64(int(row[1]))))
+                   for row in rows)
+
     def test_schedule_file_with_non_integer_components_is_rejected(self, tmp_path, capsys):
         schedule = write_json(tmp_path / "bad.json",
                               {"sets": [[[0, 0], [1.5, 0]], [[True, 0], [0, -0.9]]]})

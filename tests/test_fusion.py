@@ -845,6 +845,85 @@ class TestCanonicalLiterals:
         assert ring.parse_table(canonical + [odd]).tolist()[:-1] == expected
 
 
+CSR_LABELS = {
+    "Z": (Z, st.integers(-20, 20), [1, -2, 0]),
+    "Z^d:2": (Z2, st.tuples(st.integers(-4, 4), st.integers(-4, 4)), [(1, 0), (0, 1), (0, 0)]),
+    "SU2": (SU2, st.integers(0, 30), [1, 2, 0]),
+    "finite:D4": (D4, st.integers(0, 4), [4, 1, 0]),
+}
+
+
+class TestIndexSchedules:
+    """An index schedule is one CSR table of its steps' rows."""
+
+    @pytest.mark.parametrize("name", sorted(CSR_LABELS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_csr_rows_are_each_steps_distinct_ranks(self, name, data):
+        # steps of random lengths, with repeats inside and across steps; a
+        # trivial generator (or D4's full dual) leaves some boundaries empty
+        ring, labels, gens = CSR_LABELS[name]
+        steps = data.draw(st.lists(st.lists(labels, min_size=1, max_size=12),
+                                   min_size=1, max_size=8))
+        S = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=2))
+        schedule = FolnerSchedule(ring, steps)
+        rank = {a: i for i, a in enumerate(schedule.labels)}
+        assert list(schedule.labels) == ring.sorted_labels({a for F in steps for a in F})
+        ranks = [sorted({rank[a] for a in F}) for F in steps]
+        assert schedule.stops is None
+        for array in (schedule.indptr, schedule.indices):
+            assert array.dtype == np.int64 and not array.flags.writeable
+        assert schedule.indptr.tolist() == [0, *accumulate(map(len, ranks))]
+        assert schedule.indices.tolist() == [i for r in ranks for i in r]
+        assert [s.tolist() for s in schedule.steps] == ranks
+        assert schedule.weighted_cardinalities.tolist() == [
+            sum(ring.dim(a) ** 2 for a in set(F)) for F in steps]
+        assert schedule.sets == tuple(map(frozenset, steps))
+        assert [schedule[i] for i in range(-len(steps), len(steps))] == list(schedule.sets) * 2
+        sets = boundary(schedule, S, ring)
+        assert sets == [boundary(F, S, ring) for F in steps]
+        assert boundary(schedule, S, ring, weighted=True).tolist() == [
+            weighted_cardinality(B, ring) for B in sets]
+
+    @pytest.mark.parametrize("name", sorted(CSR_LABELS))
+    def test_a_schedule_without_sets_is_refused(self, name):
+        ring = CSR_LABELS[name][0]
+        with pytest.raises(InvalidInputError, match="at least one set"):
+            FolnerSchedule(ring, [])
+        with pytest.raises(InvalidInputError, match="at least one set"):
+            FolnerSchedule.from_table(ring, np.zeros((0, ring.rank), dtype=np.int64), [])
+
+    def test_an_equal_ring_object_keeps_the_steps(self):
+        for schedule in (Z2.default_schedule(4), FolnerSchedule(Z2, [Z2.box(1), {(3, 3)}])):
+            moved = schedule._on(LatticeRing(2))
+            assert moved.ring is not Z2 and moved.sets == schedule.sets
+            assert (moved.stops is schedule.stops and moved.indptr is schedule.indptr
+                    and moved.indices is schedule.indices)
+            assert moved.weighted_cardinalities.tolist() == (
+                schedule.weighted_cardinalities.tolist())
+
+    def test_a_ring_of_another_order_rebuilds_the_steps(self):
+        class Descending(type(SU2)):
+            name = "SU2, descending"
+
+            def order_keys(self, table):
+                return (-table[:, 0],)
+
+        down = Descending()
+        schedule = SU2.default_schedule(6)
+        moved = schedule._on(down)
+        assert moved.labels == tuple(range(6, -1, -1)) and moved.stops is None
+        assert moved.sets == schedule.sets
+        assert boundary(schedule, [1], down, weighted=True).tolist() == (
+            folner_series(schedule, [1])[1].tolist())
+        # spins 1..100000 as sets hold 5e9 labels: refused before any is gathered
+        long = SU2.default_schedule(100_000)
+        start = time.perf_counter()
+        with pytest.raises(InvalidInputError, match="5000150000 entries.*2\\*\\*24"):
+            long._on(down)
+        assert time.perf_counter() - start < 1.0
+
+
 class TestSchedulesAndEnumeration:
     def test_schedule_rejects_empty(self):
         with pytest.raises(InvalidInputError):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from peterweyl import (
     FolnerSchedule,
     InvalidInputError,
     MeasureSpec,
+    TorusModel,
     atom_average,
     char_average,
     conjugate_measure,
@@ -19,6 +21,7 @@ from peterweyl import (
     dirac,
     energy_average,
     get_model,
+    get_ring,
     haar,
     run_series,
     total_mass,
@@ -165,6 +168,17 @@ class TestRunSeries:
         series = run_series("energy", mu, schedule)
         direct = [energy_average(mu, F) for F in schedule]
         assert list(series.real_values()) == direct
+
+    def test_a_schedule_on_an_equal_ring_is_not_rebuilt_from_its_sets(self):
+        # get_ring("Z") and a torus model's ring are equal ring objects: the
+        # schedule moves over by one check of its table, not as 1e10 labels
+        model = TorusModel(1)
+        own = run_series("char", dirac(model, 1), model.ring.default_schedule(100_000))
+        start = time.perf_counter()
+        moved = run_series("char", dirac(model, 1), get_ring("Z").default_schedule(100_000))
+        assert time.perf_counter() - start < 1.0
+        assert moved.values.tobytes() == own.values.tobytes()
+        assert moved.weighted_cardinalities.tobytes() == own.weighted_cardinalities.tobytes()
 
     @pytest.mark.parametrize("kind", ["atom", "energy", "char"])
     @pytest.mark.parametrize("model, steps", [(CIRCLE, 100), (SU2, 40)], ids=["circle", "su2"])
