@@ -51,16 +51,19 @@ LABEL_BOUND = 2**62
 # of RSS in 2.1 s, radius 49 is refused; the sums of 2.7e6 labels at 6
 # columns, at 1.1 GB in 1.9 s (x86-64, numpy 2.4).
 MAX_TABLE_ENTRIES = 2**24
-# the most visits one pass over a schedule may make, a visit being about
-# 3.6 ns (4 s at the limit).  A step counts STEP_VISITS (it costs about 4 us
-# in a prefix schedule, mostly its CSV row, and 14 us as an index step), an
-# index step's label one visit.  Each product of the stepwise boundary pass
-# (index steps, sets) with S and conj(S) counts PRODUCT_VISITS: 5, 10 and 20
-# steps of SU2 spins 0..3000 fused with 3000 take 2.6, 3.3 and 5.4 s, about
-# 18 ns a product (x86-64, numpy 2.4).
-MAX_VISITS = 2**30
-STEP_VISITS = 4096
-PRODUCT_VISITS = 5
+# a pass estimated at over MAX_WORK_S seconds is refused; * marks in-library runs (README)
+MAX_WORK_S = 5
+COST_S = {
+    "prefix step": 4.7e-6,  # folner --ring SU2 --S 1 --steps 1000000: 4.83 s
+    "index step": 14.7e-6,  # wiener, a schedule file of 262,000 one-label steps: 4.02 s
+    "index label": 1.03e-6,  # ergodic --rep group, 20 windows of 100,000 labels: 2.24 s
+    "boundary product": 38e-9,  # *20 steps of SU2 labels 0..3000 with S = {3000}: 6.9 s
+    "recurrence step": 1.0e-6,  # *SU(2) characters of label 10**6 at 48 elements: 1.03 s
+    "recurrence entry": 1.3e-9,  # *the same of label 10**5 at 4800 elements: 0.73 s
+    "distinct pair": 1.2e-6,  # *1500 Z^d:3 atoms: 1.30 s (circle 0.19 s, SU2 0.36 s)
+    "character column": 1.1e-6,  # *energy of 500 circle atoms at 41 labels: 0.64 s, less entries
+    "character entry": 97e-9,  # *energy of 300 Z^d:2 atoms at 1681 labels: 7.3 s
+}
 
 
 def _is_int(x) -> bool:
@@ -73,10 +76,10 @@ def _check_size(entries: int, what: str):
             f"{what} would hold {entries} entries, above the limit of 2**24")
 
 
-def _check_visits(steps: int, visits: int, what: str):
-    total = steps * STEP_VISITS + visits
-    if total > MAX_VISITS:
-        raise InvalidInputError(f"{what} would make {total} visits, above the limit of 2**30")
+def _check_work(seconds: float, what: str):
+    if seconds > MAX_WORK_S:
+        raise InvalidInputError(
+            f"{what} would take about {seconds:.4g} s, above the limit of {MAX_WORK_S} s")
 
 
 class FusionRing(ABC):
@@ -325,12 +328,12 @@ class FusionRing(ABC):
 def _refuse_large_prefixes(ring: FusionRing, steps: int, count: int):
     """Refuse, before anything is built, a prefix schedule of `steps` steps
     whose largest step is the first `count` labels when its table would pass
-    MAX_TABLE_ENTRIES, that step's |F|_w INT64_MAX or a pass MAX_VISITS."""
+    MAX_TABLE_ENTRIES, that step's |F|_w INT64_MAX or a pass MAX_WORK_S."""
     _check_size(steps + count * ring.rank, "the schedule's label table")
     weight = ring.first_weight(count)
     if weight > INT64_MAX:
         raise InvalidInputError(f"weighted cardinality {weight} exceeds 2**63 - 1")
-    _check_visits(steps, 0, "a pass over the schedule's steps")
+    _check_work(steps * COST_S["prefix step"], f"a pass over {steps} prefix steps")
 
 
 def _step_sums(values: np.ndarray, schedule: "FolnerSchedule") -> np.ndarray:
@@ -348,12 +351,11 @@ def _compensated_sums(x: np.ndarray) -> np.ndarray:
     TwoSum).  Row k is within eps|S| + gamma(k)**2 sum|x_i| of the exact sum
     S of rows 0..k, gamma(k) = k eps / (1 - k eps) and eps = 2**-53."""
     s = np.add.accumulate(x)
-    with np.errstate(invalid="ignore"):  # an infinite sum turns to nan
-        z = s[1:] - s[:-1]
-        err = s[1:] - z
-        np.subtract(s[:-1], err, out=err)
-        err += np.subtract(x[1:], z, out=z)
-        s[1:] += np.add.accumulate(err, out=err)
+    z = s[1:] - s[:-1]
+    err = s[1:] - z
+    np.subtract(s[:-1], err, out=err)
+    err += np.subtract(x[1:], z, out=z)
+    s[1:] += np.add.accumulate(err, out=err)
     return s
 
 
@@ -443,7 +445,8 @@ class FolnerSchedule:
     def _index(self, ring, table, lengths, description):
         if not all(lengths):
             raise InvalidInputError("schedule sets must be nonempty")
-        _check_visits(len(lengths), sum(lengths), "a pass over the schedule's steps")
+        seconds = len(lengths) * COST_S["index step"] + sum(lengths) * COST_S["index label"]
+        _check_work(seconds, f"a pass over {len(lengths)} index steps")
         ids, first = _ranks(table, ring.order_keys(table))
         self.indptr, self.indices = _csr(lengths, ids, len(first))
         self._init(ring, table[first], description)
@@ -523,8 +526,9 @@ def reduce_along(schedule: FolnerSchedule, ring: FusionRing, terms,
     _check_size(rows * columns, "the terms of the sums")
     table = np.asarray(terms(schedule.table, schedule.dims), dtype=complex)
     x = np.ascontiguousarray(table.reshape(len(table), columns)).view(float)
-    sums = (_compensated_sums(x)[schedule.stops - 1] if prefix
-            else np.array([_compensated_sums(x[s])[-1] for s in schedule.steps]))
+    with np.errstate(invalid="ignore"):  # an infinite sum turns to nan
+        sums = (_compensated_sums(x)[schedule.stops - 1] if prefix
+                else np.array([_compensated_sums(x[s])[-1] for s in schedule.steps]))
     sums = sums.view(complex).reshape((len(sums),) + table.shape[1:])
     return sums, schedule.weighted_cardinalities
 
@@ -973,7 +977,7 @@ def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
     finite and computed directly.  One pass fuses the schedule's table with
     every g in S and every conj(g).  Weighted boundaries of prefix steps are
     then one running sum, linear in the table, products and steps; other
-    steps each test membership, refused above MAX_VISITS before they start.
+    steps each test membership, refused above MAX_WORK_S before they start.
     A set F is a one-step schedule.
     """
     S = _generators(ring, S)
@@ -988,7 +992,8 @@ def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
         # count the stepwise pass's products with S and conj(S) before building any
         counts = sum(ring.product_counts(schedule.table, g) for g in S + [ring.conj(g) for g in S])
         products = sum(_step_sums(counts, schedule).tolist())
-        _check_visits(len(schedule), products * PRODUCT_VISITS, "the boundary pass")
+        seconds = len(schedule) * COST_S["index step"] + products * COST_S["boundary product"]
+        _check_work(seconds, f"the boundary pass of {len(schedule)} steps and {products} products")
     pairs = _fusion_pairs(schedule, S)
     rows = pairs[-1]
     if prefix:

@@ -23,18 +23,11 @@ from itertools import islice, permutations
 import numpy as np
 
 from .errors import InvalidInputError
-from .fusion import FiniteDualRing, FusionRing, LatticeRing, SU2Ring, get_ring
+from .fusion import COST_S, FiniteDualRing, FusionRing, LatticeRing, SU2Ring, _check_work, get_ring
 
 # entries of one character table in `character_sums` (labels x a chunk of
 # elements), about 1 MB
 _TABLE_ENTRIES = 1 << 16
-# the Chebyshev recurrence of one SU(2) character table costs about 1.3 us
-# per step plus 1.2 ns per step and element (x86-64, numpy 2.4), so a step
-# counts as _STEP_ELEMENTS elements.  A table whose steps times (elements +
-# _STEP_ELEMENTS) would pass MAX_RECURRENCE_WORK is refused: at the limit
-# it takes about 5 s, and labels up to 4e6 still run at 48 elements.
-MAX_RECURRENCE_WORK = 2**32
-_STEP_ELEMENTS = 1024
 
 
 class CompactGroupModel(ABC):
@@ -328,27 +321,20 @@ class SU2Model(CompactGroupModel):
         """The Weyl character sin((n+1)t/2)/sin(t/2) in its Chebyshev form
         U_n(x) at x = cos(t/2) = Re a, from U_{n+1} = 2x U_n - U_{n-1}, run
         once up to the largest label for all elements together; refused
-        before it starts when that work would pass MAX_RECURRENCE_WORK."""
+        before it starts when that work would pass MAX_WORK_S."""
         labels = table[:, 0]
         wanted = sorted(set(labels.tolist()))
         x = np.array([g[0].real for g in elements], dtype=float)
-        work = (wanted[-1] + 1 if wanted else 0) * (len(x) + _STEP_ELEMENTS)
-        if work > MAX_RECURRENCE_WORK:
-            raise InvalidInputError(
-                f"SU(2) characters up to label {wanted[-1]} at {len(x)} elements would cost "
-                f"{work} recurrence entries, above the limit of 2**32")
+        steps = wanted[-1] + 1 if wanted else 0
+        cost = COST_S["recurrence step"] + len(x) * COST_S["recurrence entry"]
+        _check_work(steps * cost, f"SU(2) characters up to label {steps - 1} at {len(x)} elements")
         two_x, rows, k = 2 * x, np.empty((len(wanted), len(x))), 0
         prev, cur = np.zeros_like(x), np.ones_like(x)  # U_{-1}, U_0
-        for n in range(wanted[-1] + 1 if wanted else 0):
+        for n in range(steps):
             if n == wanted[k]:
                 rows[k], k = cur, k + 1
             prev, cur = cur, two_x * cur - prev
         return rows[np.searchsorted(wanted, labels)].astype(complex)
-
-    def rotation_angle(self, g) -> float:
-        """Angle t in [0, 2*pi] with g conjugate to diag(e^{it/2}, e^{-it/2})."""
-        a, _ = g
-        return 2 * math.acos(min(1.0, max(-1.0, a.real)))
 
     def haar_sample(self, rng):
         v = rng.normal(size=4)

@@ -20,6 +20,7 @@ import warnings
 import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError
+from .fusion import COST_S, _check_work
 from .groups import CompactGroupModel, resolve
 
 # atoms closer than this are rejected as duplicates at construction time
@@ -51,6 +52,8 @@ class MeasureSpec:
             if not (math.isfinite(w) and w > 0):
                 raise InvalidInputError(f"atom weight {w} must be finite and strictly positive")
             checked.append((g, w))
+        _check_work(math.comb(len(checked), 2) * COST_S["distinct pair"],
+                    f"the distinct check of {len(checked)} atoms")
         for i in range(len(checked)):
             for j in range(i + 1, len(checked)):
                 if model.distance(checked[i][0], checked[j][0]) <= ATOM_DISTINCT_TOL:

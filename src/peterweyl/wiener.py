@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError
-from .fusion import FolnerSchedule, reduce_along
+from .fusion import COST_S, FolnerSchedule, _check_work, reduce_along
 from .measures import MeasureSpec, atom_weight_at
 
 KINDS = ("atom", "energy", "char")
@@ -39,6 +39,9 @@ def _terms(kind: str, mu: MeasureSpec, y=None):
 
     def terms(table, dims) -> np.ndarray:
         d = dims.astype(float)
+        count = len(atoms) * (len(atoms) - 1) // 2 if kind == "energy" else len(atoms)
+        cost = COST_S["character column"] + len(table) * COST_S["character entry"]
+        _check_work(count * cost, f"the {kind} average's {count} character columns")
         if kind == "atom":
             y_inv = model.inverse(y)
             sums = model.character_sums(table, ((w, model.multiply(x, y_inv)) for x, w in atoms))
@@ -127,8 +130,10 @@ def run_series(kind: str, mu: MeasureSpec, schedule: FolnerSchedule, at=None,
     if kind == "atom" and at is None:
         raise InvalidInputError("atom averages need an evaluation point")
     sums, wcards = reduce_along(schedule, mu.model.ring, _terms(kind, mu, at))
-    # Python complex / int, as numpy's complex128 / int differs in the last bit
-    values = np.asarray([complex(s) / int(w) for s, w in zip(sums, wcards)], dtype=complex)
+    # CPython's complex / int by column (numpy's complex128 / int differs in the last bit)
+    with np.errstate(invalid="ignore"):  # an infinite part times 0.0 is nan, as in Python
+        values = ((sums.real + sums.imag * 0.0) / wcards).astype(complex)
+        values.imag = (sums.imag - sums.real * 0.0) / wcards
     target = None
     if with_target:
         if kind == "atom":

@@ -16,7 +16,11 @@ from hypothesis import given, settings, strategies as st
 from peterweyl import InvalidInputError, get_ring, weighted_cardinality
 from peterweyl.cli import (EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, RunConfig,
                            load_schedule, main, run)
+from peterweyl.fusion import MAX_WORK_S
 from peterweyl.groups import TorusModel
+
+# the one message of a work guard's refusal
+ABOVE_THE_WORK_LIMIT = f"s, above the limit of {MAX_WORK_S} s"
 
 
 def read_csv(path):
@@ -478,7 +482,7 @@ class TestWorkGuards:
         for kind in ("atom", "energy", "char"):
             err = self._refused(capsys, out, ["wiener", "--kind", kind, "--measure", measure,
                                               "--at", "q:1,0,0,0", "--schedule", schedule])
-            assert "2**32" in err
+            assert "SU(2) characters up to label 3037000000" in err and ABOVE_THE_WORK_LIMIT in err
         self._refused(capsys, out, ["ergodic", "--rep", "point", "--spec", spec,
                                     "--schedule", schedule])
         self._refused(capsys, out, ["ergodic", "--rep", "point", "--spec", spec,
@@ -487,7 +491,22 @@ class TestWorkGuards:
     def test_long_prefix_schedule_of_a_boundary_pass(self, tmp_path, capsys):
         err = self._refused(capsys, tmp_path / "folner.csv",
                             ["folner", "--ring", "SU2", "--S", "1", "--steps", "3000000"])
-        assert "2**30" in err
+        assert "3000000 prefix steps" in err and ABOVE_THE_WORK_LIMIT in err
+
+    def test_energy_of_many_circle_atoms(self, tmp_path, capsys, monkeypatch):
+        # 20,000 atoms: the distinct check alone has 2e8 pairs, refused
+        # before any pair is compared or multiplied
+        def unreachable(*args):
+            raise AssertionError("an atom pair was visited")
+
+        monkeypatch.setattr(TorusModel, "distance", unreachable)
+        monkeypatch.setattr(TorusModel, "multiply", unreachable)
+        angles = np.linspace(0.0, 6.0, 20_000)
+        measure = write_json(tmp_path / "m.json", {"group": "Z", "atoms": [
+            {"element": f"z:{math.cos(t)!r},{math.sin(t)!r}", "weight": 1.0} for t in angles]})
+        err = self._refused(capsys, tmp_path / "energy.csv",
+                            ["wiener", "--kind", "energy", "--measure", measure])
+        assert "20000 atoms" in err and ABOVE_THE_WORK_LIMIT in err
 
     def test_long_cesaro_sums_of_a_point_rep(self, tmp_path):
         # spins 1..42000 at four points: one pass over the character table,

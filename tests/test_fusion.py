@@ -514,9 +514,9 @@ class TestLabelTables:
             sums = fusion._step_sums(values, schedule)
             assert sums.dtype == values.dtype and sums.tobytes() == loop.tobytes()
 
-    def test_passes_above_the_visit_limit_are_refused_before_they_start(self, monkeypatch):
-        # SU2 spins 1..5000 with S = {1}: a stepwise pass of 2.7e8 visits
-        # (5000 steps and 5e7 products) is admitted, spins 1..20000 are not
+    def test_passes_above_the_work_limit_are_refused_before_they_start(self, monkeypatch):
+        # SU2 spins 1..5000 with S = {1}: a stepwise pass of 5000 steps and
+        # 5e7 products is admitted, spins 1..20000 (8e8 products) are not
         class Admitted(Exception):
             pass
 
@@ -527,48 +527,62 @@ class TestLabelTables:
             patch.setattr(fusion, "_fusion_pairs", admitted)
             with pytest.raises(Admitted):
                 boundary(SU2.default_schedule(5000), [1], SU2)
-            with pytest.raises(InvalidInputError, match="boundary pass.*2\\*\\*30"):
+            with pytest.raises(InvalidInputError, match="boundary pass.*above the limit"):
                 boundary(SU2.default_schedule(20000), [1], SU2)
         # the weighted boundaries of prefix steps are one linear pass and
-        # count no visits: spins 1..262144, the longest schedule the
-        # schedule's own guard admits, run
-        steps = fusion.MAX_VISITS // fusion.STEP_VISITS
+        # are not charged: spins 1..262144 run
+        steps = 262144
         schedule = SU2.default_schedule(steps)
         assert folner_series(schedule, [1])[1].tolist() == [
             (n + 1) ** 2 + (n + 2) ** 2 for n in range(1, steps + 1)]
-        with pytest.raises(InvalidInputError, match="2\\*\\*30"):
-            SU2.default_schedule(steps + 1)
+        # the guard lets the longest default schedule it admits, and
+        # 1,000,000 steps, go on to their tables (that run is timed for the
+        # README, not here), and refuses one step more
+        cost = fusion.COST_S
+        limit = int(fusion.MAX_WORK_S / cost["prefix step"])
+        with monkeypatch.context() as patch:
+            patch.setattr(fusion.SU2Ring, "first_table", admitted)
+            for steps in (1_000_000, limit):
+                with pytest.raises(Admitted):
+                    SU2.default_schedule(steps)
+        with pytest.raises(InvalidInputError, match="above the limit"):
+            SU2.default_schedule(limit + 1)
         start = time.perf_counter()
-        # 3e6 steps: the steps alone count 6e9 visits, refused before any table
-        with pytest.raises(InvalidInputError, match="2\\*\\*30"):
+        # 3e6 steps: refused before any table
+        with pytest.raises(InvalidInputError, match="3000000 prefix steps.*above the limit"):
             SU2.default_schedule(3_000_000)
-        # 300,000 index steps count 1.2e9 visits
-        with pytest.raises(InvalidInputError, match="2\\*\\*30"):
-            FolnerSchedule.from_table(SU2, np.zeros((300_000, 1), dtype=np.int64), [1] * 300_000)
+        # one-label index steps: 300,000 are admitted, one step past the limit is not
+        limit = int(fusion.MAX_WORK_S / (cost["index step"] + cost["index label"]))
+        assert limit > 300_000
+        with pytest.raises(InvalidInputError, match="above the limit"):
+            FolnerSchedule.from_table(SU2, np.zeros((limit + 1, 1), dtype=np.int64),
+                                      [1] * (limit + 1))
         assert time.perf_counter() - start < 1.0
+        assert len(FolnerSchedule.from_table(SU2, np.zeros((300_000, 1), dtype=np.int64),
+                                             [1] * 300_000)) == 300_000
 
     def test_stepwise_boundary_pass_is_refused_before_any_product(self, monkeypatch):
         # 100 index steps of spins 0..3000 fused with 3000: each step has
-        # 9e6 products, within the size limit, but the pass counts 4.5e9
-        # visits at PRODUCT_VISITS each (about 16 s)
+        # 9e6 products, within the size limit, but the pass's 9e8 products
+        # would take about 34 s
         indexed = FolnerSchedule(SU2, [range(3001)] * 100)
 
         def unreachable(*args):
             raise AssertionError("the products were built")
 
         monkeypatch.setattr(fusion, "_fusion_pairs", unreachable)
-        with pytest.raises(InvalidInputError, match="boundary pass.*2\\*\\*30"):
+        with pytest.raises(InvalidInputError, match="boundary pass.*above the limit"):
             folner_series(indexed, [3000])
 
-    def test_refused_visit_figures_grow_with_the_steps(self):
+    def test_refused_work_figures_grow_with_the_steps(self):
         # the early check of a default schedule and the one of `prefixes`
-        # count the same visits, so more steps never report fewer
+        # make the same estimate, so more steps never report less
         def figure(make):
-            with pytest.raises(InvalidInputError, match="2\\*\\*30") as refused:
+            with pytest.raises(InvalidInputError, match="above the limit") as refused:
                 make()
-            return int(re.search(r"make (\d+) visits", str(refused.value)).group(1))
+            return float(re.search(r"would take about (\S+) s", str(refused.value)).group(1))
 
-        limit = fusion.MAX_VISITS // fusion.STEP_VISITS
+        limit = int(fusion.MAX_WORK_S / fusion.COST_S["prefix step"])
         figures = []
         for steps in (limit + 1, limit + 200, 10 ** 7):
             figures.append(figure(lambda: D4.default_schedule(steps)))

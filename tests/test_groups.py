@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peterweyl import InvalidInputError, MeasureSpec, get_model, get_ring, resolve, run_series
-from peterweyl import groups
+from peterweyl import fusion, groups
 
 CIRCLE = get_model("Z")
 TORUS2 = get_model("Z^d:2")
@@ -123,14 +123,16 @@ class TestEvaluation:
         rng = np.random.default_rng(5)
         elements = [SU2.haar_sample(rng) for _ in range(48)]
         start = time.perf_counter()
-        with pytest.raises(InvalidInputError, match="2\\*\\*32"):
+        with pytest.raises(InvalidInputError, match="label 3037000000 at 48 elements.*limit"):
             SU2.characters([3_037_000_000], elements)
-        with pytest.raises(InvalidInputError, match="2\\*\\*32"):
+        with pytest.raises(InvalidInputError, match="label 3037000000 at 48 elements.*limit"):
             SU2.character_sums([3_037_000_000], [(1.0, g) for g in elements])
         assert time.perf_counter() - start < 1.0
         assert SU2.characters([10 ** 5], elements).shape == (1, 48)
-        # labels 0..99 at 48 elements are 100 steps of 48 + _STEP_ELEMENTS each
-        monkeypatch.setattr(groups, "MAX_RECURRENCE_WORK", 100 * (48 + groups._STEP_ELEMENTS))
+        # labels 0..99 at 48 elements are 100 recurrence steps of 48 entries each
+        cost = fusion.COST_S
+        monkeypatch.setattr(fusion, "MAX_WORK_S",
+                            100 * (cost["recurrence step"] + 48 * cost["recurrence entry"]))
         assert SU2.characters([99, 3], elements).shape == (2, 48)
         with pytest.raises(InvalidInputError):
             SU2.characters([100, 3], elements)

@@ -17,3 +17,14 @@ def test_library_quick_start_runs(capsys):
     # i^n and (-1)^n averaged over -50..50 give -1/101 and 1/101
     distance, passed = check.split()
     assert abs(float(distance) - 1 / 101**2) < 1e-12 and passed == "False"
+
+
+def test_work_limit_and_unit_costs_are_the_guards():
+    from peterweyl import fusion
+
+    text = README.read_text(encoding="utf-8")
+    limit = re.search(r"`MAX_WORK_S` = (\S+) s", text).group(1)
+    table = text.split("`MAX_WORK_S`", 1)[1].split("\n\n", 2)[1]
+    costs = dict(re.findall(r"^\| ([a-z ]+) \| (\S+) \|", table, re.M))
+    assert float(limit) == fusion.MAX_WORK_S
+    assert {unit: float(cost) for unit, cost in costs.items()} == fusion.COST_S

@@ -2,11 +2,14 @@
 
 import cmath
 import math
+import struct
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peterweyl import (
     FolnerSchedule,
@@ -26,6 +29,7 @@ from peterweyl import (
     run_series,
     total_mass,
 )
+from peterweyl import wiener
 
 CIRCLE = get_model("Z")
 SU2 = get_model("SU2")
@@ -199,6 +203,36 @@ class TestRunSeries:
         else:
             direct = [char_average(mu, F) for F in schedule]
         assert [complex(v) for v in series.values] == direct
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+        st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+        st.integers(1, 2**63 - 1) | st.integers(2**53 - 4, 2**53 + 2**12)), min_size=1))
+    def test_values_are_python_complex_over_int(self, rows):
+        # every value is the quotient complex(s) / int(w) of its step, to the
+        # bit: signed zeros, nan and infinite parts, and w above 2**53 included
+        sums = np.array([complex(re, im) for re, im, _ in rows])
+        wcards = np.array([w for _, _, w in rows], dtype=np.int64)
+        schedule = FolnerSchedule.prefixes(CIRCLE.ring, [1] * len(rows))
+        with mock.patch.object(wiener, "reduce_along", return_value=(sums, wcards)):
+            values = run_series("char", haar(CIRCLE), schedule).values
+        for (re, im, w), value in zip(rows, values.tolist()):
+            quotient = complex(re, im) / w
+            assert struct.pack("dd", value.real, value.imag) == struct.pack(
+                "dd", quotient.real, quotient.imag)
+
+    def test_energy_of_many_atom_pairs_is_refused_before_the_first_pair(self):
+        # 1000 circle atoms pass the distinct check, but the energy's 499,500
+        # pairs at 401 labels would take about 20 s
+        model = TorusModel(1)
+        mu = MeasureSpec(model, [(cmath.exp(1j * k / 200), 1.0) for k in range(1000)])
+        start = time.perf_counter()
+        with mock.patch.object(TorusModel, "multiply", side_effect=AssertionError("multiplied")):
+            with pytest.raises(InvalidInputError,
+                               match="energy average's 499500 character columns.*above the limit"):
+                run_series("energy", mu, model.ring.default_schedule(200))
+        assert time.perf_counter() - start < 1.0
 
     def test_long_series_memory_stays_linear(self):
         # the schedule keeps one label table, not one stored set per step
