@@ -8,8 +8,9 @@ tensor product ``a (x) b``), and Folner schedules as tables of labels.
 Labels live in int64 tables with one row per label and ``ring.rank``
 columns: the components of a Z^d label, or the label itself for Z, SU(2)
 and finite duals.  Each ring states its rules once, on a table: which rows
-are labels, the sort keys of its total order, the dimensions, and the
-fusion products of every row with a label g.  The one-label methods (`dim`,
+are labels, the dimensions, the fusion products of every row with a label
+g and its first labels, plus the sort keys of its total order where that
+is not lexicographic.  The one-label methods (`dim`,
 `fuse`, `check_label`, `sort_key`, `parse_label`) are the one-row case.  A
 Folner schedule is one table of its distinct labels in ring order plus
 prefix lengths or a CSR table of its steps.  Everything here is exact integer
@@ -85,26 +86,26 @@ def _check_work(seconds: float, what: str):
 class FusionRing(ABC):
     """Labels, dimensions, conjugates and fusion rules of a dual object.
 
-    Subclasses state their rules on an (n, rank) int64 table of label rows:
+    A subclass states seven rules, on (n, rank) int64 tables of label rows:
 
     - ``valid_rows(table)``: which rows are labels (components are already
       known to be below LABEL_BOUND in modulus),
-    - ``order_keys(table)``: `np.lexsort` keys of the ring's total order,
-      primary key last,
     - ``dims_of(table)``: the dimensions, int64,
     - ``products(table, g)``: the decomposition of every row (x) g as
       (row index, product row) pairs, a product of multiplicity m listed m
       times, and ``product_counts(table, g)``, the number of pairs of each
       row, without building them,
     - ``first_table(count)``: the first `count` labels in ring order (all of
-      them when the ring has fewer), and ``first_weight(count)``, their
-      exact sum of squared dimensions (`count` when every dimension is 1),
-    - ``parse_table(literals)``: label literals read into a checked table
-      (canonical decimal strings at once by ``_decimal_table``, others by int()),
+      them when the ring has fewer),
+    - ``conj(a)`` and ``fuse(a, b)`` (the one-label case of `products`, as
+      ``_fused``).
 
-    and ``trivial``, ``conj(a)``, ``fuse(a, b)`` (the one-label case of
-    `products`, as ``_fused``) and ``parse_label`` (the one-literal case of
-    `parse_table`).
+    Four have defaults, which a subclass may restate: ``trivial``, the first
+    label of ``first_table(1)``; ``order_keys(table)``, the `np.lexsort`
+    keys of the ring's total order (primary key last), lexicographic;
+    ``parse_table(literals)``, label literals read into a checked table, by
+    default rank-1 ints, ``irrep_names`` or strings read by int(); and
+    ``format_label(a)``, the components joined by ','.
     """
 
     name: str = "ring"
@@ -112,10 +113,8 @@ class FusionRing(ABC):
     schedule_name: str | None = None
     # columns of a label row
     rank: int = 1
-
-    @property
-    @abstractmethod
-    def trivial(self) -> Label: ...
+    # label literals that name the labels 0, 1, ... (rank 1)
+    irrep_names: tuple[str, ...] = ()
 
     @abstractmethod
     def conj(self, label: Label) -> Label: ...
@@ -127,22 +126,23 @@ class FusionRing(ABC):
     def valid_rows(self, table: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
-    def order_keys(self, table: np.ndarray) -> tuple: ...
-
-    @abstractmethod
     def dims_of(self, table: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
     def products(self, table: np.ndarray, g: Label) -> tuple[np.ndarray, np.ndarray]: ...
 
     @abstractmethod
-    def first_table(self, count: int) -> np.ndarray: ...
-
-    def first_weight(self, count: int) -> int:
-        return count
+    def product_counts(self, table: np.ndarray, g: Label) -> np.ndarray: ...
 
     @abstractmethod
-    def product_counts(self, table: np.ndarray, g: Label) -> np.ndarray: ...
+    def first_table(self, count: int) -> np.ndarray: ...
+
+    @property
+    def trivial(self) -> Label:
+        return self.labels_of(self.first_table(1))[0]
+
+    def order_keys(self, table: np.ndarray) -> tuple:
+        return tuple(table.T[::-1])
 
     # -- rows and labels --------------------------------------------------
     def _parts(self, label):
@@ -250,9 +250,6 @@ class FusionRing(ABC):
         _check_size(bound * self.rank, "a label table")
         return self.labels_of(self.first_table(bound))
 
-    @abstractmethod
-    def parse_table(self, literals) -> np.ndarray: ...
-
     def parse_label(self, literal) -> Label:
         return self.labels_of(self.parse_table([literal]))[0]
 
@@ -289,12 +286,13 @@ class FusionRing(ABC):
         values = np.fromstring(text.replace(";", ",").replace("\n", ","), dtype=np.int64, sep=",")
         return values.reshape(len(texts), self.rank)
 
-    def _int_literal_table(self, literals, names=()) -> np.ndarray:
+    def parse_table(self, literals) -> np.ndarray:
         """Rank-1 literals: ints (not bool), irrep names, or strings read by
         int(); strings, none of them a name, are read at once when all of
         them are canonical (`_decimal_table`)."""
         literals = list(literals)
         _check_size(len(literals), "a label table")
+        names = self.irrep_names
         if set(map(type, literals)) == {str} and set(names).isdisjoint(literals):
             table = self._decimal_table(literals)
             if table is not None:
@@ -313,7 +311,7 @@ class FusionRing(ABC):
         return self._table(parts, literals)
 
     def format_label(self, label: Label) -> str:
-        return str(label)
+        return str(label) if self.rank == 1 else ",".join(map(str, label))
 
     def default_schedule(self, steps: int) -> "FolnerSchedule":
         raise InvalidInputError(f"ring {self.name} has no default schedule")
@@ -328,11 +326,8 @@ class FusionRing(ABC):
 def _refuse_large_prefixes(ring: FusionRing, steps: int, count: int):
     """Refuse, before anything is built, a prefix schedule of `steps` steps
     whose largest step is the first `count` labels when its table would pass
-    MAX_TABLE_ENTRIES, that step's |F|_w INT64_MAX or a pass MAX_WORK_S."""
+    MAX_TABLE_ENTRIES or a pass MAX_WORK_S."""
     _check_size(steps + count * ring.rank, "the schedule's label table")
-    weight = ring.first_weight(count)
-    if weight > INT64_MAX:
-        raise InvalidInputError(f"weighted cardinality {weight} exceeds 2**63 - 1")
     _check_work(steps * COST_S["prefix step"], f"a pass over {steps} prefix steps")
 
 
@@ -427,18 +422,19 @@ class FolnerSchedule:
         return schedule
 
     @classmethod
-    def prefixes(cls, ring: FusionRing, lengths: list[int], description: str = ""):
+    def prefixes(cls, ring: FusionRing, lengths, description: str = ""):
         """The schedule whose n-th step is the first lengths[n] labels of the
-        ring's order.  Refused before anything is built when its table would
-        be too large or a |F|_w would not fit in int64."""
-        lengths = list(lengths)
-        if not all(k >= 1 for k in lengths):
+        ring's order (a list or an int64 array).  Refused before anything is
+        built when its table would be too large or its pass too long, and
+        refused by `_init` when a |F|_w would not fit in int64."""
+        lengths = np.asarray(lengths)
+        if not np.all(lengths >= 1):
             raise InvalidInputError("schedule sets must be nonempty")
-        count = max(lengths, default=1)
+        count = int(lengths.max(initial=1))
         _refuse_large_prefixes(ring, len(lengths), count)
         table = ring.first_table(count)
         schedule = cls.__new__(cls)
-        schedule.stops = np.minimum(np.array(lengths, dtype=np.int64), len(table))
+        schedule.stops = np.minimum(lengths.astype(np.int64), len(table))
         schedule._init(ring, table, description)
         return schedule
 
@@ -550,10 +546,6 @@ class LatticeRing(FusionRing):
         self.rank = rank
         self.name = name or ("Z" if rank == 1 else f"Z^{rank}")
 
-    @property
-    def trivial(self) -> Label:
-        return 0 if self.rank == 1 else (0,) * self.rank
-
     def conj(self, label):
         label = self._one(label)
         return -label if self.rank == 1 else tuple(-x for x in label)
@@ -601,7 +593,7 @@ class LatticeRing(FusionRing):
         # the box {-n..n}^rank is the first (2n+1)^rank labels of the shell walk
         _refuse_large_prefixes(self, steps, (2 * steps + 1) ** self.rank)
         return FolnerSchedule.prefixes(
-            self, [(2 * n + 1) ** self.rank for n in range(1, steps + 1)],
+            self, (2 * np.arange(1, steps + 1) + 1) ** self.rank,
             description=f"{self.name} boxes {{-n..n}} for n=1..{steps}",
         )
 
@@ -660,11 +652,6 @@ class LatticeRing(FusionRing):
                 f"label components of ring {self.name} must be below 2**62 in modulus") from exc
         return self._checked(values.reshape(len(texts), self.rank), texts)
 
-    def format_label(self, label):
-        if self.rank == 1:
-            return str(label)
-        return ",".join(str(x) for x in label)
-
 
 # labels n of SU(2) stay below this, so dim(n)^2 = (n+1)^2 fits in int64
 SU2_LABEL_BOUND = math.isqrt(INT64_MAX)
@@ -680,10 +667,6 @@ class SU2Ring(FusionRing):
     name = "SU2"
     schedule_name = "spins"
 
-    @property
-    def trivial(self):
-        return 0
-
     def conj(self, label):
         return self._one(label)
 
@@ -692,9 +675,6 @@ class SU2Ring(FusionRing):
 
     def valid_rows(self, table):
         return (table[:, 0] >= 0) & (table[:, 0] < SU2_LABEL_BOUND)
-
-    def order_keys(self, table):
-        return (table[:, 0],)
 
     def dims_of(self, table):
         return table[:, 0] + 1
@@ -713,9 +693,6 @@ class SU2Ring(FusionRing):
     def first_table(self, count):
         return np.arange(count, dtype=np.int64)[:, None]
 
-    def first_weight(self, count):
-        return count * (count + 1) * (2 * count + 1) // 6
-
     def spins(self, n: int) -> frozenset:
         """The spin interval {2j = 0..n}."""
         if n < 0:
@@ -725,16 +702,12 @@ class SU2Ring(FusionRing):
     def default_schedule(self, steps: int) -> FolnerSchedule:
         _refuse_large_prefixes(self, steps, steps + 1)
         return FolnerSchedule.prefixes(
-            self, [n + 1 for n in range(1, steps + 1)],
+            self, np.arange(2, steps + 2),
             description=f"SU2 spin intervals {{0..n}} for n=1..{steps}",
         )
 
     def generating_labels(self):
         return [1]
-
-    def parse_table(self, literals):
-        """Ints, or strings read by int() (at once when all are canonical)."""
-        return self._int_literal_table(literals)
 
 
 class FiniteDualRing(FusionRing):
@@ -764,10 +737,6 @@ class FiniteDualRing(FusionRing):
         if not np.array_equal(rows, np.arange(k)) or np.any(self.fusion[rows, self._conj, 0] != 1):
             raise InvalidInputError(f"fusion table of {name} gives some label no conjugate")
 
-    @property
-    def trivial(self):
-        return 0
-
     def conj(self, label):
         return int(self._conj[self._one(label)])
 
@@ -776,9 +745,6 @@ class FiniteDualRing(FusionRing):
 
     def valid_rows(self, table):
         return (table[:, 0] >= 0) & (table[:, 0] < len(self.dims))
-
-    def order_keys(self, table):
-        return (table[:, 0],)
 
     def dims_of(self, table):
         return np.array(self.dims, dtype=np.int64)[table[:, 0]]
@@ -795,25 +761,16 @@ class FiniteDualRing(FusionRing):
     def first_table(self, count):
         return np.arange(min(count, len(self.dims)), dtype=np.int64)[:, None]
 
-    def first_weight(self, count):
-        return sum(d * d for d in self.dims[:count])
-
     def full_dual(self) -> frozenset:
         return frozenset(range(len(self.dims)))
 
     def default_schedule(self, steps: int) -> FolnerSchedule:
         _refuse_large_prefixes(self, steps, len(self.dims))
-        return FolnerSchedule.prefixes(
-            self, [len(self.dims)] * steps, description=f"{self.name} full dual, constant"
-        )
+        return FolnerSchedule.prefixes(self, np.full(max(steps, 0), len(self.dims)),
+                                       description=f"{self.name} full dual, constant")
 
     def generating_labels(self):
         return list(range(len(self.dims)))
-
-    def parse_table(self, literals):
-        """Ints, irrep names, or strings read by int() (at once when all are
-        canonical and none is a name)."""
-        return self._int_literal_table(literals, self.irrep_names)
 
     def format_label(self, label):
         return self.irrep_names[self.check_label(label)]

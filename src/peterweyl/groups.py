@@ -102,10 +102,6 @@ class CompactGroupModel(ABC):
         """chi(a)(g), the trace of the irrep matrix; |chi(a)(g)| <= dim(a)."""
         return complex(self.characters([label], [g])[0, 0])
 
-    def enumerate_dual(self, bound: int) -> list:
-        """Deterministic prefix of the dual in the ring's label order."""
-        return self.ring.enumerate_labels(bound)
-
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
 
@@ -318,23 +314,26 @@ class SU2Model(CompactGroupModel):
         return _sym_power(self.defining_matrix(g), label)
 
     def _character_table(self, table, elements):
-        """The Weyl character sin((n+1)t/2)/sin(t/2) in its Chebyshev form
-        U_n(x) at x = cos(t/2) = Re a, from U_{n+1} = 2x U_n - U_{n-1}, run
-        once up to the largest label for all elements together; refused
-        before it starts when that work would pass MAX_WORK_S."""
         labels = table[:, 0]
         wanted = sorted(set(labels.tolist()))
         x = np.array([g[0].real for g in elements], dtype=float)
-        steps = wanted[-1] + 1 if wanted else 0
-        cost = COST_S["recurrence step"] + len(x) * COST_S["recurrence entry"]
-        _check_work(steps * cost, f"SU(2) characters up to label {steps - 1} at {len(x)} elements")
-        two_x, rows, k = 2 * x, np.empty((len(wanted), len(x))), 0
-        prev, cur = np.zeros_like(x), np.ones_like(x)  # U_{-1}, U_0
-        for n in range(steps):
-            if n == wanted[k]:
-                rows[k], k = cur, k + 1
-            prev, cur = cur, two_x * cur - prev
+        rows = next(_chebyshev_rows(wanted, x, len(wanted)), np.empty((0, len(x))))
         return rows[np.searchsorted(wanted, labels)].astype(complex)
+
+    def character_sums(self, labels, weighted):
+        """`CompactGroupModel.character_sums` from one recurrence over all the
+        elements (24 bytes each), its rows summed in blocks of _TABLE_ENTRIES
+        entries; each label adds its elements in order, as the chunks do."""
+        table = self.ring.label_table(labels)
+        pairs = np.fromiter(((w, g[0].real) for w, g in weighted),
+                            dtype=[("w", complex), ("x", float)])
+        if not (len(pairs) and len(table)):
+            return np.zeros(len(table), dtype=complex)
+        wanted = sorted(set(table[:, 0].tolist()))
+        blocks = _chebyshev_rows(wanted, pairs["x"], max(1, _TABLE_ENTRIES // len(pairs)))
+        # + 0: a sum of -0.0 terms is +0.0, as from a total of +0
+        sums = [np.add.accumulate(pairs["w"] * rows, axis=1)[:, -1] + 0 for rows in blocks]
+        return np.concatenate(sums)[np.searchsorted(wanted, table[:, 0])]
 
     def haar_sample(self, rng):
         v = rng.normal(size=4)
@@ -353,6 +352,27 @@ class SU2Model(CompactGroupModel):
     def format_element(self, g):
         a, b = g
         return f"q:{a.real!r},{a.imag!r},{b.real!r},{b.imag!r}"
+
+
+def _chebyshev_rows(wanted: list, x: np.ndarray, size: int):
+    """Rows of the Weyl characters sin((n+1)t/2)/sin(t/2) of the ascending
+    labels `wanted` at x = cos(t/2) = Re a, `size` rows a block: U_n(x) from
+    U_{n+1} = 2x U_n - U_{n-1}, run once for all x up to the largest label
+    and refused before it starts when that work would pass MAX_WORK_S."""
+    steps = wanted[-1] + 1 if wanted else 0
+    cost = COST_S["recurrence step"] + len(x) * COST_S["recurrence entry"]
+    _check_work(steps * cost, f"SU(2) characters up to label {steps - 1} at {len(x)} elements")
+    two_x, k, start, stop = 2 * x, 0, 0, min(size, len(wanted))
+    prev, cur = np.zeros_like(two_x), np.ones_like(two_x)  # U_{-1}, U_0
+    block = np.empty((stop, len(x)))
+    for n in range(steps):
+        if n == wanted[k]:
+            block[k - start], k = cur, k + 1
+            if k == stop:
+                yield block
+                start, stop = k, min(k + size, len(wanted))
+                block = np.empty((stop - start, len(x)))
+        prev, cur = cur, two_x * cur - prev
 
 
 class FiniteGroupModel(CompactGroupModel):

@@ -185,6 +185,52 @@ class TestFusionTable:
             fusion.FiniteDualRing("bad", ("1", "a", "b", "ab", "u"), D4.dims, table)
 
 
+class CyclicRing(FusionRing):
+    """The fusion ring of Z/5, stating only the rules a ring must state."""
+
+    def conj(self, label):
+        return -self._one(label) % 5
+
+    def fuse(self, a, b):
+        return self._fused(a, b)
+
+    def valid_rows(self, table):
+        return (table[:, 0] >= 0) & (table[:, 0] < 5)
+
+    def dims_of(self, table):
+        return np.ones(len(table), dtype=np.int64)
+
+    def products(self, table, g):
+        return np.arange(len(table)), (table + g) % 5
+
+    def product_counts(self, table, g):
+        return np.ones(len(table), dtype=np.int64)
+
+    def first_table(self, count):
+        return np.arange(min(count, 5), dtype=np.int64)[:, None]
+
+
+class TestRingContract:
+    def test_a_ring_states_seven_rules(self):
+        assert FusionRing.__abstractmethods__ == {
+            "conj", "fuse", "valid_rows", "dims_of", "products", "product_counts", "first_table"}
+
+    def test_the_defaults_serve_a_ring_of_seven_rules(self):
+        ring = CyclicRing()
+        assert ring.trivial == 0 and ring.parse_label("3") == 3 and ring.format_label(3) == "3"
+        assert ring.parse_table(["4", 2, "1"]).tolist() == [[4], [2], [1]]
+        assert ring.sorted_labels([4, 1, 3, 0]) == [0, 1, 3, 4]
+        assert ring.fuse(3, 4) == {2: 1} and ring.conj(2) == 3
+        sets = [{0}, {0, 1}, {1, 3}, {4, 2, 0}, set(range(5))]
+        for S in ([1], [2, 3], [0]):
+            wanted = [len(brute_force_boundary(F, S, ring, range(5))) for F in sets]
+            schedule = FolnerSchedule(ring, sets)
+            assert boundary(schedule, S, ring, weighted=True).tolist() == wanted
+            prefixes = FolnerSchedule.prefixes(ring, [1, 2, 3, 5])
+            assert folner_series(prefixes, S)[1].tolist() == [
+                len(brute_force_boundary(range(k), S, ring, range(5))) for k in (1, 2, 3, 5)]
+
+
 class TestRingAxioms:
     """Exact integer identities on enumerated prefixes, randomized, seeded."""
 
@@ -482,7 +528,7 @@ class TestLabelTables:
         # 3.1e6 spins have |F|_w = 9.93e18 > 2**63 - 1; refused before building
         with pytest.raises(InvalidInputError, match="exceeds"):
             FolnerSchedule.prefixes(SU2, [3_100_000])
-        with pytest.raises(InvalidInputError, match="exceeds"):
+        with pytest.raises(InvalidInputError, match="3100000 prefix steps.*limit of 5 s"):
             SU2.default_schedule(3_100_000)
         top = SU2_LABEL_BOUND - 1
         assert SU2.dim(top) ** 2 <= 2 ** 63 - 1 and not SU2.is_valid_label(top + 1)

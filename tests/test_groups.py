@@ -39,7 +39,7 @@ class TestEvaluation:
     def test_identity_maps_to_identity_matrix(self):
         for model in ALL_MODELS:
             e = model.identity()
-            for label in model.enumerate_dual(4):
+            for label in model.ring.enumerate_labels(4):
                 d = model.ring.dim(label)
                 assert np.allclose(model.irrep_matrix(label, e), np.eye(d), atol=1e-12)
 
@@ -65,7 +65,7 @@ class TestEvaluation:
     def test_character_at_identity_is_dimension(self):
         # counit value on characters
         for model in ALL_MODELS:
-            for label in model.enumerate_dual(5):
+            for label in model.ring.enumerate_labels(5):
                 value = model.character_value(label, model.identity())
                 assert abs(value - model.ring.dim(label)) < 1e-12
 
@@ -78,13 +78,13 @@ class TestEvaluation:
                 assert abs(model.character_value(label, g)) <= model.ring.dim(label) + 1e-10
 
     @pytest.mark.parametrize("model,labels", [
-        (TORUS2, TORUS2.enumerate_dual(81)),
+        (TORUS2, TORUS2.ring.enumerate_labels(81)),
         # the symmetric-power matrices are themselves off by up to 2e-8 at
         # n = 60, so the 1e-12 comparison stops where they still hold it
         (SU2, list(range(25))),
-        (S3, S3.enumerate_dual(10)),
-        (D4, D4.enumerate_dual(10)),
-        (Q8, Q8.enumerate_dual(10)),
+        (S3, S3.ring.enumerate_labels(10)),
+        (D4, D4.ring.enumerate_labels(10)),
+        (Q8, Q8.ring.enumerate_labels(10)),
         (get_model("finite:C5"), list(range(5))),
     ], ids=["torus2", "SU2", "S3", "D4", "Q8", "C5"])
     def test_batched_characters_are_irrep_traces(self, model, labels):
@@ -101,7 +101,7 @@ class TestEvaluation:
     @pytest.mark.parametrize("model", [CIRCLE, TORUS2, SU2, D4], ids=lambda m: m.name)
     def test_character_sums_do_not_depend_on_the_chunking(self, model, monkeypatch):
         rng = np.random.default_rng(47)
-        labels = model.enumerate_dual(40)
+        labels = model.ring.enumerate_labels(40)
         weighted = [(float(w), model.haar_sample(rng)) for w in rng.uniform(-1, 1, 30)]
         sums = model.character_sums(labels, weighted)
         table = model.characters(labels, [g for _, g in weighted])
@@ -109,6 +109,23 @@ class TestEvaluation:
         monkeypatch.setattr(groups, "_TABLE_ENTRIES", 7)  # tables of one element
         assert model.character_sums(labels, iter(weighted)).tolist() == sums.tolist()
         assert model.character_sums(labels[5:9], weighted).tolist() == sums[5:9].tolist()
+
+    @pytest.mark.parametrize("entries", [2**16, 7])
+    def test_su2_character_sums_run_one_recurrence(self, entries, monkeypatch):
+        rng = np.random.default_rng(53)
+        labels = list(range(0, 4000, 7)) + [3, 3]
+        weighted = [(w, SU2.haar_sample(rng)) for w in [*rng.uniform(-1, 1, 30), -0.0, 2j]]
+        one_by_one = np.zeros(len(labels), dtype=complex)
+        for w, g in weighted:
+            one_by_one += w * SU2.characters(labels, [g])[:, 0]
+        runs = []
+        recurrence = groups._chebyshev_rows
+        monkeypatch.setattr(groups, "_chebyshev_rows", lambda wanted, x, size: (
+            runs.append(len(x)) or recurrence(wanted, x, size)))
+        monkeypatch.setattr(groups, "_TABLE_ENTRIES", entries)  # blocks of 2048 or 1 rows
+        assert SU2.character_sums(labels, iter(weighted)).tobytes() == one_by_one.tobytes()
+        assert runs == [32]
+        assert SU2.character_sums(labels, []).tolist() == [0j] * len(labels) and runs == [32]
 
     def test_su2_characters_follow_the_weyl_formula_to_high_spin(self):
         rng = np.random.default_rng(43)
@@ -325,9 +342,9 @@ class TestLiteralsAndRegistry:
                 model.parse_element(bad)
 
     def test_enumerate_dual_examples(self):
-        assert CIRCLE.enumerate_dual(5) == [0, 1, -1, 2, -2]
-        assert S3.enumerate_dual(10) == [0, 1, 2]
-        assert SU2.enumerate_dual(4) == [0, 1, 2, 3]
+        assert CIRCLE.ring.enumerate_labels(5) == [0, 1, -1, 2, -2]
+        assert S3.ring.enumerate_labels(10) == [0, 1, 2]
+        assert SU2.ring.enumerate_labels(4) == [0, 1, 2, 3]
 
     def test_registry(self):
         ring, model = resolve("dualgroup:Z^d:2")

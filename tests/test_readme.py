@@ -28,3 +28,16 @@ def test_work_limit_and_unit_costs_are_the_guards():
     costs = dict(re.findall(r"^\| ([a-z ]+) \| (\S+) \|", table, re.M))
     assert float(limit) == fusion.MAX_WORK_S
     assert {unit: float(cost) for unit, cost in costs.items()} == fusion.COST_S
+
+
+def test_the_rules_a_ring_states_are_the_abstract_methods():
+    from peterweyl import FusionRing
+
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    rules = re.search(r"states seven rules, (.*?), and may restate", text).group(1)
+    assert set(re.findall(r"`(\w+)`", rules)) == FusionRing.__abstractmethods__
+    defaults = re.search(r"four that have defaults: (.*?)\. `Z\^d` restates", text).group(1)
+    named = re.findall(r"`(\w+)` \(", defaults)
+    assert named == ["trivial", "order_keys", "parse_table", "format_label"]
+    assert FusionRing.__abstractmethods__.isdisjoint(named)
+    assert all(hasattr(FusionRing, name) for name in named)
