@@ -25,13 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .fusion import FolnerSchedule, LatticeRing, reduce_along
+from .fusion import FolnerSchedule, LatticeRing, _check_size, reduce_along
 from .groups import CompactGroupModel, FiniteGroupModel, TorusModel
-
-# A dense dim x dim operator (16 bytes an entry) is built only on request,
-# by cesaro_operator, invariant_projection and FiniteDimRep.chi; one above
-# MAX_OPERATOR_ENTRIES (256 MB) is refused before it is allocated.
-MAX_OPERATOR_ENTRIES = 2**24
 
 
 @dataclass(eq=False)
@@ -58,11 +53,10 @@ class FiniteDimRep:
         return len(self.points)
 
     def operator(self, diagonal) -> np.ndarray:
-        """V diag(diagonal) V^H as a dim x dim complex matrix."""
-        if self.dim**2 > MAX_OPERATOR_ENTRIES:
-            raise InvalidInputError(
-                f"an operator of dimension {self.dim} would hold {self.dim**2} entries, "
-                f"above the limit of 2**24")
+        """V diag(diagonal) V^H as a dim x dim complex matrix, built only on
+        request (cesaro_operator, invariant_projection, chi); one above the
+        table limit of `fusion` (2**24 entries, 256 MB) is refused first."""
+        _check_size(self.dim**2, f"an operator of dimension {self.dim}")
         diagonal = np.asarray(diagonal, dtype=complex)
         if self.basis is None:
             return np.diag(diagonal)

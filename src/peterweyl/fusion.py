@@ -46,11 +46,12 @@ LABEL_BOUND = 2**62
 # the most entries one table may hold: a schedule's table and steps, a
 # schedule file's literals, the products of a boundary pass with S (and with
 # conj(S)), the terms an average sums (its term table for a prefix schedule,
-# each index step's rows, times the columns).  A boundary pass holds several
-# arrays of that size at once: `folner` on Z^3 boxes to radius 48 with three
-# generators, whose products (16,426,062 entries) just fit, peaks at 700 MB
-# of RSS in 2.1 s, radius 49 is refused; the sums of 2.7e6 labels at 6
-# columns, at 1.1 GB in 1.9 s (x86-64, numpy 2.4).
+# each index step's rows, times the columns), a dense operator of `ergodic`
+# (256 MB at the limit).  A boundary pass holds several arrays of that size
+# at once: `folner` on Z^3 boxes to radius 48 with three generators, whose
+# products (16,426,062 entries) just fit, peaks at 700 MB of RSS in 2.1 s,
+# radius 49 is refused; the sums of 2.7e6 labels at 6 columns, at 1.1 GB in
+# 1.9 s (x86-64, numpy 2.4).
 MAX_TABLE_ENTRIES = 2**24
 # a pass estimated at over MAX_WORK_S seconds is refused; * marks in-library runs (README)
 MAX_WORK_S = 5

@@ -174,7 +174,10 @@ class TorusModel(CompactGroupModel):
         kept as hi + lo, so its rounding does not grow with the label."""
         theta = np.angle(np.array(elements, dtype=complex)).reshape(len(elements), self.rank)
         hi, lo = _exact_phase(table.astype(float), theta)
-        return np.exp(1j * hi) * (1 + 1j * lo)
+        # exp(i hi) (1 + i lo), written in place
+        phase, factor = np.zeros(hi.shape, complex), np.ones(hi.shape, complex)
+        phase.imag, factor.imag = hi, lo
+        return np.multiply(np.exp(phase, out=phase), factor, out=phase)
 
     def haar_sample(self, rng):
         phases = np.exp(2j * np.pi * rng.random(self.rank))
@@ -223,20 +226,26 @@ def _exact_phase(n: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Dekker's product splits each angle into two 26-bit halves, so for
     integer |n| < 2^26 every product n_c theta_c is exact as a pair, and
     Knuth's two-sum keeps the error of adding the coordinates.  Everything
-    is elementwise, so no entry depends on the rest of the batch.
+    is elementwise, so no entry depends on the rest of the batch, and every
+    full-size step writes into one of six preallocated arrays.
     """
-    hi = np.zeros((len(n), len(theta)))
-    lo = np.zeros_like(hi)
+    hi, lo, total = (np.zeros((len(n), len(theta))) for _ in range(3))
+    prod, err, back = (np.empty_like(hi) for _ in range(3))
     for c in range(n.shape[1]):
         k, t = n[:, c, None], theta[None, :, c]
         big = 134217729.0 * t  # 2^27 + 1
         t_hi = big - (big - t)
-        prod = k * t
-        prod_lo = (k * t_hi - prod) + k * (t - t_hi)
-        total = hi + prod
-        back = total - hi
-        lo += prod_lo + ((hi - (total - back)) + (prod - back))
-        hi = total
+        np.multiply(k, t, out=prod)
+        # err = (k t_hi - prod) + k (t - t_hi), the rounding error of prod
+        np.subtract(np.multiply(k, t_hi, out=err), prod, out=err)
+        np.add(err, np.multiply(k, t - t_hi, out=back), out=err)
+        # two-sum of hi + prod: lo += err + ((hi - (total - back)) + (prod - back))
+        np.add(hi, prod, out=total)
+        np.subtract(total, hi, out=back)
+        np.subtract(prod, back, out=prod)
+        np.subtract(hi, np.subtract(total, back, out=back), out=back)
+        np.add(lo, np.add(err, np.add(back, prod, out=back), out=err), out=lo)
+        hi, total = total, hi
     return hi, lo
 
 

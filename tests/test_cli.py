@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peterweyl import InvalidInputError, get_ring, weighted_cardinality
-from peterweyl.cli import (EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, RunConfig,
-                           load_schedule, main, run)
+from peterweyl.cli import (EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, load_schedule,
+                           main)
 from peterweyl.fusion import MAX_WORK_S
 from peterweyl.groups import TorusModel
 
@@ -317,17 +317,22 @@ class TestErgodic:
                      "--out", str(tmp_path / "r.csv")]) == EXIT_OK
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1e-3"])
-    def test_bad_tolerance_env_var_is_validation_error(self, monkeypatch, capsys, value):
+    def test_bad_tolerance_env_var_is_validation_error(self, tmp_path, monkeypatch, capsys,
+                                                       value):
         monkeypatch.setenv("PETERWEYL_TOL", value)
-        assert main(["fusion", "--ring", "SU2", "--a", "1", "--b", "1"]) == EXIT_VALIDATION
+        spec = write_json(tmp_path / "rep.json", {"ring": "Z", "points": ["z:1,0"]})
+        assert main(["ergodic", "--rep", "point", "--spec", spec]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert ("not a number" if value == "abc" else "tolerance must be") in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-2"])
-    def test_bad_tolerance_option_is_validation_error(self, capsys, value):
-        assert main(["folner", "--ring", "Z", "--S", "1", "--steps", "2",
-                     "--tol", value]) == EXIT_VALIDATION
-        assert "Traceback" not in capsys.readouterr().err
+    def test_bad_tolerance_option_is_validation_error(self, tmp_path, capsys, value):
+        # the tolerance is checked before the spec is read
+        assert main(["ergodic", "--rep", "point", "--spec", str(tmp_path / "missing.json"),
+                     "--steps", "2", "--tol", value]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "tolerance must be finite and positive" in err and "Traceback" not in err
 
     def test_gns_full_dual_is_exact(self, tmp_path):
         spec = write_json(
@@ -457,6 +462,42 @@ class TestUsageErrors:
         assert main(["wiener", "--kind", "energy", "--measure", measure,
                      "--schedule", "spins"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("argv", [
+        ["fusion", "--ring", "Z", "--a", "1", "--b", "2", "--steps", "3"],
+        ["fusion", "--ring", "Z", "--a", "1", "--b", "2", "--tol", "1"],
+        ["folner", "--ring", "Z", "--S", "1", "--tol", "1"],
+        ["wiener", "--kind", "energy", "--measure", "m.json", "--tol", "1"],
+    ], ids=["fusion-steps", "fusion-tol", "folner-tol", "wiener-tol"])
+    def test_an_option_the_subcommand_does_not_read_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage: peterweyl")
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be opened is a validation error, not a traceback."""
+
+    def _refused(self, capsys, argv):
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_out(self, tmp_path, capsys, target):
+        out = tmp_path if target == "directory" else tmp_path / "no" / "x.csv"
+        self._refused(capsys, ["folner", "--ring", "Z", "--S", "1", "--steps", "3",
+                               "--out", str(out)])
+
+    def test_gnuplot(self, tmp_path, capsys):
+        self._refused(capsys, ["folner", "--ring", "Z", "--S", "1", "--steps", "3",
+                               "--out", str(tmp_path / "f.csv"), "--gnuplot", str(tmp_path)])
+
+    def test_emit_canonical(self, tmp_path, capsys):
+        measure = write_json(tmp_path / "m.json", haar_measure_doc())
+        out = tmp_path / "w.csv"
+        self._refused(capsys, ["wiener", "--kind", "energy", "--measure", measure,
+                               "--emit-canonical", str(tmp_path), "--out", str(out)])
+        assert not out.exists()
+
 
 class TestWorkGuards:
     """Inputs that pass every size guard but would run for hours exit 2 at once."""
@@ -544,12 +585,11 @@ class TestWorkGuards:
         assert "17604000 entries" in err and "2**24" in err
 
 
-class TestRunConfigApi:
-    def test_run_directly(self, tmp_path):
+class TestEntryPoints:
+    def test_main_directly(self, tmp_path):
         out = tmp_path / "out.csv"
-        config = RunConfig(subcommand="folner", ring="Z", s_labels="1", steps=4,
-                           out=str(out))
-        assert run(config) == EXIT_OK
+        assert main(["folner", "--ring", "Z", "--S", "1", "--steps", "4",
+                     "--out", str(out)]) == EXIT_OK
         _, rows = read_csv(out)
         assert [float(r[3]) for r in rows] == [2 / 3, 2 / 5, 2 / 7, 2 / 9]
 

@@ -153,13 +153,16 @@ def _invocations(draw, files, ring_id, clean):
         argv += _option(draw, clean, "--spec", st.just(files["spec"]))
         if draw(st.booleans()):
             argv += ["--labels", draw(st.lists(label, min_size=1, max_size=2).map(";".join))]
-    if draw(st.booleans()):
+    # a clean call passes only the options its subcommand reads; any other
+    # call may pass them anywhere, which is a usage error
+    scheduled, tolerant = not clean or sub != "fusion", not clean or sub == "ergodic"
+    if scheduled and draw(st.booleans()):
         argv += ["--steps", draw(pick(st.integers(1, 6).map(str),
                                       st.integers(-2, 0).map(str) | st.text(max_size=4)))]
-    if draw(st.booleans()):
+    if tolerant and draw(st.booleans()):
         argv += ["--tol", draw(pick(st.sampled_from(["1e-9", "1e-3", "1"]),
                                     st.sampled_from(["0", "-1", "nan", "inf", "x"])))]
-    if draw(st.booleans()):
+    if scheduled and draw(st.booleans()):
         argv += ["--schedule", draw(pick(st.sampled_from([files["schedule"], "default"]),
                                          st.sampled_from(["boxes", "spins", "full", "x.json"])))]
     argv += ["--out", files["out"]]

@@ -1,6 +1,7 @@
 """Group models: unitarity, homomorphism, characters, Schur orthogonality."""
 
 import cmath
+import math
 import time
 
 import numpy as np
@@ -127,6 +128,31 @@ class TestEvaluation:
         assert runs == [32]
         assert SU2.character_sums(labels, []).tolist() == [0j] * len(labels) and runs == [32]
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_torus_characters_equal_the_plain_two_sum_expressions(self, rank):
+        # the in-place table against the same arithmetic written as plain
+        # expressions: equal to the bit, signed-zero angles and label 0 included
+        rng = np.random.default_rng(59 + rank)
+        model = groups.TorusModel(rank)
+        table = rng.integers(-3000, 3000, size=(300, rank))
+        table[:3] = 0
+        z = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(61, rank)))
+        z[:2], z[2:4], z[4] = 1, complex(1, -0.0), -1
+        elements = [row[0] if rank == 1 else tuple(row) for row in z.tolist()]
+        theta = np.angle(z)
+        assert np.signbit(theta[2:4]).all()
+        hi, lo = np.zeros((len(table), len(theta))), 0.0
+        for c in range(rank):
+            k, t = table[:, c, None].astype(float), theta[None, :, c]
+            t_hi = 134217729.0 * t - (134217729.0 * t - t)
+            prod = k * t
+            total = hi + prod
+            back = total - hi
+            lo += ((k * t_hi - prod) + k * (t - t_hi)) + ((hi - (total - back)) + (prod - back))
+            hi = total
+        got = model.characters(table, elements)
+        assert got.tobytes() == (np.exp(1j * hi) * (1 + 1j * lo)).tobytes()
+
     def test_su2_characters_follow_the_weyl_formula_to_high_spin(self):
         rng = np.random.default_rng(43)
         elements = [SU2.haar_sample(rng) for _ in range(20)]
@@ -226,33 +252,49 @@ class TestModelInvariants:
                 assert abs(inv_val - lhs) < 1e-10
 
 
-def test_schur_orthogonality_monte_carlo():
-    """Sample means of u^a_ij conj(u^b_kl) over 1e5 Haar points sit within
-    5 standard errors of the orthogonality values delta/d."""
-    rng = np.random.default_rng(123)
-    n_samples = 100_000
-    sum_11 = np.zeros((2, 2, 2, 2), dtype=complex)
-    sq_11 = np.zeros((2, 2, 2, 2))
-    sum_12 = np.zeros((2, 2, 3, 3), dtype=complex)
-    sq_12 = np.zeros((2, 2, 3, 3))
-    for _ in range(n_samples):
-        g = SU2.haar_sample(rng)
-        u1 = SU2.irrep_matrix(1, g)
-        u2 = SU2.irrep_matrix(2, g)
-        p11 = np.einsum("ij,kl->ijkl", u1, u1.conj())
-        p12 = np.einsum("ij,kl->ijkl", u1, u2.conj())
-        sum_11 += p11
-        sq_11 += np.abs(p11) ** 2
-        sum_12 += p12
-        sq_12 += np.abs(p12) ** 2
-    mean_11 = sum_11 / n_samples
-    mean_12 = sum_12 / n_samples
-    se_11 = np.sqrt(np.maximum(sq_11 / n_samples - np.abs(mean_11) ** 2, 0) / n_samples)
-    se_12 = np.sqrt(np.maximum(sq_12 / n_samples - np.abs(mean_12) ** 2, 0) / n_samples)
-    eye2 = np.eye(2)
-    target = np.einsum("ik,jl->ijkl", eye2, eye2) / 2
-    assert np.all(np.abs(mean_11 - target) <= 5 * se_11 + 1e-12)
-    assert np.all(np.abs(mean_12) <= 5 * se_12 + 1e-12)
+def test_schur_orthogonality_by_exact_quadrature():
+    """The Haar integral of u^a_ij conj(u^b_kl) is delta_ab delta_ik delta_jl / d_a
+    to 1e-12 for every index pair of every label pair up to L = 24.
+
+    Every element is T(phi) R(beta) T(psi), T(phi) = diag(e^{i phi}, e^{-i phi})
+    and R(beta) the real rotation by beta in [0, pi/2]; Haar measure makes phi,
+    psi uniform and x = cos 2 beta uniform on [-1, 1].  By the homomorphism
+    property (checked at sample nodes) the integral factorises into two torus
+    averages, exact on 2L + 2 uniform nodes since the torus images are diagonal
+    with frequencies below 2L + 1, and an integral over x.  Where the torus
+    averages are nonzero the x-integrand is a polynomial of degree (a + b) / 2,
+    exact on L // 2 + 1 Gauss-Legendre nodes (Kostelec and Rockmore, "FFTs on
+    the rotation group", 2008).  Labels above 24 wait for accurate irrep
+    matrices at large labels (`_sym_power` loses unitarity there).
+    """
+    L = 24
+    phis = 2 * np.pi * np.arange(2 * L + 2) / (2 * L + 2)
+    x, weights = np.polynomial.legendre.leggauss(L // 2 + 1)
+    betas = np.arccos(x) / 2
+    tori = [(cmath.exp(1j * phi), 0j) for phi in phis]
+    rotations = [(complex(math.cos(beta)), complex(-math.sin(beta))) for beta in betas]
+    diagonals, blocks = [], []
+    for a in range(L + 1):
+        torus = np.array([SU2.irrep_matrix(a, t) for t in tori])
+        assert np.all(torus * (1 - np.eye(a + 1)) == 0)
+        diagonals.append(np.diagonal(torus, axis1=1, axis2=2))
+        blocks.append(np.array([SU2.irrep_matrix(a, r) for r in rotations]))
+        for t, r, u in [(1, 0, 3), (5, 12, 40), (49, 7, 2)]:
+            g = SU2.multiply(SU2.multiply(tori[t], rotations[r]), tori[u])
+            factors = torus[t] @ blocks[a][r] @ torus[u]
+            assert np.max(np.abs(SU2.irrep_matrix(a, g) - factors)) < 1e-12
+    worst = 0.0
+    for a in range(L + 1):
+        for b in range(L + 1):
+            torus = diagonals[a].T @ diagonals[b].conj() / len(phis)  # [i, k]
+            rotation = ((blocks[a].reshape(len(x), -1).T * weights / 2)
+                        @ blocks[b].reshape(len(x), -1).conj()).reshape(a + 1, a + 1, b + 1, b + 1)
+            integral = torus[:, None, :, None] * rotation * torus[None, :, None, :]
+            expected = np.zeros_like(integral)
+            if a == b:
+                expected = np.einsum("ik,jl->ijkl", np.eye(a + 1), np.eye(a + 1)) / (a + 1)
+            worst = max(worst, np.max(np.abs(integral - expected)))
+    assert worst < 1e-12
 
 
 class TestSampling:

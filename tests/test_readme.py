@@ -41,3 +41,19 @@ def test_the_rules_a_ring_states_are_the_abstract_methods():
     assert named == ["trivial", "order_keys", "parse_table", "format_label"]
     assert FusionRing.__abstractmethods__.isdisjoint(named)
     assert all(hasattr(FusionRing, name) for name in named)
+
+
+def test_the_options_of_each_subcommand_are_the_parser_s():
+    import argparse
+
+    from peterweyl import cli
+
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("\n## ")[0]
+    listed = {name: re.findall(r"`(--[\w-]+)`", options)
+              for name, options in re.findall(r"^- `(\w+)`: (.*)$", section, re.M)}
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    declared = {name: [option for action in parser._actions for option in action.option_strings
+                       if option.startswith("--") and option != "--help"]
+                for name, parser in subparsers.choices.items()}
+    assert listed == declared
