@@ -7,19 +7,19 @@ tolerance).  Outputs are byte-identical across runs for a fixed config.
 Each subparser binds its handler and declares only the options it reads.
 Only `errors` and `fusion` load with this module; each handler imports the
 modules it runs, so `fusion` and `folner` calls load nothing else (but
-`groups` for a finite dual).
+`groups` for a finite dual), and only calls that read or write JSON load
+`json`.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import operator
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -81,6 +81,8 @@ def load_schedule(ring: FusionRing, spec: str | None, steps: int) -> FolnerSched
 
 
 def _load_json(path: str):
+    import json
+
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -108,21 +110,22 @@ def _open_out(path: str | None):
 def _write_tables(args: argparse.Namespace, header: list[str], columns):
     """The columns as CSV (floats by repr), and with --gnuplot the same rows
     space-separated under a commented header; a non-finite float is a
-    ConsistencyError before any output is opened."""
+    ConsistencyError before any output is opened, and every output is
+    opened before a row is written to any."""
     columns = [np.asarray(column) for column in columns]
     for column in columns:
         if column.dtype.kind == "f" and not np.isfinite(column).all():
             value = column[~np.isfinite(column)][0].item()
             raise ConsistencyError(f"non-finite value {value!r} in the output")
     rows = list(zip(*(column.tolist() for column in columns)))
-    with _open_out(args.out) as fh:
+    plot = nullcontext() if args.gnuplot is None else _open_out(args.gnuplot)
+    with _open_out(args.out) as fh, plot as plot_fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    if args.gnuplot is not None:
-        with _open_out(args.gnuplot) as fh:
-            fh.write("# " + " ".join(header) + "\n")
-            csv.writer(fh, delimiter=" ", lineterminator="\n").writerows(rows)
+        if plot_fh is not None:
+            plot_fh.write("# " + " ".join(header) + "\n")
+            csv.writer(plot_fh, delimiter=" ", lineterminator="\n").writerows(rows)
 
 
 def _run_fusion(args: argparse.Namespace) -> int:
@@ -160,10 +163,6 @@ def _run_wiener(args: argparse.Namespace) -> int:
         )
     if not total_mass(mu) > 0:
         raise InvalidInputError("measure must have positive total mass")
-    if args.emit_canonical is not None:
-        with _open_out(args.emit_canonical) as fh:
-            json.dump(measure_to_json(mu), fh, indent=2, sort_keys=True)
-            fh.write("\n")
     ring = mu.model.ring
     at = None
     if args.kind == "atom":
@@ -172,6 +171,13 @@ def _run_wiener(args: argparse.Namespace) -> int:
         at = mu.model.parse_element(args.at)
     schedule = load_schedule(ring, args.schedule, args.steps)
     series = run_series(args.kind, mu, schedule, at=at, with_target=args.ground_truth)
+    if args.emit_canonical is not None:
+        # written once the series has run, so a refused run leaves no file
+        import json
+
+        with _open_out(args.emit_canonical) as fh:
+            json.dump(measure_to_json(mu), fh, indent=2, sort_keys=True)
+            fh.write("\n")
     values = series.values
     header = ["step", "wcard", "value_re", "value_im"]
     columns = [np.arange(1, len(values) + 1), series.weighted_cardinalities,

@@ -101,12 +101,13 @@ class FusionRing(ABC):
     - ``conj(a)`` and ``fuse(a, b)`` (the one-label case of `products`, as
       ``_fused``).
 
-    Four have defaults, which a subclass may restate: ``trivial``, the first
-    label of ``first_table(1)``; ``order_keys(table)``, the `np.lexsort`
-    keys of the ring's total order (primary key last), lexicographic;
-    ``parse_table(literals)``, label literals read into a checked table, by
-    default rank-1 ints, ``irrep_names`` or strings read by int(); and
-    ``format_label(a)``, the components joined by ','.
+    Three have defaults, which a subclass may restate: ``trivial``, the
+    first label of ``first_table(1)``; ``order_keys(table)``, the
+    `np.lexsort` keys of the ring's total order (primary key last),
+    lexicographic; and ``format_label(a)``, the components joined by ','.
+    Every ring reads label literals with one grammar (``parse_table``); a
+    ring names its literals' prefix and its irreps in ``literal_prefix`` and
+    ``irrep_names``.
     """
 
     name: str = "ring"
@@ -116,6 +117,8 @@ class FusionRing(ABC):
     rank: int = 1
     # label literals that name the labels 0, 1, ... (rank 1)
     irrep_names: tuple[str, ...] = ()
+    # an optional prefix of a string literal, such as "w:" in "w:1,-2"
+    literal_prefix: str = ""
 
     @abstractmethod
     def conj(self, label: Label) -> Label: ...
@@ -220,9 +223,7 @@ class FusionRing(ABC):
 
     def _one(self, label) -> Label:
         """The label checked, as a Python int or int tuple."""
-        self._label_row(label)
-        parts = tuple(map(int, self._parts(label)))
-        return parts[0] if self.rank == 1 else parts
+        return self.labels_of(self._label_row(label))[0]
 
     def dim(self, label: Label) -> int:
         return int(self.dims_of(self._label_row(label))[0])
@@ -254,17 +255,18 @@ class FusionRing(ABC):
     def parse_label(self, literal) -> Label:
         return self.labels_of(self.parse_table([literal]))[0]
 
-    def _decimal_table(self, texts: list[str], prefix: str = "") -> np.ndarray | None:
+    def _decimal_table(self, texts: list[str]) -> np.ndarray | None:
         """The unchecked (m, rank) table of m > 1 canonical literals, or None
         when one is not canonical.  A canonical literal is ASCII: an optional
-        `prefix`, then `rank` components -?[0-9]{1,18} (each fits in int64,
-        and int() reads the same value) separated by ',' or ';'.  The batch
-        is joined, scanned in numpy and read by one np.fromstring, with no
-        Python work per literal.  One literal (`parse_label`) is left to
+        `literal_prefix`, then `rank` components -?[0-9]{1,18} (each fits in
+        int64, and int() reads the same value) separated by ',' or ';'.  The
+        batch is joined, scanned in numpy and read by one np.fromstring, with
+        no Python work per literal.  One literal (`parse_label`) is left to
         int(), which reads it faster than numpy's per-call costs."""
         if len(texts) < 2:
             return None
         text = "\n".join(texts)
+        prefix = self.literal_prefix
         if prefix:
             # a literal's prefix follows a line break (none is inside a literal: checked next)
             text = text.replace("\n" + prefix, "\n").removeprefix(prefix)
@@ -288,28 +290,58 @@ class FusionRing(ABC):
         return values.reshape(len(texts), self.rank)
 
     def parse_table(self, literals) -> np.ndarray:
-        """Rank-1 literals: ints (not bool), irrep names, or strings read by
-        int(); strings, none of them a name, are read at once when all of
-        them are canonical (`_decimal_table`)."""
+        """Label literals into a checked (n, rank) table: irrep names, ints
+        at rank 1 and lists of int components (not bool, not float), and
+        strings such as "3", "1;-2" or "w:1,-2" (`_split_ints`)."""
         literals = list(literals)
-        _check_size(len(literals), "a label table")
+        _check_size(len(literals) * self.rank, "a label table")
         names = self.irrep_names
-        if set(map(type, literals)) == {str} and set(names).isdisjoint(literals):
-            table = self._decimal_table(literals)
-            if table is not None:
-                return self._checked(table, literals)
-        parts = []
-        for x in literals:
-            if isinstance(x, str):
-                if x in names:
-                    x = names.index(x)
-                else:
-                    try:
-                        x = int(x)
-                    except ValueError:
-                        x = None
-            parts.append((x,) if _is_int(x) else None)
-        return self._table(parts, literals)
+        # a schedule file's batch, read without a loop over its literals
+        if set(map(type, literals)) <= {str} and set(names).isdisjoint(literals):
+            return self._split_ints(literals)
+        is_text = np.array([isinstance(x, str) and x not in names for x in literals], dtype=bool)
+        others = [literals[i] for i in np.flatnonzero(~is_text).tolist()]
+        rows = np.empty((len(literals), self.rank), dtype=np.int64)
+        rows[~is_text] = self._table(
+            [(names.index(x),) if isinstance(x, str)
+             else self._parts(tuple(x) if isinstance(x, list) else x) for x in others], others)
+        rows[is_text] = self._split_ints([literals[i] for i in np.flatnonzero(is_text).tolist()])
+        return rows
+
+    def _split_ints(self, texts: list[str]) -> np.ndarray:
+        """String literals to a checked (m, rank) table, each maybe after
+        the ring's `literal_prefix`: at once when all of them are canonical
+        (`_decimal_table`), else by one join and split over all of them and
+        int() on every part.  A literal of rank 1 with no ',' or ';' reaches
+        int() whole."""
+        if not texts:
+            return np.zeros((0, self.rank), dtype=np.int64)
+        table = self._decimal_table(texts)
+        if table is not None:
+            return self._checked(table, texts)
+        bare = map(str.removeprefix, texts, repeat(self.literal_prefix))
+        parts = ",".join(bare).replace(";", ",").split(",")
+        pieces = np.array([t.count(",") + t.count(";") + 1 for t in texts], dtype=np.int64)
+        if np.any(pieces != self.rank):
+            # empty or blank parts are skipped; with the right number of
+            # parts, int() rejects them
+            parts = [p.strip() for p in parts]
+            filled = np.array([p != "" for p in parts], dtype=np.int64)
+            counts = np.add.reduceat(filled, np.cumsum(pieces) - pieces)
+            wrong = np.flatnonzero(counts != self.rank)
+            if wrong.size:
+                raise InvalidInputError(f"{texts[wrong[0]]!r} does not have the {self.rank} "
+                                        f"components of a label of ring {self.name}")
+            parts = [p for p in parts if p]
+        try:
+            values = np.array(list(map(int, parts)), dtype=np.int64)
+        except ValueError as exc:
+            raise InvalidInputError(
+                f"cannot parse a label literal of ring {self.name}: {exc}") from exc
+        except OverflowError as exc:
+            raise InvalidInputError(
+                f"label components of ring {self.name} must be below 2**62 in modulus") from exc
+        return self._checked(values.reshape(len(texts), self.rank), texts)
 
     def format_label(self, label: Label) -> str:
         return str(label) if self.rank == 1 else ",".join(map(str, label))
@@ -540,6 +572,7 @@ class LatticeRing(FusionRing):
     """
 
     schedule_name = "boxes"
+    literal_prefix = "w:"
 
     def __init__(self, rank: int = 1, name: str | None = None):
         if rank < 1:
@@ -602,56 +635,6 @@ class LatticeRing(FusionRing):
         if self.rank == 1:
             return [1]
         return [tuple(int(i == j) for i in range(self.rank)) for j in range(self.rank)]
-
-    def parse_table(self, literals):
-        """Strings such as "w:1,-2", "1;-2" or "3" (components split on ','
-        or ';', empty parts skipped, each part read by int(); read at once
-        when every string is canonical), ints at rank 1 and lists of int
-        components (not bool, not float)."""
-        literals = list(literals)
-        _check_size(len(literals) * self.rank, "a label table")
-        if set(map(type, literals)) <= {str}:
-            return self._split_ints(literals)
-        is_text = np.array([isinstance(x, str) for x in literals], dtype=bool)
-        others = [literals[i] for i in np.flatnonzero(~is_text).tolist()]
-        rows = np.empty((len(literals), self.rank), dtype=np.int64)
-        rows[~is_text] = self._table(
-            [self._parts(tuple(x) if isinstance(x, list) else x) for x in others], others)
-        rows[is_text] = self._split_ints([x for x in literals if isinstance(x, str)])
-        return rows
-
-    def _split_ints(self, texts: list[str]) -> np.ndarray:
-        """String literals to a checked (m, rank) table, each without a
-        leading "w:": at once when all of them are canonical
-        (`_decimal_table`), else by one join and split over all of them and
-        int() on every part."""
-        if not texts:
-            return np.zeros((0, self.rank), dtype=np.int64)
-        table = self._decimal_table(texts, prefix="w:")
-        if table is not None:
-            return self._checked(table, texts)
-        parts = ",".join(map(str.removeprefix, texts, repeat("w:"))).replace(";", ",").split(",")
-        pieces = np.array([t.count(",") + t.count(";") + 1 for t in texts], dtype=np.int64)
-        if np.any(pieces != self.rank):
-            # empty or blank parts are skipped; with the right number of
-            # parts, int() rejects them
-            parts = [p.strip() for p in parts]
-            filled = np.array([p != "" for p in parts], dtype=np.int64)
-            counts = np.add.reduceat(filled, np.cumsum(pieces) - pieces)
-            wrong = np.flatnonzero(counts != self.rank)
-            if wrong.size:
-                raise InvalidInputError(f"{texts[wrong[0]]!r} does not have the {self.rank} "
-                                        f"components of a label of ring {self.name}")
-            parts = [p for p in parts if p]
-        try:
-            values = np.array(list(map(int, parts)), dtype=np.int64)
-        except ValueError as exc:
-            raise InvalidInputError(
-                f"cannot parse a label literal of ring {self.name}: {exc}") from exc
-        except OverflowError as exc:
-            raise InvalidInputError(
-                f"label components of ring {self.name} must be below 2**62 in modulus") from exc
-        return self._checked(values.reshape(len(texts), self.rank), texts)
 
 
 # labels n of SU(2) stay below this, so dim(n)^2 = (n+1)^2 fits in int64

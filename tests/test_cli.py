@@ -441,9 +441,13 @@ class TestFusionCommand:
         ]
 
     def test_su2_clebsch_gordan(self, capsys):
-        assert main(["fusion", "--ring", "SU2", "--a", "2", "--b", "3"]) == EXIT_OK
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines == ["label,multiplicity,dim", "1,1,2", "3,1,4", "5,1,6"]
+        # empty parts of a literal are skipped, on SU2 as on Z^d
+        for a in ("2", "2,", ";2"):
+            assert main(["fusion", "--ring", "SU2", "--a", a, "--b", "3"]) == EXIT_OK
+            lines = capsys.readouterr().out.strip().splitlines()
+            assert lines == ["label,multiplicity,dim", "1,1,2", "3,1,4", "5,1,6"]
+        assert main(["fusion", "--ring", "SU2", "--a", "2;4", "--b", "3"]) == EXIT_VALIDATION
+        assert "does not have the 1 components" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -497,6 +501,23 @@ class TestUnwritableOutput:
         self._refused(capsys, ["wiener", "--kind", "energy", "--measure", measure,
                                "--emit-canonical", str(tmp_path), "--out", str(out)])
         assert not out.exists()
+
+    def test_a_refused_gnuplot_leaves_no_table(self, tmp_path, capsys):
+        # the --out file sits in the directory given as --gnuplot
+        out = tmp_path / "gp" / "f.csv"
+        out.parent.mkdir()
+        self._refused(capsys, ["folner", "--ring", "Z", "--S", "1", "--steps", "3",
+                               "--out", str(out), "--gnuplot", str(out.parent)])
+        assert not out.exists() or out.read_text() == ""
+
+    def test_a_refused_series_leaves_no_canonical_measure(self, tmp_path, capsys):
+        measure = write_json(tmp_path / "m.json", haar_measure_doc())
+        canonical = tmp_path / "canon.json"
+        assert main(["wiener", "--kind", "energy", "--measure", measure, "--steps", "3000000",
+                     "--emit-canonical", str(canonical),
+                     "--out", str(tmp_path / "w.csv")]) == EXIT_VALIDATION
+        assert ABOVE_THE_WORK_LIMIT in capsys.readouterr().err
+        assert not canonical.exists() and not (tmp_path / "w.csv").exists()
 
 
 class TestWorkGuards:

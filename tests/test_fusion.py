@@ -37,6 +37,9 @@ C5 = get_ring("finite:C5")
 C12 = get_ring("finite:C12")
 
 FINITE_RINGS = [S3, D4, Q8, C5, C12]
+# a finite dual whose irreps are named "1" and "0"
+SWAPPED = fusion.FiniteDualRing("swapped", ("1", "0"), get_ring("finite:C2").dims,
+                                get_ring("finite:C2").fusion)
 
 
 def brute_force_boundary(F, S, ring, prefix):
@@ -677,8 +680,11 @@ class TestLabelTables:
             [1, -2], [3, 4], [5, 6], [7, 8], [30, 0]]
         assert Z.parse_table([3, "w:-4", " 5 ", "6,"]).tolist() == [[3], [-4], [5], [6]]
         assert D4.parse_table(["twodim", 0, "3"]).tolist() == [[4], [0], [3]]
+        # every ring skips empty parts
+        assert SU2.parse_table(["3,", ";3", 4, " 5 "]).tolist() == [[3], [3], [4], [5]]
         for ring, bad in [(Z2, ["1,2", "1,2,3"]), (Z2, ["1,2", " w:1,2"]), (Z2, ["w:1;x"]),
-                          (Z, ["1", 2.0]), (SU2, ["1", "-1"]), (D4, ["twodim", "5"])]:
+                          (Z, ["1", 2.0]), (SU2, ["1", "-1"]), (SU2, ["3;4"]), (SU2, ["w:3"]),
+                          (D4, ["twodim", "5"])]:
             with pytest.raises(InvalidInputError):
                 ring.parse_table(bad)
 
@@ -872,12 +878,9 @@ class TestCanonicalLiterals:
             assert "does not have" in message and message == _int_outcome(ring, batch)
 
     def test_irrep_names_come_before_decimals(self):
-        # a finite dual whose irreps are named "1" and "0"
-        C2 = get_ring("finite:C2")
-        swapped = fusion.FiniteDualRing("swapped", ("1", "0"), C2.dims, C2.fusion)
         for batch in (["0", "1", "0"], ["0", "007"]):
-            assert _outcome(swapped, batch) == _int_outcome(swapped, batch)
-        assert swapped.parse_table(["0", "1", "0"]).tolist() == [[1], [0], [1]]
+            assert _outcome(SWAPPED, batch) == _int_outcome(SWAPPED, batch)
+        assert SWAPPED.parse_table(["0", "1", "0"]).tolist() == [[1], [0], [1]]
 
     @pytest.mark.parametrize("ring_id, canonical, odd", [
         ("Z", ["w:-3", "4", "-0"], " 5"),
@@ -885,24 +888,76 @@ class TestCanonicalLiterals:
         ("Z^d:3", ["1,2,3", "w:-1;0;" + "9" * 18], "+1,2,3"),
         ("SU2", ["0", "17", "007"], "3_0"),
         ("finite:D4", ["0", "4", "2"], "twodim"),
+        ("finite:D4", ["0", "4", "2"], " 3"),
     ])
     def test_which_path_a_batch_takes(self, monkeypatch, ring_id, canonical, odd):
         ring = get_ring(ring_id)
+        # an irrep name is read apart, and the decimals beside it in one pass
+        odd_path = "numpy" if odd in ring.irrep_names else "int()"
         expected = ring.parse_table(canonical).tolist()
+        paths = []
+        decimal_table = FusionRing._decimal_table
 
-        def refuse(*args):
-            raise AssertionError("the int() path was taken")
+        def spy(self, texts):
+            # the strings of a batch go to int() exactly when they are not all canonical
+            table = decimal_table(self, texts)
+            paths.append("int()" if table is None else "numpy")
+            return table
 
-        # the int() path calls the module's int on every part
-        monkeypatch.setattr(fusion, "int", refuse, raising=False)
-        assert ring.parse_table(canonical).tolist() == expected
-        with pytest.raises(AssertionError, match="int\\(\\) path"):
-            ring.parse_table(canonical + [odd])
-        # so does a single literal, which int() reads faster
-        with pytest.raises(AssertionError, match="int\\(\\) path"):
-            ring.parse_label(canonical[0])
-        monkeypatch.undo()
+        monkeypatch.setattr(FusionRing, "_decimal_table", spy)
+        assert ring.parse_table(canonical).tolist() == expected and paths == ["numpy"]
         assert ring.parse_table(canonical + [odd]).tolist()[:-1] == expected
+        assert paths[1:] == [odd_path]
+        # a single literal goes to int(), which reads it faster
+        assert ring.parse_label(canonical[0]) == ring.labels_of(np.array([expected[0]]))[0]
+        assert paths[2:] == ["int()"]
+
+
+def _rank1_reference(ring, literals):
+    """The rank-1 reader before every ring shared the lattice's grammar:
+    ints (not bool), irrep names, and strings read by int() whole; the
+    table as a list of rows, or None when it refuses the batch."""
+    rows = []
+    for x in literals:
+        if isinstance(x, str):
+            if x in ring.irrep_names:
+                x = ring.irrep_names.index(x)
+            else:
+                try:
+                    x = int(x)
+                except ValueError:
+                    return None
+        if not (fusion._is_int(x) and ring.is_valid_label(x)):
+            return None
+        rows.append([int(x)])
+    return rows
+
+
+_RANK1_ODD = (
+    st.integers(-3, 3000) | st.integers() | st.booleans() | st.floats(-2, 2)
+    | st.sampled_from(["sign_s", "w:1", "3,", ";3", "3;4"] + EDGE_COMPONENTS)
+    | st.text(alphabet="0123456789 +-_,;\n\u0661\u2003", max_size=6)
+    | st.integers(-10 ** 20, 10 ** 20).map(str)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), ring=st.sampled_from([SU2, D4, SWAPPED]))
+def test_every_literal_the_rank1_reference_reads_reads_the_same(data, ring):
+    # literals of labels 0 and 1, which each ring reads, and maybe one from anywhere
+    literals = data.draw(st.lists(st.sampled_from(
+        [0, 1, "0", "1", " 1 ", "+1", "0_1", "\u0661", "001", "\n0", *ring.irrep_names]),
+        min_size=1, max_size=6))
+    if data.draw(st.booleans()):
+        literals.insert(data.draw(st.integers(0, len(literals))), data.draw(_RANK1_ODD))
+    reference = _rank1_reference(ring, literals)
+    outcome = _outcome(ring, literals)
+    if reference is not None:
+        assert outcome == reference
+    elif not isinstance(outcome, str):
+        # the reader accepts more only by skipping empty parts
+        assert any(isinstance(x, str) and x not in ring.irrep_names and (set(x) & set(",;"))
+                   for x in literals)
 
 
 CSR_LABELS = {

@@ -297,6 +297,41 @@ def test_schur_orthogonality_by_exact_quadrature():
     assert worst < 1e-12
 
 
+def _character_quadrature(ring_id: str):
+    """(model, labels, elements, weights) of a rule that integrates every
+    product chi_a conj(chi_b) of the labels exactly against Haar measure."""
+    model = get_model(ring_id)
+    if ring_id == "SU2":
+        # Weyl's formula in x = Re a: chi_n = U_n(x) against (2 / pi) sqrt(1 - x^2) dx,
+        # exact on 1001 Gauss-Chebyshev nodes of the second kind up to degree 2001
+        theta = np.arange(1, 1002) * np.pi / 1002
+        elements = [(complex(math.cos(t), math.sin(t)), 0j) for t in theta]
+        return model, list(range(1001)), elements, 2 / 1002 * np.sin(theta) ** 2
+    if ring_id == "Z":
+        # z^(a - b) with |a - b| <= 2000 averages to delta_ab on 2001 roots of unity
+        return (model, list(range(-1000, 1001)),
+                [cmath.exp(2j * np.pi * k / 2001) for k in range(2001)], np.full(2001, 1 / 2001))
+    if ring_id == "Z^d:2":
+        circle = [cmath.exp(2j * np.pi * k / 41) for k in range(41)]
+        return (model, sorted(model.ring.box(10)), [(z, w) for z in circle for w in circle],
+                np.full(41 ** 2, 1 / 41 ** 2))
+    return (model, sorted(model.ring.full_dual()), model.elements(),
+            np.full(model.order, 1 / model.order))
+
+
+@pytest.mark.parametrize("ring_id", ["SU2", "Z", "Z^d:2"] + [f"finite:{name}"
+                                                             for name in groups._FINITE_NAMES])
+def test_character_orthogonality_by_exact_quadrature(ring_id):
+    """The Haar integral of chi_a conj(chi_b) is delta_ab to 1e-12: SU(2)
+    labels 0..1000, Z labels up to |n| = 1000 and Z^2 labels up to |n| = 10
+    on uniform grids, and every irrep of every shipped finite group by the
+    exact sum over its elements.  The rules use only `model.characters`."""
+    model, labels, elements, weights = _character_quadrature(ring_id)
+    chi = model.characters(labels, elements)
+    gram = (chi * weights) @ chi.conj().T
+    assert np.max(np.abs(gram - np.eye(len(labels)))) < 1e-12
+
+
 class TestSampling:
     def test_haar_deterministic_per_seed(self):
         for model in ALL_MODELS:

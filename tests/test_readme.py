@@ -31,16 +31,21 @@ def test_work_limit_and_unit_costs_are_the_guards():
 
 
 def test_the_rules_a_ring_states_are_the_abstract_methods():
-    from peterweyl import FusionRing
+    from peterweyl import FusionRing, fusion
 
     text = " ".join(README.read_text(encoding="utf-8").split())
     rules = re.search(r"states seven rules, (.*?), and may restate", text).group(1)
     assert set(re.findall(r"`(\w+)`", rules)) == FusionRing.__abstractmethods__
-    defaults = re.search(r"four that have defaults: (.*?)\. `Z\^d` restates", text).group(1)
+    defaults = re.search(r"three that have defaults: (.*?)\. `Z\^d` restates", text).group(1)
     named = re.findall(r"`(\w+)` \(", defaults)
-    assert named == ["trivial", "order_keys", "parse_table", "format_label"]
+    assert named == ["trivial", "order_keys", "format_label"]
     assert FusionRing.__abstractmethods__.isdisjoint(named)
     assert all(hasattr(FusionRing, name) for name in named)
+    # one label reader: no ring restates it, a ring only names its prefix and irreps
+    rings = [c for c in vars(fusion).values()
+             if isinstance(c, type) and issubclass(c, FusionRing) and c is not FusionRing]
+    assert rings and all("parse_table" not in vars(c) for c in rings)
+    assert "`FusionRing.parse_table`" in text and "sets `literal_prefix` (`w:`)" in text
 
 
 def test_the_options_of_each_subcommand_are_the_parser_s():
