@@ -16,17 +16,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("ConsistencyError", "InvalidInputError"),
     "fusion": ("FiniteDualRing", "FolnerSchedule", "FusionRing", "LatticeRing", "SU2Ring",
-               "boundary", "folner_ratio", "folner_series", "fuse", "get_ring",
-               "weighted_cardinality"),
+               "boundary", "folner_series", "fuse", "get_ring"),
     "groups": ("CompactGroupModel", "FiniteGroupModel", "SU2Model", "TorusModel",
                "finite_group_model", "get_model", "resolve"),
     "measures": ("MeasureSpec", "atom_list", "atom_weight_at", "conjugate_measure", "convolve",
-                 "density_eval", "dirac", "fourier_matrix", "haar", "measure_from_json",
-                 "measure_to_json", "total_mass"),
-    "wiener": ("AverageSeries", "ContinuityVerdict", "atom_average", "char_average",
-               "continuity_test", "energy_average", "run_series"),
-    "ergodic": ("ErgodicReport", "FiniteDimRep", "cesaro_operator", "ergodic_limit_check",
-                "gns_rep", "group_rep", "invariant_projection", "point_rep"),
+                 "dirac", "fourier_matrix", "haar", "measure_from_json", "measure_to_json",
+                 "total_mass"),
+    "wiener": ("AverageSeries", "run_series"),
+    "ergodic": ("ErgodicReport", "FiniteDimRep", "ergodic_limit_check", "gns_rep", "group_rep",
+                "point_rep"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -19,7 +19,7 @@ import math
 import operator
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 
@@ -107,19 +107,26 @@ def _open_out(path: str | None):
             yield fh
 
 
-def _write_tables(args: argparse.Namespace, header: list[str], columns):
-    """The columns as CSV (floats by repr), and with --gnuplot the same rows
-    space-separated under a commented header; a non-finite float is a
-    ConsistencyError before any output is opened, and every output is
-    opened before a row is written to any."""
+def _write_tables(args: argparse.Namespace, header: list[str], columns,
+                  canonical: str | None = None):
+    """The columns as CSV (floats by repr), with --gnuplot the same rows
+    space-separated under a commented header, and with `canonical` that
+    text as --emit-canonical.  A non-finite float is a ConsistencyError
+    before any output is opened, and every output is opened, --emit-canonical
+    first, before anything is written to any."""
     columns = [np.asarray(column) for column in columns]
     for column in columns:
         if column.dtype.kind == "f" and not np.isfinite(column).all():
             value = column[~np.isfinite(column)][0].item()
             raise ConsistencyError(f"non-finite value {value!r} in the output")
     rows = list(zip(*(column.tolist() for column in columns)))
-    plot = nullcontext() if args.gnuplot is None else _open_out(args.gnuplot)
-    with _open_out(args.out) as fh, plot as plot_fh:
+    with ExitStack() as outputs:
+        canonical_fh = (None if canonical is None
+                        else outputs.enter_context(_open_out(args.emit_canonical)))
+        fh = outputs.enter_context(_open_out(args.out))
+        plot_fh = None if args.gnuplot is None else outputs.enter_context(_open_out(args.gnuplot))
+        if canonical_fh is not None:
+            canonical_fh.write(canonical)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -171,13 +178,11 @@ def _run_wiener(args: argparse.Namespace) -> int:
         at = mu.model.parse_element(args.at)
     schedule = load_schedule(ring, args.schedule, args.steps)
     series = run_series(args.kind, mu, schedule, at=at, with_target=args.ground_truth)
+    canonical = None
     if args.emit_canonical is not None:
-        # written once the series has run, so a refused run leaves no file
         import json
 
-        with _open_out(args.emit_canonical) as fh:
-            json.dump(measure_to_json(mu), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        canonical = json.dumps(measure_to_json(mu), indent=2, sort_keys=True) + "\n"
     values = series.values
     header = ["step", "wcard", "value_re", "value_im"]
     columns = [np.arange(1, len(values) + 1), series.weighted_cardinalities,
@@ -187,7 +192,7 @@ def _run_wiener(args: argparse.Namespace) -> int:
         errors = values - series.target
         # hypot, as abs() of one complex scalar (np.abs on an array may round otherwise)
         columns += [np.full(len(values), float(series.target)), np.hypot(errors.real, errors.imag)]
-    _write_tables(args, header, columns)
+    _write_tables(args, header, columns, canonical)
     return EXIT_OK
 
 

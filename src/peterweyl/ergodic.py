@@ -15,7 +15,7 @@ representation acts by evaluation at the identity: the span of the basis
 vectors whose point has chi_a(p) = dim(a) for every generating label a.
 Dimensions are finite, so strong convergence is checked in Frobenius norm,
 which in the basis V is the 2-norm of the difference of two diagonals: no
-dense operator is built unless one is asked for.
+dense operator is built.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .fusion import FolnerSchedule, LatticeRing, _check_size, reduce_along
+from .fusion import FolnerSchedule, LatticeRing, reduce_along
 from .groups import CompactGroupModel, FiniteGroupModel, TorusModel
 
 
@@ -51,20 +51,6 @@ class FiniteDimRep:
     @property
     def dim(self) -> int:
         return len(self.points)
-
-    def operator(self, diagonal) -> np.ndarray:
-        """V diag(diagonal) V^H as a dim x dim complex matrix, built only on
-        request (cesaro_operator, invariant_projection, chi); one above the
-        table limit of `fusion` (2**24 entries, 256 MB) is refused first."""
-        _check_size(self.dim**2, f"an operator of dimension {self.dim}")
-        diagonal = np.asarray(diagonal, dtype=complex)
-        if self.basis is None:
-            return np.diag(diagonal)
-        return (self.basis * diagonal) @ self.basis.conj().T
-
-    def chi(self, label) -> np.ndarray:
-        """pi(chi(label)) as a dim x dim complex matrix."""
-        return self.operator(self.model.characters([label], self.points)[0])
 
     def __repr__(self):
         return f"<FiniteDimRep {self.kind} dim={self.dim} on {self.ring.name}>"
@@ -159,13 +145,12 @@ def _averages(rep: FiniteDimRep, schedule: FolnerSchedule) -> tuple[np.ndarray, 
     return sums / np.asarray(wcards, dtype=float)[:, None], wcards
 
 
-def cesaro_operator(rep: FiniteDimRep, F) -> np.ndarray:
-    """(1/|F|_w) sum over F of dim(a) * pi(chi(a)), in ring label order."""
-    return rep.operator(_averages(rep, FolnerSchedule(rep.ring, (F,)))[0][0])
-
-
 def _invariant(rep: FiniteDimRep, generating_labels) -> np.ndarray:
-    """The diagonal of the invariant projection, 1.0 at its points and 0.0 elsewhere."""
+    """The diagonal of the orthogonal projection onto the joint eigenspace
+    { x : pi(chi(a)) x = dim(a) x } over the generating labels: 1.0 at the
+    points p with |chi_a(p) - dim(a)| <= 1e-8 * dim(a) for every generating
+    label a (|chi_a| is at most dim(a), so the threshold scales with it),
+    0.0 elsewhere."""
     labels = list(generating_labels)
     if not labels:
         raise InvalidInputError("generating_labels must be nonempty")
@@ -173,15 +158,6 @@ def _invariant(rep: FiniteDimRep, generating_labels) -> np.ndarray:
     dims = rep.ring.dims_of(table).astype(float)[:, None]
     chis = rep.model.characters(table, rep.points)
     return np.all(np.abs(chis - dims) <= 1e-8 * dims, axis=0).astype(float)
-
-
-def invariant_projection(rep: FiniteDimRep, generating_labels) -> np.ndarray:
-    """Orthogonal projection onto the joint eigenspace
-    { x : pi(chi(a)) x = dim(a) x } over the generating labels: the span of
-    the basis vectors whose point p has |chi_a(p) - dim(a)| <= 1e-8 * dim(a)
-    for every generating label a (|chi_a| is at most dim(a), so the threshold
-    scales with it).  No such point yields the zero projection."""
-    return rep.operator(_invariant(rep, generating_labels))
 
 
 @dataclass

@@ -46,12 +46,11 @@ LABEL_BOUND = 2**62
 # the most entries one table may hold: a schedule's table and steps, a
 # schedule file's literals, the products of a boundary pass with S (and with
 # conj(S)), the terms an average sums (its term table for a prefix schedule,
-# each index step's rows, times the columns), a dense operator of `ergodic`
-# (256 MB at the limit).  A boundary pass holds several arrays of that size
-# at once: `folner` on Z^3 boxes to radius 48 with three generators, whose
-# products (16,426,062 entries) just fit, peaks at 700 MB of RSS in 2.1 s,
-# radius 49 is refused; the sums of 2.7e6 labels at 6 columns, at 1.1 GB in
-# 1.9 s (x86-64, numpy 2.4).
+# each index step's rows, times the columns), 256 MB at the limit.  A
+# boundary pass holds several arrays of that size at once: `folner` on Z^3
+# boxes to radius 48 with three generators, whose products (16,426,062
+# entries) just fit, peaks at 700 MB of RSS in 2.1 s, radius 49 is refused;
+# the sums of 2.7e6 labels at 6 columns, at 1.1 GB in 1.9 s (x86-64, numpy 2.4).
 MAX_TABLE_ENTRIES = 2**24
 # a pass estimated at over MAX_WORK_S seconds is refused; * marks in-library runs (README)
 MAX_WORK_S = 5
@@ -804,13 +803,6 @@ def _parse_rank(text: str, ring_id: str) -> int:
     return rank
 
 
-def weighted_cardinality(F: Iterable[Label], ring: FusionRing) -> int:
-    """|F|_w = sum of squared dimensions over the labels of F, each counted
-    once: the |F|_w of the one-set schedule; 0 for an empty F."""
-    F = list(F)
-    return int(FolnerSchedule(ring, (F,)).weighted_cardinalities[0]) if F else 0
-
-
 def fuse(a: Label, b: Label, ring: FusionRing) -> dict[Label, int]:
     """Decomposition of a (x) b as {label: multiplicity}."""
     return ring.fuse(a, b)
@@ -965,8 +957,3 @@ def folner_series(schedule: FolnerSchedule, S: Iterable[Label]) -> tuple[np.ndar
     """
     return schedule.weighted_cardinalities, boundary(schedule, S, schedule.ring, weighted=True)
 
-
-def folner_ratio(F: Iterable[Label], S: Iterable[Label], ring: FusionRing) -> float:
-    """|boundary(F,S)|_w / |F|_w, both sides exact integers before the division."""
-    wcards, boundary_wcards = folner_series(FolnerSchedule(ring, (F,)), S)
-    return int(boundary_wcards[0]) / int(wcards[0])

@@ -15,7 +15,6 @@ Convolution and conjugation act coefficientwise (product and adjoint).
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -79,18 +78,6 @@ class MeasureSpec:
     def density_support(self) -> list:
         return self.model.ring.sorted_labels(self.density)
 
-    def density_minimum(self, rng: np.random.Generator, samples: int = 10_000) -> float:
-        """Sampled minimum of the density over Haar; a value below -1e-8
-        warns (the density part is then not certified positive).
-        """
-        lo = min(density_eval(self, self.model.haar_sample(rng)) for _ in range(samples))
-        if lo < -1e-8:
-            warnings.warn(
-                f"density of measure on {self.model.name} dips to {lo:.3e} in sampling",
-                stacklevel=2,
-            )
-        return lo
-
     def __repr__(self):
         return (
             f"MeasureSpec({self.model.name}, {len(self.atoms)} atoms, "
@@ -145,18 +132,6 @@ def atom_list(mu: MeasureSpec) -> tuple:
 def atom_weight_at(mu: MeasureSpec, y, tol: float = ATOM_MERGE_TOL) -> float:
     """Oracle weight mu{y} from the stored atoms."""
     return sum(w for g, w in mu.atoms if mu.model.distance(g, y) <= tol)
-
-
-def density_eval(mu: MeasureSpec, g) -> float:
-    """Value of the density part at g via Peter-Weyl inversion of D."""
-    value = 0j
-    for label in mu.density_support():
-        coeff = mu.density[label]
-        u = mu.model.irrep_matrix(label, g)
-        value += mu.model.ring.dim(label) * np.trace(coeff @ u.conj().T)
-    if abs(value.imag) > 1e-8:
-        raise ConsistencyError(f"density value {value} has imaginary residue")
-    return value.real
 
 
 def _merge_atoms(model: CompactGroupModel, pairs) -> list:

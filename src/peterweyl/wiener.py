@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, InvalidInputError
+from .errors import InvalidInputError
 from .fusion import COST_S, FolnerSchedule, _check_work, reduce_along
 from .measures import MeasureSpec, atom_weight_at
 
@@ -68,29 +68,6 @@ def _terms(kind: str, mu: MeasureSpec, y=None):
     return terms
 
 
-def atom_average(mu: MeasureSpec, y, F) -> complex:
-    """Truncated average localizing the measure at y; converges to mu{y}."""
-    return run_series("atom", mu, FolnerSchedule(mu.model.ring, (F,)), at=y).final
-
-
-def energy_average(mu: MeasureSpec, F) -> float:
-    """Truncated Fourier energy; converges to the sum of squared atom weights.
-
-    Real and nonnegative by construction (a weighted mean of squared
-    Frobenius norms), so an imaginary residue above 1e-12 is a consistency
-    failure.
-    """
-    value = run_series("energy", mu, FolnerSchedule(mu.model.ring, (F,))).final
-    if not abs(value.imag) <= 1e-12:
-        raise ConsistencyError(f"energy average {value} has an imaginary residue")
-    return value.real
-
-
-def char_average(mu: MeasureSpec, F) -> complex:
-    """Truncated character average; converges to the mass of the identity atom."""
-    return run_series("char", mu, FolnerSchedule(mu.model.ring, (F,))).final
-
-
 @dataclass
 class AverageSeries:
     """Per-step values of one average along a schedule."""
@@ -129,9 +106,11 @@ def run_series(kind: str, mu: MeasureSpec, schedule: FolnerSchedule, at=None,
         raise InvalidInputError(f"unknown average kind {kind!r}; expected one of {KINDS}")
     if kind == "atom" and at is None:
         raise InvalidInputError("atom averages need an evaluation point")
-    sums, wcards = reduce_along(schedule, mu.model.ring, _terms(kind, mu, at))
-    # CPython's complex / int by column (numpy's complex128 / int differs in the last bit)
-    with np.errstate(invalid="ignore"):  # an infinite part times 0.0 is nan, as in Python
+    # a non-finite value is left to the caller's check: it warns of nothing here,
+    # and an infinite part times 0.0 is nan, as in Python
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums, wcards = reduce_along(schedule, mu.model.ring, _terms(kind, mu, at))
+        # CPython's complex / int by column (numpy's complex128 / int differs in the last bit)
         values = ((sums.real + sums.imag * 0.0) / wcards).astype(complex)
         values.imag = (sums.imag - sums.real * 0.0) / wcards
     target = None
@@ -143,48 +122,3 @@ def run_series(kind: str, mu: MeasureSpec, schedule: FolnerSchedule, at=None,
         else:
             target = atom_weight_at(mu, mu.model.identity())
     return AverageSeries(kind, schedule, values, wcards, target)
-
-
-@dataclass
-class ContinuityVerdict:
-    """Outcome of the atomic/continuous dichotomy test.
-
-    verdict is "continuous", "atomic" or "inconclusive"; for "atomic" the
-    estimate is the stabilized energy value, approximating the sum of
-    squared atom weights.  The test is a finite-sample heuristic: no
-    convergence rate is available, hence the explicit tail and tolerance
-    and the honest third outcome.
-    """
-
-    verdict: str
-    atom_mass_estimate: float | None
-    series: AverageSeries
-
-    def __str__(self):
-        if self.verdict == "atomic":
-            return f"atomic(mass~{self.atom_mass_estimate:.6g})"
-        return self.verdict
-
-
-def continuity_test(mu: MeasureSpec, schedule: FolnerSchedule, tol: float,
-                    tail: int) -> ContinuityVerdict:
-    """Classify mu as continuous or atomic from the energy series tail.
-
-    Continuous: all of the last `tail` values are below tol and the tail is
-    nonincreasing within 2*tol.  Atomic: the tail stabilizes within tol; the
-    estimate is the last value.  Anything else is inconclusive.
-    """
-    if tail < 2:
-        raise InvalidInputError("tail must be >= 2")
-    if not tol > 0:
-        raise InvalidInputError("tol must be positive")
-    if len(schedule) < tail:
-        raise InvalidInputError(f"schedule has {len(schedule)} steps, need >= {tail}")
-    series = run_series("energy", mu, schedule)
-    window = series.real_values()[-tail:]
-    nonincreasing = bool(np.all(window[1:] <= window[:-1] + 2 * tol))
-    if np.all(window < tol) and nonincreasing:
-        return ContinuityVerdict("continuous", None, series)
-    if float(np.max(window) - np.min(window)) <= tol:
-        return ContinuityVerdict("atomic", float(window[-1]), series)
-    return ContinuityVerdict("inconclusive", None, series)

@@ -1,0 +1,68 @@
+"""Test-side readings of the library's one reduction path, and dense oracles
+that share no code with `ergodic`."""
+
+import numpy as np
+
+from peterweyl import FolnerSchedule, ergodic_limit_check, folner_series, run_series
+
+
+def wcard(F, ring) -> int:
+    """|F|_w, the sum of dim(a)**2 over the distinct labels of F, summed here."""
+    return sum(ring.dim(a) ** 2 for a in set(F))
+
+
+def folner_ratio(F, S, ring) -> float:
+    """|boundary(F,S)|_w / |F|_w from `folner_series` on the one-set schedule,
+    divided as Python ints (correctly rounded)."""
+    wcards, boundary_wcards = folner_series(FolnerSchedule(ring, (F,)), S)
+    return int(boundary_wcards[0]) / int(wcards[0])
+
+
+def average(kind, mu, F, at=None) -> complex:
+    """The `kind` average of mu over the one set F: `run_series` on a one-step schedule."""
+    return run_series(kind, mu, FolnerSchedule(mu.model.ring, (F,)), at=at).final
+
+
+def energy(mu, F) -> float:
+    """The energy average over F, real and nonnegative by construction: its
+    imaginary residue must vanish to 1e-12."""
+    value = average("energy", mu, F)
+    assert abs(value.imag) <= 1e-12, value
+    return value.real
+
+
+def density_value(mu, g) -> float:
+    """The density part of mu at g by Peter-Weyl inversion:
+    sum_a dim(a) tr(D(a) U^a(g)^H)."""
+    value = sum(mu.model.ring.dim(a) * np.trace(D @ mu.model.irrep_matrix(a, g).conj().T)
+                for a, D in mu.density.items())
+    assert abs(np.imag(value)) <= 1e-8, value
+    return float(np.real(value))
+
+
+def operator(rep, diagonal) -> np.ndarray:
+    """V diag(diagonal) V^H: the dense operator of a diagonal in the basis V
+    of `rep` (the standard basis when `rep.basis` is None)."""
+    diagonal = np.asarray(diagonal, dtype=complex)
+    if rep.basis is None:
+        return np.diag(diagonal)
+    return (rep.basis * diagonal) @ rep.basis.conj().T
+
+
+def chi(rep, label) -> np.ndarray:
+    """pi(chi(label)) as a dense matrix, from the character values at the rep's points."""
+    return operator(rep, rep.model.characters([label], rep.points)[0])
+
+
+def cesaro(rep, F) -> np.ndarray:
+    """The dense Cesaro average over the one set F, from the diagonal that
+    `ergodic_limit_check` reports."""
+    schedule = FolnerSchedule(rep.ring, (F,))
+    return operator(rep, ergodic_limit_check(rep, schedule, [rep.ring.trivial]).averages[0])
+
+
+def projection(rep, generating_labels) -> np.ndarray:
+    """The dense invariant projection of the generating labels, from the
+    diagonal that `ergodic_limit_check` reports."""
+    schedule = FolnerSchedule(rep.ring, ([rep.ring.trivial],))
+    return operator(rep, ergodic_limit_check(rep, schedule, generating_labels).invariant)

@@ -8,24 +8,19 @@ from itertools import product
 
 import numpy as np
 
+from helpers import average, cesaro, chi, energy, folner_ratio, projection, wcard
 from peterweyl import (
     MeasureSpec,
-    atom_average,
-    cesaro_operator,
     conjugate_measure,
     convolve,
-    energy_average,
     finite_group_model,
-    folner_ratio,
     fourier_matrix,
     get_model,
     get_ring,
     gns_rep,
     group_rep,
-    invariant_projection,
     point_rep,
     run_series,
-    weighted_cardinality,
 )
 
 CIRCLE = get_model("Z")
@@ -50,13 +45,13 @@ def test_criterion_1_classical_wiener_on_the_circle():
         start = time.perf_counter()
         schedule = CIRCLE.ring.default_schedule(500)
         atom = run_series("atom", mu, schedule, at=CIRCLE.identity())
-        energy = run_series("energy", mu, schedule)
+        energy_series = run_series("energy", mu, schedule)
         elapsed = time.perf_counter() - start
         ns = np.arange(1, 501)
         atom_expected = 0.5 + 0.5 / (2 * ns + 1)
         energy_expected = 0.25 + 0.75 / (2 * ns + 1)
         assert np.max(np.abs(atom.values - atom_expected)) <= 1e-12
-        assert np.max(np.abs(energy.real_values() - energy_expected)) <= 1e-12
+        assert np.max(np.abs(energy_series.real_values() - energy_expected)) <= 1e-12
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
         ok = True
     finally:
@@ -68,7 +63,7 @@ def test_criterion_2_nonabelian_finite_group():
     try:
         ring = S3.ring
         full = ring.full_dual()
-        w_full = weighted_cardinality(full, ring)  # = 6
+        w_full = wcard(full, ring)  # = 6
         elements = S3.elements()
         for g in elements:
             if g == S3.identity():
@@ -89,7 +84,7 @@ def test_criterion_2_nonabelian_finite_group():
                 return total / w_full
 
             atom_oracle = sum(w * kernel(x, g) for x, w in weights.items())
-            value = atom_average(mu, g, full)
+            value = average("atom", mu, full, at=g)
             assert abs(value - atom_oracle) <= 1e-12
             assert abs(value - (0.3 + 0.7 / 6)) <= 1e-12  # oracle mu{g} + Haar trivial term
 
@@ -100,7 +95,7 @@ def test_criterion_2_nonabelian_finite_group():
                 coeff = sum(w * S3.irrep_matrix(a, x) for x, w in weights.items())
                 energy_oracle += d * float(np.sum(np.abs(coeff) ** 2))
             energy_oracle /= w_full
-            value_e = energy_average(mu, full)
+            value_e = energy(mu, full)
             assert abs(value_e - energy_oracle) <= 1e-12
             # 0.09*|G^|_w-correction from the atom plus the Haar cross terms:
             # (0.09*(6-1) + |0.3+0.7|^2) / 6
@@ -120,11 +115,11 @@ def test_criterion_3_su2_atom_detection():
         schedule = SU2.ring.default_schedule(60)
         at_g = run_series("atom", mu, schedule, at=g)
         at_h = run_series("atom", mu, schedule, at=h)
-        energy = run_series("energy", mu, schedule)
+        energy_series = run_series("energy", mu, schedule)
         elapsed = time.perf_counter() - start
         assert abs(at_g.final - 1.0) <= 0.05
         assert abs(at_h.final) <= 0.05
-        assert abs(energy.final.real - 1.0) <= 0.05
+        assert abs(energy_series.final.real - 1.0) <= 0.05
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
         ok = True
     finally:
@@ -191,7 +186,7 @@ def test_criterion_5_mean_ergodic_convergence():
         dists = []
         for N in steps:
             box = frozenset(product(range(-N, N + 1), repeat=2))
-            m = cesaro_operator(rep, box)
+            m = cesaro(rep, box)
             dists.append(float(np.linalg.norm(m - p_oracle)))
         c_measured = max(N * dist for N, dist in zip(steps, dists))
         assert dists[-1] <= 0.02
@@ -215,8 +210,8 @@ def test_criterion_5_mean_ergodic_convergence():
                       np.diag([1.0 if x == q8.identity() else 0.0 for x in pts])))
         for rep_f, p_direct in cases:
             full = rep_f.ring.full_dual()
-            m = cesaro_operator(rep_f, full)
-            p_lib = invariant_projection(rep_f, full)
+            m = cesaro(rep_f, full)
+            p_lib = projection(rep_f, full)
             assert np.linalg.norm(m - p_direct) <= 1e-10
             assert np.linalg.norm(m - p_lib) <= 1e-10
         ok = True
@@ -236,7 +231,7 @@ def test_criterion_6_pure_state_dichotomy():
                 phi = np.zeros(model.order)
                 phi[x] = 1.0
                 rep = gns_rep(model, phi)
-                m = cesaro_operator(rep, full)
+                m = cesaro(rep, full)
                 v = rep.cyclic_vector
                 value = complex(v.conj() @ m @ v)
                 expected = 1.0 if x == model.identity() else 0.0
@@ -353,8 +348,8 @@ def test_criterion_7_invariant_suites():
                 mu = random_measure(model, labels)
                 folded = convolve(mu, conjugate_measure(mu))
                 for F in sets[model]:
-                    lhs = energy_average(mu, F)
-                    rhs = atom_average(folded, model.identity(), F)
+                    lhs = energy(mu, F)
+                    rhs = average("atom", folded, F, at=model.identity())
                     assert abs(rhs.imag) <= 1e-10
                     assert abs(lhs - rhs.real) <= 1e-10
                     counts["energy"] += 1
@@ -390,12 +385,12 @@ def test_criterion_7_invariant_suites():
                                                for _ in range(int(rng.integers(1, 3)))]
                 rep = point_rep(model, points)
                 gens = [1]
-            P = invariant_projection(rep, gens)
+            P = projection(rep, gens)
             assert np.max(np.abs(P @ P - P)) <= 1e-9
             assert np.max(np.abs(P - P.conj().T)) <= 1e-9
             counts["projection"] += 1
             residue = max(
-                float(np.linalg.norm(P @ rep.chi(g) - rep.chi(g) @ P)) for g in gens
+                float(np.linalg.norm(P @ chi(rep, g) - chi(rep, g) @ P)) for g in gens
             )
             assert residue <= 1e-8
             counts["commutant"] += 1

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peterweyl import InvalidInputError, get_ring, weighted_cardinality
+from helpers import wcard
+from peterweyl import InvalidInputError, get_ring
 from peterweyl.cli import (EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, load_schedule,
                            main)
 from peterweyl.fusion import MAX_WORK_S
@@ -395,31 +396,6 @@ class TestErgodic:
         assert np.max(np.abs([float(r[2]) for r in rows] - oracle)) < 1e-12
         assert all(float(r[3]) == 0.0 for r in rows)
 
-    def test_run_builds_no_dense_operator(self, tmp_path, monkeypatch):
-        from peterweyl.ergodic import FiniteDimRep
-
-        specs = [
-            ("point", {"ring": "SU2", "points": ["q:1,0,0,0", "q:0.6,0,0.8,0"]}),
-            ("gns", {"ring": "finite:D4", "state": [1] * 8}),
-            ("group", {"ring": "dualgroup:Z^d:2", "generators": [
-                [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}),
-        ]
-        runs = {}
-        for patched in (False, True):
-            if patched:
-                def refuse(rep, diagonal):
-                    raise AssertionError("a dense operator was built")
-
-                monkeypatch.setattr(FiniteDimRep, "operator", refuse)
-            for rep, doc in specs:
-                spec = write_json(tmp_path / f"{rep}.json", doc)
-                out = tmp_path / f"{rep}-{patched}.csv"
-                assert main(["ergodic", "--rep", rep, "--spec", spec, "--steps", "20",
-                             "--tol", "10", "--out", str(out)]) == EXIT_OK
-                runs[rep, patched] = out.read_bytes()
-        for rep, _ in specs:
-            assert runs[rep, True] == runs[rep, False]
-
     def test_long_gns_run(self, tmp_path):
         spec = write_json(tmp_path / "rep.json", {"ring": "finite:D4", "state": [1] * 8})
         out = tmp_path / "ergodic.csv"
@@ -518,6 +494,29 @@ class TestUnwritableOutput:
                      "--out", str(tmp_path / "w.csv")]) == EXIT_VALIDATION
         assert ABOVE_THE_WORK_LIMIT in capsys.readouterr().err
         assert not canonical.exists() and not (tmp_path / "w.csv").exists()
+
+    def test_a_non_finite_table_leaves_no_canonical_measure(self, tmp_path):
+        # the energy of two atoms of weight 1e308 overflows to nan: one line
+        # on stderr, no numpy warning, and neither output written
+        measure = write_json(tmp_path / "huge.json", {"group": "Z", "atoms": [
+            {"element": "z:1,0", "weight": 1e308}, {"element": "z:0,1", "weight": 1e308}]})
+        canonical, out = tmp_path / "c.json", tmp_path / "s.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "peterweyl", "wiener", "--kind", "energy", "--measure",
+             measure, "--steps", "5", "--out", str(out), "--emit-canonical", str(canonical)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == EXIT_NUMERIC
+        assert result.stderr == "numeric consistency failure: non-finite value nan in the output\n"
+        assert not canonical.exists() and not out.exists()
+
+    def test_an_unwritable_table_leaves_no_canonical_measure(self, tmp_path, capsys):
+        measure = write_json(tmp_path / "m.json", haar_measure_doc())
+        canonical = tmp_path / "c.json"
+        self._refused(capsys, ["wiener", "--kind", "energy", "--measure", measure,
+                               "--steps", "5", "--out", str(tmp_path / "nodir" / "s.csv"),
+                               "--emit-canonical", str(canonical)])
+        assert not canonical.exists() or canonical.read_text() == ""
 
 
 class TestWorkGuards:
@@ -667,7 +666,7 @@ def test_schedule_file_loads_as_its_literals_or_is_rejected(tmp_path_factory, ri
     expected = tuple(frozenset(ring.parse_label(literal) for literal in F) for F in sets)
     assert schedule.sets == expected
     assert schedule.weighted_cardinalities.tolist() == [
-        weighted_cardinality(F, ring) for F in expected]
+        wcard(F, ring) for F in expected]
 
 
 @pytest.mark.parametrize("ring_id", sorted(_VALID_LITERALS))

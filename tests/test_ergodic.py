@@ -7,17 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import cesaro, chi, operator, projection
 from peterweyl import (
     FolnerSchedule,
     InvalidInputError,
-    cesaro_operator,
     ergodic_limit_check,
     finite_group_model,
     get_model,
     get_ring,
     gns_rep,
     group_rep,
-    invariant_projection,
     point_rep,
 )
 from peterweyl import ergodic
@@ -49,22 +48,22 @@ class TestPointRep:
     def test_at_identity_only(self):
         rep = point_rep(CIRCLE, [CIRCLE.identity()])
         for n in range(-4, 5):
-            assert np.allclose(rep.chi(n), [[1.0]], atol=0)
+            assert np.allclose(chi(rep, n), [[1.0]], atol=0)
         rep = point_rep(SU2, [SU2.identity()])
         for n in range(5):
-            assert np.allclose(rep.chi(n), [[n + 1]], atol=1e-12)
+            assert np.allclose(chi(rep, n), [[n + 1]], atol=1e-12)
 
     def test_circle_two_points(self):
         rep = point_rep(CIRCLE, [CIRCLE.identity(), CIRCLE.element(-1 + 0j)])
         for n in range(-5, 6):
-            assert np.allclose(rep.chi(n), np.diag([1.0, (-1.0) ** n]), atol=1e-13)
+            assert np.allclose(chi(rep, n), np.diag([1.0, (-1.0) ** n]), atol=1e-13)
 
     def test_su2_identity_and_generic_point(self):
         g = SU2.from_axis_angle((0, 1, 0), 1.3)
         rep = point_rep(SU2, [SU2.identity(), g])
         for n in range(5):
             expected = np.diag([n + 1.0, SU2.character_value(n, g)])
-            assert np.allclose(rep.chi(n), expected, atol=1e-12)
+            assert np.allclose(chi(rep, n), expected, atol=1e-12)
 
     def test_rejects_empty_points(self):
         with pytest.raises(InvalidInputError):
@@ -77,20 +76,20 @@ class TestGroupRep:
         rep = group_rep(DUAL_Z, [[[lam]]])
         for N in (3, 20, 100):
             oracle = sum(lam**n for n in range(-N, N + 1)) / (2 * N + 1)
-            assert abs(cesaro_operator(rep, box(N))[0, 0] - oracle) < 1e-12
+            assert abs(cesaro(rep, box(N))[0, 0] - oracle) < 1e-12
         fixed = group_rep(DUAL_Z, [[[1.0]]])
-        assert np.allclose(cesaro_operator(fixed, box(50)), [[1.0]], atol=1e-12)
+        assert np.allclose(cesaro(fixed, box(50)), [[1.0]], atol=1e-12)
 
     def test_rotation_by_third_of_turn_averages_to_zero(self):
         c, s = np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)
         rep = group_rep(DUAL_Z, [np.array([[c, -s], [s, c]])])
         # 201 is a multiple of 3, so the geometric sums cancel exactly
-        assert np.max(np.abs(cesaro_operator(rep, box(100)))) < 1e-12
+        assert np.max(np.abs(cesaro(rep, box(100)))) < 1e-12
 
     def test_z2_trivial_images(self):
         rep = group_rep(DUAL_Z2, [np.eye(2), np.eye(2)])
         for N in (1, 4):
-            assert np.allclose(cesaro_operator(rep, box2(N)), np.eye(2), atol=1e-12)
+            assert np.allclose(cesaro(rep, box2(N)), np.eye(2), atol=1e-12)
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -115,7 +114,7 @@ class TestGnsRep:
             phi[model.identity()] = 1.0
             rep = gns_rep(model, phi)
             assert rep.dim == 1
-            M = cesaro_operator(rep, model.ring.full_dual())
+            M = cesaro(rep, model.ring.full_dual())
             v = rep.cyclic_vector
             assert abs((v.conj() @ M @ v) - 1.0) < 1e-12
 
@@ -125,13 +124,13 @@ class TestGnsRep:
                 phi = np.zeros(model.order)
                 phi[x] = 1.0
                 rep = gns_rep(model, phi)
-                M = cesaro_operator(rep, model.ring.full_dual())
+                M = cesaro(rep, model.ring.full_dual())
                 v = rep.cyclic_vector
                 assert abs(v.conj() @ M @ v) < 1e-12
 
     def test_uniform_state_on_s3(self):
         rep = gns_rep(S3, np.full(6, 1 / 6))
-        M = cesaro_operator(rep, S3.ring.full_dual())
+        M = cesaro(rep, S3.ring.full_dual())
         v = rep.cyclic_vector
         assert abs((v.conj() @ M @ v) - 1 / 6) < 1e-12
 
@@ -150,19 +149,19 @@ class TestCesaroOperator:
     def test_point_rep_at_identity_any_set(self):
         rep = point_rep(CIRCLE, [CIRCLE.identity()])
         for F in (box(1), box(9), frozenset({3, -7})):
-            assert np.allclose(cesaro_operator(rep, F), [[1.0]], atol=1e-13)
+            assert np.allclose(cesaro(rep, F), [[1.0]], atol=1e-13)
 
     @pytest.mark.parametrize("N", [2, 10, 40])
     def test_circle_two_points_alternating_sum(self, N):
         # N even: the (-1)^n sum over the box is exactly 1
         rep = point_rep(CIRCLE, [CIRCLE.identity(), CIRCLE.element(-1 + 0j)])
         expected = np.diag([1.0, 1 / (2 * N + 1)])
-        assert np.allclose(cesaro_operator(rep, box(N)), expected, atol=1e-13)
+        assert np.allclose(cesaro(rep, box(N)), expected, atol=1e-13)
 
     @pytest.mark.parametrize("N", [2, 10])
     def test_group_rep_minus_one(self, N):
         rep = group_rep(DUAL_Z, [[[-1.0]]])
-        assert abs(cesaro_operator(rep, box(N))[0, 0] - 1 / (2 * N + 1)) < 1e-14
+        assert abs(cesaro(rep, box(N))[0, 0] - 1 / (2 * N + 1)) < 1e-14
 
     def test_norm_bound(self):
         # weights d^2/|F|_w sum to one over contractions
@@ -170,33 +169,33 @@ class TestCesaroOperator:
         for _ in range(20):
             k = int(rng.integers(1, 5))
             rep = group_rep(DUAL_Z, [random_unitary(rng, k)])
-            M = cesaro_operator(rep, box(int(rng.integers(1, 30))))
+            M = cesaro(rep, box(int(rng.integers(1, 30))))
             assert np.linalg.norm(M, 2) <= 1 + 1e-10
         rep = point_rep(SU2, [SU2.haar_sample(rng) for _ in range(3)])
-        M = cesaro_operator(rep, frozenset(range(6)))
+        M = cesaro(rep, frozenset(range(6)))
         assert np.linalg.norm(M, 2) <= 1 + 1e-10
 
     def test_empty_F_rejected(self):
         rep = point_rep(CIRCLE, [CIRCLE.identity()])
         with pytest.raises(InvalidInputError):
-            cesaro_operator(rep, frozenset())
+            cesaro(rep, frozenset())
 
 
 class TestInvariantProjection:
     def test_separating_points_project_onto_identity_coordinate(self):
         rep = point_rep(CIRCLE, [CIRCLE.identity(), CIRCLE.element(-1 + 0j)])
-        assert np.allclose(invariant_projection(rep, [1]), np.diag([1.0, 0.0]), atol=1e-12)
+        assert np.allclose(projection(rep, [1]), np.diag([1.0, 0.0]), atol=1e-12)
         g = SU2.from_axis_angle((0, 0, 1), 2.2)
         rep = point_rep(SU2, [SU2.identity(), g])
-        assert np.allclose(invariant_projection(rep, [1]), np.diag([1.0, 0.0]), atol=1e-12)
+        assert np.allclose(projection(rep, [1]), np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_trivial_group_rep_gives_identity(self):
         rep = group_rep(DUAL_Z2, [np.eye(3), np.eye(3)])
-        assert np.allclose(invariant_projection(rep, [(1, 0), (0, 1)]), np.eye(3), atol=1e-12)
+        assert np.allclose(projection(rep, [(1, 0), (0, 1)]), np.eye(3), atol=1e-12)
 
     def test_nontrivial_eigenvalue_gives_zero(self):
         rep = group_rep(DUAL_Z, [[[cmath.exp(0.3j)]]])
-        assert np.allclose(invariant_projection(rep, [1]), [[0.0]], atol=1e-12)
+        assert np.allclose(projection(rep, [1]), [[0.0]], atol=1e-12)
 
     def test_idempotent_selfadjoint_and_commutant(self):
         rng = np.random.default_rng(7)
@@ -209,24 +208,24 @@ class TestInvariantProjection:
             rep = group_rep(DUAL_Z2, [q @ np.diag(d1) @ q.conj().T,
                                       q @ np.diag(d2) @ q.conj().T])
             gens = [(1, 0), (0, 1)]
-            P = invariant_projection(rep, gens)
+            P = projection(rep, gens)
             assert np.max(np.abs(P @ P - P)) < 1e-9
             assert np.max(np.abs(P - P.conj().T)) < 1e-9
             for g in gens:
-                chi = rep.chi(g)
-                assert np.linalg.norm(P @ chi - chi @ P) < 1e-8
+                u = chi(rep, g)
+                assert np.linalg.norm(P @ u - u @ P) < 1e-8
 
     def test_monotone_localization(self):
         # vectors in the range of P are fixed by every truncated average
         rep = group_rep(DUAL_Z2, [np.diag([1, 1j]), np.diag([1, -1])])
-        P = invariant_projection(rep, [(1, 0), (0, 1)])
+        P = projection(rep, [(1, 0), (0, 1)])
         for N in (1, 3, 7):
-            M = cesaro_operator(rep, box2(N))
+            M = cesaro(rep, box2(N))
             assert np.max(np.abs(M @ P - P)) < 1e-9
         rep = point_rep(SU2, [SU2.identity(), SU2.from_axis_angle((1, 1, 0), 0.9)])
-        P = invariant_projection(rep, [1])
+        P = projection(rep, [1])
         for m in (2, 6):
-            M = cesaro_operator(rep, frozenset(range(m + 1)))
+            M = cesaro(rep, frozenset(range(m + 1)))
             assert np.max(np.abs(M @ P - P)) < 1e-9
 
 
@@ -243,16 +242,16 @@ class TestRepInvariants:
     def test_contraction_and_adjoint(self):
         for rep, labels in self.reps_and_labels():
             for a in labels:
-                chi = rep.chi(a)
+                u = chi(rep, a)
                 d = rep.ring.dim(a)
-                assert np.linalg.norm(chi, 2) <= d + 1e-10
-                assert np.max(np.abs(rep.chi(rep.ring.conj(a)) - chi.conj().T)) < 1e-12
+                assert np.linalg.norm(u, 2) <= d + 1e-10
+                assert np.max(np.abs(chi(rep, rep.ring.conj(a)) - u.conj().T)) < 1e-12
 
     def test_group_rep_words_are_unitary(self):
         rng = np.random.default_rng(12)
         rep = group_rep(DUAL_Z, [random_unitary(rng, 3)])
         for s in range(-6, 7):
-            u = rep.chi(s)
+            u = chi(rep, s)
             assert np.max(np.abs(u @ u.conj().T - np.eye(3))) < 1e-10
 
 
@@ -267,7 +266,7 @@ class TestErgodicLimitCheck:
             g1 = sum(1j**n for n in range(-N, N + 1)) / (2 * N + 1)
             g2 = sum((-1.0) ** n for n in range(-N, N + 1)) / (2 * N + 1)
             assert abs(report.distances[i] - abs(g1 * g2)) < 1e-12
-        assert np.allclose(rep.operator(report.invariant), np.diag([1.0, 0.0]), atol=1e-12)
+        assert np.allclose(operator(rep, report.invariant), np.diag([1.0, 0.0]), atol=1e-12)
         assert report.averages.shape == (len(steps), 2)
         assert np.max(np.abs(report.averages)) <= 1 + 1e-10
 
@@ -309,7 +308,7 @@ class TestErgodicLimitCheck:
             ], "windows")
         report = ergodic_limit_check(rep, schedule, [(1, 0), (0, 1)], tol=1.0)
         for a, F in zip(report.averages, schedule):
-            assert np.array_equal(rep.operator(a), cesaro_operator(rep, F))
+            assert np.array_equal(operator(rep, a), cesaro(rep, F))
 
     def test_full_dual_average_equals_projection_on_finite_groups(self):
         # the boundary of the full dual is empty, so the limit is attained
@@ -320,13 +319,13 @@ class TestErgodicLimitCheck:
             phi = rng.dirichlet(np.ones(model.order))
             for rep in (gns_rep(model, phi),
                         point_rep(model, [model.haar_sample(rng) for _ in range(3)])):
-                M = cesaro_operator(rep, full)
-                P = invariant_projection(rep, full)
+                M = cesaro(rep, full)
+                P = projection(rep, full)
                 assert np.max(np.abs(M - P)) < 1e-10
 
 
 class TestDiagonalReport:
-    """The report is read on the diagonal; the dense library path is its oracle."""
+    """The report is read on the diagonal; dense operators built in the tests are its oracle."""
 
     def reps(self):
         rng = np.random.default_rng(31)
@@ -357,16 +356,16 @@ class TestDiagonalReport:
         for rep, gens in self.reps():
             for schedule in self.schedules(rep.ring, rng):
                 report = ergodic_limit_check(rep, schedule, gens, tol=1.0)
-                P = rep.operator(report.invariant)
-                assert np.array_equal(P, invariant_projection(rep, gens))
+                P = operator(rep, report.invariant)
+                assert np.array_equal(P, projection(rep, gens))
                 assert np.max(np.abs(report.averages)) <= 1 + 1e-10
                 for i, F in enumerate(schedule):
-                    M = cesaro_operator(rep, F)
-                    assert np.array_equal(rep.operator(report.averages[i]), M)
+                    M = cesaro(rep, F)
+                    assert np.array_equal(operator(rep, report.averages[i]), M)
                     assert abs(report.distances[i] - np.linalg.norm(M - P)) <= 1e-12
                     for g in gens:
-                        chi = rep.chi(g)
-                        assert np.linalg.norm(M @ chi - chi @ M) <= 1e-12
+                        u = chi(rep, g)
+                        assert np.linalg.norm(M @ u - u @ M) <= 1e-12
                 assert np.all(report.commutant_residues == rep.basis_residue)
 
     def test_basis_residue(self):
@@ -388,21 +387,16 @@ class TestDiagonalReport:
             assert np.all(report.distances == 0.0)
             assert np.all(report.commutant_residues == 1e-6)
 
-    def test_large_operators_are_refused_before_they_are_built(self):
+    def test_a_large_rep_is_checked_without_an_operator(self):
         rng = np.random.default_rng(33)
         rep = point_rep(CIRCLE, [CIRCLE.haar_sample(rng) for _ in range(5000)])
-        report = ergodic_limit_check(rep, CIRCLE.ring.default_schedule(3), [1], tol=10.0)
-        assert report.averages.shape == (3, 5000)
         tracemalloc.start()
         try:
-            for build in (lambda: cesaro_operator(rep, box(3)),
-                          lambda: invariant_projection(rep, [1]),
-                          lambda: rep.chi(1)):
-                with pytest.raises(InvalidInputError, match=r"2\*\*24"):
-                    build()
+            report = ergodic_limit_check(rep, CIRCLE.ring.default_schedule(3), [1], tol=10.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert report.averages.shape == (3, 5000)
         assert peak < 2**24  # one 5000 x 5000 operator would take 400 MB
 
 
@@ -499,11 +493,11 @@ class TestDiagonalPath:
 
         assert sorted(map(key, rep.points)) == sorted(map(key, zip(d1, d2)))
         fixed = q[:, [0, 2]]
-        P = invariant_projection(rep, [(1, 0), (0, 1)])
+        P = projection(rep, [(1, 0), (0, 1)])
         assert np.max(np.abs(P - fixed @ fixed.conj().T)) < 1e-10
         for s in ((2, -3), (0, 1), (5, 5)):
             word = q @ np.diag(d1 ** s[0] * d2 ** s[1]) @ q.conj().T
-            assert np.max(np.abs(rep.chi(s) - word)) < 1e-12
+            assert np.max(np.abs(chi(rep, s) - word)) < 1e-12
 
     def test_failed_joint_diagonalisation_is_rejected(self, monkeypatch):
         # with a real weight, H = U + U^H sends the eigenvalues i and -i to

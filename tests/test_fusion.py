@@ -11,17 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from helpers import folner_ratio, wcard
 from peterweyl import (
     FolnerSchedule,
     FusionRing,
     InvalidInputError,
     LatticeRing,
     boundary,
-    folner_ratio,
     folner_series,
     fuse,
     get_ring,
-    weighted_cardinality,
 )
 from peterweyl import fusion
 from peterweyl.fusion import SU2_LABEL_BOUND
@@ -58,34 +57,41 @@ def brute_force_boundary(F, S, ring, prefix):
     return frozenset(inner | outer)
 
 
+def one_set_wcard(F, ring) -> int:
+    """|F|_w as the library computes it: the one-set schedule's."""
+    return int(FolnerSchedule(ring, (F,)).weighted_cardinalities[0])
+
+
 class TestWeightedCardinality:
     def test_empty_sum(self):
-        assert weighted_cardinality(frozenset(), SU2) == 0
+        # the full dual of a finite ring has an empty boundary, of |.|_w 0
+        full = FolnerSchedule(D4, (D4.full_dual(),))
+        assert folner_series(full, [4])[1].tolist() == [0]
 
     def test_su2_first_three_spins(self):
         # dims of 2j = 0, 1, 2 are 1, 2, 3; sum of squares frozen
         assert [SU2.dim(n) for n in (0, 1, 2)] == [1, 2, 3]
-        assert weighted_cardinality({0, 1, 2}, SU2) == 14
+        assert one_set_wcard({0, 1, 2}, SU2) == 14
         # a repeated label counts once, as in the one-set schedule
-        assert weighted_cardinality([1, 1, 2], SU2) == 4 + 9
-        assert weighted_cardinality([1, 1, 2], Z) == 2
+        assert one_set_wcard([1, 1, 2], SU2) == 4 + 9
+        assert one_set_wcard([1, 1, 2], Z) == 2
         # the boundary {0, 2} over the same |F|_w = 2
         assert folner_ratio([1, 1, 2], [1], Z) == 1.0
 
     @pytest.mark.parametrize("N", [0, 1, 4, 100])
     def test_circle_box(self, N):
-        assert weighted_cardinality(range(-N, N + 1), Z) == 2 * N + 1
+        assert one_set_wcard(range(-N, N + 1), Z) == 2 * N + 1
 
     def test_unknown_label_rejected(self):
         with pytest.raises(InvalidInputError):
-            weighted_cardinality({-1}, SU2)
+            one_set_wcard({-1}, SU2)
         with pytest.raises(InvalidInputError):
-            weighted_cardinality({(1,)}, Z2)
+            one_set_wcard({(1,)}, Z2)
         # bool components are rejected at every rank, as bool labels are for rank 1
         assert not Z.is_valid_label(True)
         assert not Z2.is_valid_label((True, 0))
         with pytest.raises(InvalidInputError):
-            weighted_cardinality({(True, False)}, Z2)
+            one_set_wcard({(True, False)}, Z2)
 
 
 class TestFuse:
@@ -427,9 +433,9 @@ class TestFolnerSeries:
         schedule = FolnerSchedule(ring, sets, "random")
         wcards, boundary_wcards = folner_series(schedule, S)
         assert wcards.tolist() == schedule.weighted_cardinalities.tolist()
-        assert wcards.tolist() == [weighted_cardinality(F, ring) for F in sets]
+        assert wcards.tolist() == [wcard(F, ring) for F in sets]
         assert boundary_wcards.tolist() == [
-            weighted_cardinality(brute_force_boundary(F, S, ring, prefix), ring) for F in sets
+            wcard(brute_force_boundary(F, S, ring, prefix), ring) for F in sets
         ]
         assert boundary(schedule, S, ring) == [
             brute_force_boundary(F, S, ring, prefix) for F in sets
@@ -449,7 +455,7 @@ class TestFolnerSeries:
         # the same sets as index steps, and the set-valued boundaries
         indexed = FolnerSchedule(ring, schedule.sets)
         assert boundary(indexed, S, ring, weighted=True).tolist() == weighted.tolist()
-        assert [weighted_cardinality(B, ring)
+        assert [wcard(B, ring)
                 for B in boundary(schedule, S, ring)] == weighted.tolist()
 
     def test_boundary_of_a_schedule_lists_each_steps_boundary(self):
@@ -511,7 +517,7 @@ class TestLabelTables:
         schedule = ring.default_schedule(steps)
         weighted = boundary(schedule, S, ring, weighted=True)
         assert weighted.dtype == np.int64
-        assert weighted.tolist() == [weighted_cardinality(B, ring)
+        assert weighted.tolist() == [wcard(B, ring)
                                      for B in boundary(schedule, S, ring)]
         # the same sets as index steps instead of prefixes
         indexed = FolnerSchedule(ring, schedule.sets)
@@ -543,7 +549,7 @@ class TestLabelTables:
         with pytest.raises(InvalidInputError, match="exceeds"):
             folner_series(schedule, [1])
         # just below the limit the exact value survives
-        assert weighted_cardinality({top}, SU2) == int(schedule.weighted_cardinalities[0])
+        assert wcard({top}, SU2) == int(schedule.weighted_cardinalities[0])
         # the prefix pass: {0} has boundary {0, top}, just below the limit,
         # and {0, 1} reaches top + 1, above it
         assert folner_series(FolnerSchedule.prefixes(SU2, [1]), [top])[1].tolist() == [
@@ -998,7 +1004,7 @@ class TestIndexSchedules:
         sets = boundary(schedule, S, ring)
         assert sets == [boundary(F, S, ring) for F in steps]
         assert boundary(schedule, S, ring, weighted=True).tolist() == [
-            weighted_cardinality(B, ring) for B in sets]
+            wcard(B, ring) for B in sets]
 
     @pytest.mark.parametrize("name", sorted(CSR_LABELS))
     def test_a_schedule_without_sets_is_refused(self, name):

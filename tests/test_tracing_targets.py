@@ -16,8 +16,18 @@ UNMEASURED = [
     "fusion.LatticeRing.parse_label",
     "fusion.SU2Ring.parse_label",
     "fusion.FiniteDualRing.parse_label",
+    "fusion.weighted_cardinality",
+    "fusion.folner_ratio",
     "fusion.verify_folner",
     "groups.SU2Model.character_value",
+    "measures.density_eval",
+    "wiener.atom_average",
+    "wiener.energy_average",
+    "wiener.char_average",
+    "wiener.continuity_test",
+    "ergodic.FiniteDimRep.chi",
+    "ergodic.cesaro_operator",
+    "ergodic.invariant_projection",
 ]
 
 

@@ -1,4 +1,4 @@
-"""Wiener-type averages: closed forms, series, continuity verdicts."""
+"""Wiener-type averages: closed forms, series, Wiener's criterion on the energy tail."""
 
 import cmath
 import math
@@ -11,18 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import average, energy
 from peterweyl import (
     FolnerSchedule,
     InvalidInputError,
     MeasureSpec,
     TorusModel,
-    atom_average,
-    char_average,
     conjugate_measure,
-    continuity_test,
     convolve,
     dirac,
-    energy_average,
     get_model,
     get_ring,
     haar,
@@ -60,7 +57,7 @@ def combine(model, mu, nu, a, b):
 class TestAtomAverage:
     @pytest.mark.parametrize("N", [1, 10, 100])
     def test_circle_mix_closed_form(self, N):
-        value = atom_average(circle_mix(), CIRCLE.identity(), box(N))
+        value = average("atom", circle_mix(), box(N), at=CIRCLE.identity())
         assert abs(value - (0.5 + 0.5 / (2 * N + 1))) < 1e-13
 
     def test_point_mass_detects_itself_at_every_truncation(self):
@@ -72,35 +69,35 @@ class TestAtomAverage:
         ]
         for model, F in cases:
             y = model.haar_sample(rng)
-            value = atom_average(dirac(model, y), y, F)
+            value = average("atom", dirac(model, y), F, at=y)
             assert abs(value - 1.0) < 1e-12
 
     @pytest.mark.parametrize("N", [1, 3, 10, 47])
     def test_circle_fourth_root_oscillation(self, N):
         mu = dirac(CIRCLE, CIRCLE.element(1j))
-        value = atom_average(mu, CIRCLE.identity(), box(N))
+        value = average("atom", mu, box(N), at=CIRCLE.identity())
         oracle = sum(1j**n for n in range(-N, N + 1)) / (2 * N + 1)
         assert abs(value - oracle) < 1e-14
         assert abs(value) <= 3 / (2 * N + 1)
 
     def test_empty_F_rejected(self):
         with pytest.raises(InvalidInputError):
-            atom_average(haar(CIRCLE), CIRCLE.identity(), frozenset())
+            average("atom", haar(CIRCLE), frozenset(), at=CIRCLE.identity())
 
 
 class TestEnergyAverage:
     @pytest.mark.parametrize("N", [1, 5, 30])
     def test_haar_energy_is_reciprocal_weight(self, N):
-        assert abs(energy_average(haar(CIRCLE), box(N)) - 1 / (2 * N + 1)) < 1e-15
+        assert abs(energy(haar(CIRCLE), box(N)) - 1 / (2 * N + 1)) < 1e-15
         F = frozenset(range(N + 1))
         w = sum((k + 1) ** 2 for k in range(N + 1))
-        assert abs(energy_average(haar(SU2), F) - 1 / w) < 1e-15
+        assert abs(energy(haar(SU2), F) - 1 / w) < 1e-15
 
     def test_point_mass_energy_is_one(self):
         rng = np.random.default_rng(2)
         for model, F in [(CIRCLE, box(9)), (SU2, frozenset(range(5)))]:
             mu = dirac(model, model.haar_sample(rng))
-            assert abs(energy_average(mu, F) - 1.0) < 1e-12
+            assert abs(energy(mu, F) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("N", [1, 2, 9, 10])
     def test_two_atom_circle_expansion(self, N):
@@ -112,17 +109,17 @@ class TestEnergyAverage:
         # is +-1/(2N+1) depending on the parity of N
         sign = 1 if N % 2 == 0 else -1
         expected = 0.58 + 0.42 * sign / (2 * N + 1)
-        assert abs(energy_average(mu, box(N)) - expected) < 1e-13
+        assert abs(energy(mu, box(N)) - expected) < 1e-13
 
 
 class TestCharAverage:
     def test_identity_point_mass(self):
-        assert abs(char_average(dirac(CIRCLE, CIRCLE.identity()), box(12)) - 1) < 1e-13
-        assert abs(char_average(dirac(S3, S3.identity()), frozenset(range(3))) - 1) < 1e-13
+        assert abs(average("char", dirac(CIRCLE, CIRCLE.identity()), box(12)) - 1) < 1e-13
+        assert abs(average("char", dirac(S3, S3.identity()), frozenset(range(3))) - 1) < 1e-13
 
     @pytest.mark.parametrize("N", [2, 20])
     def test_haar(self, N):
-        assert abs(char_average(haar(CIRCLE), box(N)) - 1 / (2 * N + 1)) < 1e-15
+        assert abs(average("char", haar(CIRCLE), box(N)) - 1 / (2 * N + 1)) < 1e-15
 
     def test_su2_rotation_decays_and_matches_dirichlet_form(self):
         theta = 1.0
@@ -138,9 +135,9 @@ class TestCharAverage:
             return total / w
 
         for m in (10, 40, 60):
-            value = char_average(mu, frozenset(range(m + 1)))
+            value = average("char", mu, frozenset(range(m + 1)))
             assert abs(value - oracle(m)) < 1e-10
-        assert abs(char_average(mu, frozenset(range(61)))) < 0.02
+        assert abs(average("char", mu, frozenset(range(61)))) < 0.02
 
 
 class TestRunSeries:
@@ -170,7 +167,7 @@ class TestRunSeries:
         mu = circle_mix()
         schedule = FolnerSchedule(CIRCLE.ring, (box(3), box(1), box(5)), "unordered boxes")
         series = run_series("energy", mu, schedule)
-        direct = [energy_average(mu, F) for F in schedule]
+        direct = [energy(mu, F) for F in schedule]
         assert list(series.real_values()) == direct
 
     def test_a_schedule_on_an_equal_ring_is_not_rebuilt_from_its_sets(self):
@@ -197,11 +194,11 @@ class TestRunSeries:
         at = points[0] if kind == "atom" else None
         series = run_series(kind, mu, schedule, at=at)
         if kind == "atom":
-            direct = [atom_average(mu, at, F) for F in schedule]
+            direct = [average("atom", mu, F, at=at) for F in schedule]
         elif kind == "energy":
-            direct = [complex(energy_average(mu, F)) for F in schedule]
+            direct = [complex(energy(mu, F)) for F in schedule]
         else:
-            direct = [char_average(mu, F) for F in schedule]
+            direct = [average("char", mu, F) for F in schedule]
         assert [complex(v) for v in series.values] == direct
 
     @settings(max_examples=300, deadline=None)
@@ -324,39 +321,25 @@ class TestRunSeries:
 
 
 class TestContinuityTest:
+    """Wiener's criterion read off the tail of the energy series: the energy
+    averages tend to the sum of the squared atom weights, so they decay to 0
+    exactly when the measure is continuous."""
+
+    def tail(self, mu, schedule):
+        return run_series("energy", mu, schedule).real_values()[-5:]
+
     def test_haar_is_continuous(self):
-        verdict = continuity_test(haar(CIRCLE), CIRCLE.ring.default_schedule(200),
-                                  tol=1e-2, tail=5)
-        assert verdict.verdict == "continuous"
-        assert str(verdict) == "continuous"
+        tail = self.tail(haar(CIRCLE), CIRCLE.ring.default_schedule(200))
+        assert np.all(tail < 1e-2) and np.all(np.diff(tail) <= 0)
 
     def test_point_mass_is_atomic_with_unit_mass(self):
         mu = dirac(SU2, SU2.from_axis_angle((1, 0, 0), 0.8))
-        verdict = continuity_test(mu, SU2.ring.default_schedule(30), tol=1e-3, tail=5)
-        assert verdict.verdict == "atomic"
-        assert abs(verdict.atom_mass_estimate - 1.0) < 1e-9
+        tail = self.tail(mu, SU2.ring.default_schedule(30))
+        assert np.ptp(tail) <= 1e-3 and abs(tail[-1] - 1.0) < 1e-9
 
     def test_mix_is_atomic_with_quarter_mass(self):
-        verdict = continuity_test(circle_mix(), CIRCLE.ring.default_schedule(200),
-                                  tol=1e-2, tail=5)
-        assert verdict.verdict == "atomic"
-        assert abs(verdict.atom_mass_estimate - 0.25) < 0.002
-
-    def test_jumping_schedule_is_inconclusive(self):
-        schedule = FolnerSchedule(
-            CIRCLE.ring, (box(1), box(60), box(2), box(80), box(3), box(100)), "jumping boxes"
-        )
-        verdict = continuity_test(circle_mix(), schedule, tol=1e-2, tail=4)
-        assert verdict.verdict == "inconclusive"
-
-    def test_validation(self):
-        schedule = CIRCLE.ring.default_schedule(3)
-        with pytest.raises(InvalidInputError):
-            continuity_test(haar(CIRCLE), schedule, tol=1e-2, tail=1)
-        with pytest.raises(InvalidInputError):
-            continuity_test(haar(CIRCLE), schedule, tol=0.0, tail=2)
-        with pytest.raises(InvalidInputError):
-            continuity_test(haar(CIRCLE), schedule, tol=1e-2, tail=5)
+        tail = self.tail(circle_mix(), CIRCLE.ring.default_schedule(200))
+        assert np.ptp(tail) <= 1e-2 and abs(tail[-1] - 0.25) < 0.002
 
 
 class TestAverageProperties:
@@ -366,8 +349,8 @@ class TestAverageProperties:
         both = combine(CIRCLE, mu, nu, 0.6, 1.7)
         y = CIRCLE.element(cmath.exp(0.3j))
         for F in (box(1), box(6)):
-            lhs = atom_average(both, y, F)
-            rhs = 0.6 * atom_average(mu, y, F) + 1.7 * atom_average(nu, y, F)
+            lhs = average("atom", both, F, at=y)
+            rhs = 0.6 * average("atom", mu, F, at=y) + 1.7 * average("atom", nu, F, at=y)
             assert abs(lhs - rhs) < 1e-12
 
     def test_mass_bound(self):
@@ -381,7 +364,7 @@ class TestAverageProperties:
             mu = MeasureSpec(CIRCLE, atoms=atoms, density={0: [[rng.uniform(0.0, 1.0)]]})
             y = CIRCLE.haar_sample(rng)
             N = int(rng.integers(1, 40))
-            assert abs(atom_average(mu, y, box(N))) <= total_mass(mu) + 1e-12
+            assert abs(average("atom", mu, box(N), at=y)) <= total_mass(mu) + 1e-12
 
     def test_energy_equals_atom_average_of_mu_star_mu_bar(self):
         rng = np.random.default_rng(4)
@@ -392,7 +375,7 @@ class TestAverageProperties:
                 density = {model.ring.trivial: [[float(rng.uniform(0.1, 0.8))]]}
                 mu = MeasureSpec(model, atoms=atoms, density=density)
                 folded = convolve(mu, conjugate_measure(mu))
-                lhs = energy_average(mu, F)
-                rhs = atom_average(folded, model.identity(), F)
+                lhs = energy(mu, F)
+                rhs = average("atom", folded, F, at=model.identity())
                 assert abs(rhs.imag) < 1e-10
                 assert abs(lhs - rhs.real) < 1e-10
