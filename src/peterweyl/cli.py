@@ -18,6 +18,7 @@ import csv
 import math
 import operator
 import os
+import stat
 import sys
 from contextlib import ExitStack, contextmanager
 
@@ -96,15 +97,24 @@ def _load_json(path: str):
 
 @contextmanager
 def _open_out(path: str | None):
+    """`path` open for writing but not emptied, or stdout for None and "-".
+    If a later output of the call is refused, a file this call made is
+    removed and one that was there is left as it was."""
     if path is None or path == "-":
         yield sys.stdout
-    else:
+        return
+    made = not os.path.lexists(path)
+    try:
+        fh = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
+    with fh:
         try:
-            fh = open(path, "w", newline="")
-        except OSError as exc:
-            raise InvalidInputError(f"cannot write {path}: {exc}") from exc
-        with fh:
             yield fh
+        except InvalidInputError:
+            if made:
+                os.remove(path)
+            raise
 
 
 def _write_tables(args: argparse.Namespace, header: list[str], columns,
@@ -113,7 +123,7 @@ def _write_tables(args: argparse.Namespace, header: list[str], columns,
     space-separated under a commented header, and with `canonical` that
     text as --emit-canonical.  A non-finite float is a ConsistencyError
     before any output is opened, and every output is opened, --emit-canonical
-    first, before anything is written to any."""
+    first, before any is emptied or written."""
     columns = [np.asarray(column) for column in columns]
     for column in columns:
         if column.dtype.kind == "f" and not np.isfinite(column).all():
@@ -125,6 +135,9 @@ def _write_tables(args: argparse.Namespace, header: list[str], columns,
                         else outputs.enter_context(_open_out(args.emit_canonical)))
         fh = outputs.enter_context(_open_out(args.out))
         plot_fh = None if args.gnuplot is None else outputs.enter_context(_open_out(args.gnuplot))
+        for out in (canonical_fh, fh, plot_fh):
+            if out not in (None, sys.stdout) and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate(0)
         if canonical_fh is not None:
             canonical_fh.write(canonical)
         writer = csv.writer(fh, lineterminator="\n")
@@ -316,6 +329,3 @@ def main(argv=None) -> int:
         print(f"numeric consistency failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-
-if __name__ == "__main__":
-    sys.exit(main())

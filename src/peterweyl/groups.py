@@ -87,9 +87,6 @@ class CompactGroupModel(ABC):
         """`characters` on a checked label table of the ring."""
 
     @abstractmethod
-    def haar_sample(self, rng: np.random.Generator): ...
-
-    @abstractmethod
     def distance(self, g, h) -> float: ...
 
     @abstractmethod
@@ -178,10 +175,6 @@ class TorusModel(CompactGroupModel):
         phase, factor = np.zeros(hi.shape, complex), np.ones(hi.shape, complex)
         phase.imag, factor.imag = hi, lo
         return np.multiply(np.exp(phase, out=phase), factor, out=phase)
-
-    def haar_sample(self, rng):
-        phases = np.exp(2j * np.pi * rng.random(self.rank))
-        return complex(phases[0]) if self.rank == 1 else tuple(complex(z) for z in phases)
 
     def distance(self, g, h):
         if self.rank == 1:
@@ -344,11 +337,6 @@ class SU2Model(CompactGroupModel):
         sums = [np.add.accumulate(pairs["w"] * rows, axis=1)[:, -1] + 0 for rows in blocks]
         return np.concatenate(sums)[np.searchsorted(wanted, table[:, 0])]
 
-    def haar_sample(self, rng):
-        v = rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        return (complex(v[0], v[1]), complex(v[2], v[3]))
-
     def distance(self, g, h):
         return math.hypot(abs(g[0] - h[0]), abs(g[1] - h[1]))
 
@@ -458,9 +446,6 @@ class FiniteGroupModel(CompactGroupModel):
     def _character_table(self, table, elements):
         cols = np.array([self._check(g) for g in elements], dtype=np.intp)
         return self._characters[np.ix_(table[:, 0], cols)]
-
-    def haar_sample(self, rng):
-        return int(rng.integers(self.order))
 
     def distance(self, g, h):
         return 0.0 if self._check(g) == self._check(h) else 1.0

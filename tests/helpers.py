@@ -1,9 +1,10 @@
-"""Test-side readings of the library's one reduction path, and dense oracles
-that share no code with `ergodic`."""
+"""Test-side readings of the library's one reduction path, dense oracles
+that share no code with `ergodic`, and Haar-random elements of each model."""
 
 import numpy as np
 
 from peterweyl import FolnerSchedule, ergodic_limit_check, folner_series, run_series
+from peterweyl.groups import FiniteGroupModel, SU2Model, TorusModel
 
 
 def wcard(F, ring) -> int:
@@ -66,3 +67,26 @@ def projection(rep, generating_labels) -> np.ndarray:
     diagonal that `ergodic_limit_check` reports."""
     schedule = FolnerSchedule(rep.ring, ([rep.ring.trivial],))
     return operator(rep, ergodic_limit_check(rep, schedule, generating_labels).invariant)
+
+
+def _torus_sample(model, rng):
+    phases = np.exp(2j * np.pi * rng.random(model.rank))
+    return complex(phases[0]) if model.rank == 1 else tuple(complex(z) for z in phases)
+
+
+def _su2_sample(model, rng):
+    v = rng.normal(size=4)
+    v /= np.linalg.norm(v)
+    return (complex(v[0], v[1]), complex(v[2], v[3]))
+
+
+def _finite_sample(model, rng):
+    return int(rng.integers(model.order))
+
+
+_SAMPLERS = {TorusModel: _torus_sample, SU2Model: _su2_sample, FiniteGroupModel: _finite_sample}
+
+
+def haar_sample(model, rng):
+    """A Haar-random element of `model`, drawn from `rng` by its model type."""
+    return _SAMPLERS[type(model)](model, rng)

@@ -8,7 +8,8 @@ from itertools import product
 
 import numpy as np
 
-from helpers import average, cesaro, chi, energy, folner_ratio, projection, wcard
+from helpers import (average, cesaro, chi, energy, folner_ratio, haar_sample, projection,
+                     wcard)
 from peterweyl import (
     MeasureSpec,
     conjugate_measure,
@@ -205,7 +206,7 @@ def test_criterion_5_mean_ergodic_convergence():
         support = [i for i in range(d4.order) if phi[i] > 0]
         cases.append((gns_rep(d4, phi),
                       np.diag([1.0 if x == d4.identity() else 0.0 for x in support])))
-        pts = [q8.haar_sample(rng2) for _ in range(3)]
+        pts = [haar_sample(q8, rng2) for _ in range(3)]
         cases.append((point_rep(q8, pts),
                       np.diag([1.0 if x == q8.identity() else 0.0 for x in pts])))
         for rep_f, p_direct in cases:
@@ -286,7 +287,7 @@ def test_criterion_7_invariant_suites():
         for model in models:
             ring = model.ring
             for _ in range(150):
-                g = model.haar_sample(rng)
+                g = haar_sample(model, rng)
                 if model is SU2:
                     a, b = (int(x) for x in rng.integers(0, 6, size=2))
                 elif model is CIRCLE:
@@ -310,7 +311,7 @@ def test_criterion_7_invariant_suites():
         def random_measure(model, labels):
             atoms = []
             while len(atoms) < 2:
-                g = model.haar_sample(rng)
+                g = haar_sample(model, rng)
                 if all(model.distance(g, x) > 1e-6 for x, _ in atoms):
                     atoms.append((g, float(rng.uniform(0.1, 1.5))))
             density = {}
@@ -377,11 +378,11 @@ def test_criterion_7_invariant_suites():
                 if rng.random() < 0.5:
                     rep = gns_rep(model, rng.dirichlet(np.ones(model.order)))
                 else:
-                    rep = point_rep(model, [model.haar_sample(rng) for _ in range(3)])
+                    rep = point_rep(model, [haar_sample(model, rng) for _ in range(3)])
                 gens = sorted(model.ring.full_dual())
             else:
                 model = SU2 if rng.random() < 0.5 else CIRCLE
-                points = [model.identity()] + [model.haar_sample(rng)
+                points = [model.identity()] + [haar_sample(model, rng)
                                                for _ in range(int(rng.integers(1, 3)))]
                 rep = point_rep(model, points)
                 gens = [1]

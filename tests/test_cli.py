@@ -484,7 +484,22 @@ class TestUnwritableOutput:
         out.parent.mkdir()
         self._refused(capsys, ["folner", "--ring", "Z", "--S", "1", "--steps", "3",
                                "--out", str(out), "--gnuplot", str(out.parent)])
-        assert not out.exists() or out.read_text() == ""
+        assert not out.exists()
+
+    def test_a_refused_gnuplot_leaves_an_existing_table_as_it_was(self, tmp_path, capsys):
+        out = tmp_path / "gp" / "f.csv"
+        out.parent.mkdir()
+        out.write_text("a user's data\n")
+        self._refused(capsys, ["folner", "--ring", "Z", "--S", "1", "--steps", "3",
+                               "--out", str(out), "--gnuplot", str(out.parent)])
+        assert out.read_text() == "a user's data\n"
+
+    def test_an_existing_longer_table_is_replaced_whole(self, tmp_path):
+        out, fresh = tmp_path / "old.csv", tmp_path / "new.csv"
+        out.write_text("x" * 10_000)
+        argv = ["folner", "--ring", "Z", "--S", "1", "--steps", "3"]
+        assert main(argv + ["--out", str(out)]) == main(argv + ["--out", str(fresh)]) == EXIT_OK
+        assert out.read_bytes() == fresh.read_bytes()
 
     def test_a_refused_series_leaves_no_canonical_measure(self, tmp_path, capsys):
         measure = write_json(tmp_path / "m.json", haar_measure_doc())
@@ -516,7 +531,7 @@ class TestUnwritableOutput:
         self._refused(capsys, ["wiener", "--kind", "energy", "--measure", measure,
                                "--steps", "5", "--out", str(tmp_path / "nodir" / "s.csv"),
                                "--emit-canonical", str(canonical)])
-        assert not canonical.exists() or canonical.read_text() == ""
+        assert not canonical.exists()
 
 
 class TestWorkGuards:
@@ -621,6 +636,13 @@ class TestEntryPoints:
         )
         assert result.returncode == EXIT_OK
         assert result.stdout.strip().splitlines() == ["label,multiplicity,dim", "-3,1,1"]
+        # a long table reaches stdout whole when the process exits
+        argv = ["folner", "--ring", "SU2", "--S", "1", "--steps", "20000"]
+        result = subprocess.run([sys.executable, "-m", "peterweyl", *argv, "--out", "-"],
+                                capture_output=True)
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert result.returncode == EXIT_OK and result.stdout == out.read_bytes()
 
 
 # schedule-file fuzzing: literals that are often labels of the ring, mixed

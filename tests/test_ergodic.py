@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import cesaro, chi, operator, projection
+from helpers import cesaro, chi, haar_sample, operator, projection
 from peterweyl import (
     FolnerSchedule,
     InvalidInputError,
@@ -171,7 +171,7 @@ class TestCesaroOperator:
             rep = group_rep(DUAL_Z, [random_unitary(rng, k)])
             M = cesaro(rep, box(int(rng.integers(1, 30))))
             assert np.linalg.norm(M, 2) <= 1 + 1e-10
-        rep = point_rep(SU2, [SU2.haar_sample(rng) for _ in range(3)])
+        rep = point_rep(SU2, [haar_sample(SU2, rng) for _ in range(3)])
         M = cesaro(rep, frozenset(range(6)))
         assert np.linalg.norm(M, 2) <= 1 + 1e-10
 
@@ -234,8 +234,8 @@ class TestRepInvariants:
 
     def reps_and_labels(self):
         rng = np.random.default_rng(11)
-        yield point_rep(SU2, [SU2.haar_sample(rng) for _ in range(3)]), range(6)
-        yield point_rep(CIRCLE, [CIRCLE.haar_sample(rng) for _ in range(2)]), range(-4, 5)
+        yield point_rep(SU2, [haar_sample(SU2, rng) for _ in range(3)]), range(6)
+        yield point_rep(CIRCLE, [haar_sample(CIRCLE, rng) for _ in range(2)]), range(-4, 5)
         yield gns_rep(S3, rng.dirichlet(np.ones(6))), range(3)
         yield group_rep(DUAL_Z, [random_unitary(rng, 3)]), range(-5, 6)
 
@@ -273,7 +273,7 @@ class TestErgodicLimitCheck:
     def test_finite_group_full_dual_is_exact_in_one_step(self):
         rng = np.random.default_rng(8)
         for model in FINITE_MODELS:
-            points = [model.identity()] + [model.haar_sample(rng) for _ in range(2)]
+            points = [model.identity()] + [haar_sample(model, rng) for _ in range(2)]
             rep = point_rep(model, points)
             full = model.ring.full_dual()
             schedule = FolnerSchedule(model.ring, (full,), "full dual")
@@ -318,7 +318,7 @@ class TestErgodicLimitCheck:
             full = model.ring.full_dual()
             phi = rng.dirichlet(np.ones(model.order))
             for rep in (gns_rep(model, phi),
-                        point_rep(model, [model.haar_sample(rng) for _ in range(3)])):
+                        point_rep(model, [haar_sample(model, rng) for _ in range(3)])):
                 M = cesaro(rep, full)
                 P = projection(rep, full)
                 assert np.max(np.abs(M - P)) < 1e-10
@@ -330,8 +330,8 @@ class TestDiagonalReport:
     def reps(self):
         rng = np.random.default_rng(31)
         d4 = finite_group_model("D4")
-        yield point_rep(SU2, [SU2.identity()] + [SU2.haar_sample(rng) for _ in range(5)]), [1]
-        yield point_rep(CIRCLE, [CIRCLE.identity()] + [CIRCLE.haar_sample(rng)
+        yield point_rep(SU2, [SU2.identity()] + [haar_sample(SU2, rng) for _ in range(5)]), [1]
+        yield point_rep(CIRCLE, [CIRCLE.identity()] + [haar_sample(CIRCLE, rng)
                                                        for _ in range(4)]), [1]
         yield gns_rep(d4, rng.dirichlet(np.ones(8))), d4.ring.generating_labels()
         yield gns_rep(S3, np.full(6, 1.0)), S3.ring.generating_labels()
@@ -389,7 +389,7 @@ class TestDiagonalReport:
 
     def test_a_large_rep_is_checked_without_an_operator(self):
         rng = np.random.default_rng(33)
-        rep = point_rep(CIRCLE, [CIRCLE.haar_sample(rng) for _ in range(5000)])
+        rep = point_rep(CIRCLE, [haar_sample(CIRCLE, rng) for _ in range(5000)])
         tracemalloc.start()
         try:
             report = ergodic_limit_check(rep, CIRCLE.ring.default_schedule(3), [1], tol=10.0)
@@ -433,7 +433,7 @@ class TestDiagonalPath:
 
     def su2_points(self, n):
         rng = np.random.default_rng(21)
-        return [SU2.identity()] + [SU2.haar_sample(rng) for _ in range(n - 1)]
+        return [SU2.identity()] + [haar_sample(SU2, rng) for _ in range(n - 1)]
 
     def test_characters_are_batched_once_per_check(self, monkeypatch):
         calls = []

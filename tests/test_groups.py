@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import haar_sample
 from peterweyl import InvalidInputError, MeasureSpec, get_model, get_ring, resolve, run_series
 from peterweyl import fusion, groups
 
@@ -20,10 +21,6 @@ Q8 = get_model("finite:Q8")
 C7 = get_model("finite:C7")
 
 ALL_MODELS = [CIRCLE, TORUS2, SU2, S3, D4, Q8, C7]
-
-
-def random_element(model, rng):
-    return model.haar_sample(rng)
 
 
 def random_label(model, rng):
@@ -74,7 +71,7 @@ class TestEvaluation:
         rng = np.random.default_rng(5)
         for model in ALL_MODELS:
             for _ in range(50):
-                g = random_element(model, rng)
+                g = haar_sample(model, rng)
                 label = random_label(model, rng)
                 assert abs(model.character_value(label, g)) <= model.ring.dim(label) + 1e-10
 
@@ -90,7 +87,7 @@ class TestEvaluation:
     ], ids=["torus2", "SU2", "S3", "D4", "Q8", "C5"])
     def test_batched_characters_are_irrep_traces(self, model, labels):
         rng = np.random.default_rng(37)
-        elements = [model.haar_sample(rng) for _ in range(12)]
+        elements = [haar_sample(model, rng) for _ in range(12)]
         if isinstance(elements[0], int):
             elements = list(range(model.order))
         table = model.characters(labels, elements)
@@ -103,7 +100,7 @@ class TestEvaluation:
     def test_character_sums_do_not_depend_on_the_chunking(self, model, monkeypatch):
         rng = np.random.default_rng(47)
         labels = model.ring.enumerate_labels(40)
-        weighted = [(float(w), model.haar_sample(rng)) for w in rng.uniform(-1, 1, 30)]
+        weighted = [(float(w), haar_sample(model, rng)) for w in rng.uniform(-1, 1, 30)]
         sums = model.character_sums(labels, weighted)
         table = model.characters(labels, [g for _, g in weighted])
         assert np.max(np.abs(sums - table @ [w for w, _ in weighted])) < 1e-12
@@ -115,7 +112,7 @@ class TestEvaluation:
     def test_su2_character_sums_run_one_recurrence(self, entries, monkeypatch):
         rng = np.random.default_rng(53)
         labels = list(range(0, 4000, 7)) + [3, 3]
-        weighted = [(w, SU2.haar_sample(rng)) for w in [*rng.uniform(-1, 1, 30), -0.0, 2j]]
+        weighted = [(w, haar_sample(SU2, rng)) for w in [*rng.uniform(-1, 1, 30), -0.0, 2j]]
         one_by_one = np.zeros(len(labels), dtype=complex)
         for w, g in weighted:
             one_by_one += w * SU2.characters(labels, [g])[:, 0]
@@ -155,7 +152,7 @@ class TestEvaluation:
 
     def test_su2_characters_follow_the_weyl_formula_to_high_spin(self):
         rng = np.random.default_rng(43)
-        elements = [SU2.haar_sample(rng) for _ in range(20)]
+        elements = [haar_sample(SU2, rng) for _ in range(20)]
         n = np.arange(2001)
         table = SU2.characters(n.tolist(), elements)
         half = np.arccos([g[0].real for g in elements])
@@ -164,7 +161,7 @@ class TestEvaluation:
 
     def test_su2_characters_refuse_a_recurrence_past_the_work_limit(self, monkeypatch):
         rng = np.random.default_rng(5)
-        elements = [SU2.haar_sample(rng) for _ in range(48)]
+        elements = [haar_sample(SU2, rng) for _ in range(48)]
         start = time.perf_counter()
         with pytest.raises(InvalidInputError, match="label 3037000000 at 48 elements.*limit"):
             SU2.characters([3_037_000_000], elements)
@@ -204,8 +201,8 @@ class TestModelInvariants:
     def test_unitary_homomorphism_pairs(self, model):
         rng = np.random.default_rng(17)
         for _ in range(1000):
-            g = random_element(model, rng)
-            h = random_element(model, rng)
+            g = haar_sample(model, rng)
+            h = haar_sample(model, rng)
             label = random_label(model, rng)
             d = model.ring.dim(label)
             ug = model.irrep_matrix(label, g)
@@ -219,7 +216,7 @@ class TestModelInvariants:
         rng = np.random.default_rng(23)
         e = model.identity()
         for _ in range(200):
-            g = random_element(model, rng)
+            g = haar_sample(model, rng)
             assert model.distance(model.multiply(g, model.inverse(g)), e) < 1e-12
             assert model.distance(model.multiply(model.inverse(g), g), e) < 1e-12
 
@@ -228,7 +225,7 @@ class TestModelInvariants:
         rng = np.random.default_rng(29)
         ring = model.ring
         for _ in range(150):
-            g = random_element(model, rng)
+            g = haar_sample(model, rng)
             a = random_label(model, rng)
             b = random_label(model, rng)
             total = sum(
@@ -242,7 +239,7 @@ class TestModelInvariants:
         rng = np.random.default_rng(31)
         ring = model.ring
         for _ in range(150):
-            g = random_element(model, rng)
+            g = haar_sample(model, rng)
             a = random_label(model, rng)
             lhs = model.character_value(a, g).conjugate()
             assert abs(lhs - model.character_value(ring.conj(a), g)) < 1e-10
@@ -335,16 +332,16 @@ def test_character_orthogonality_by_exact_quadrature(ring_id):
 class TestSampling:
     def test_haar_deterministic_per_seed(self):
         for model in ALL_MODELS:
-            a = [model.haar_sample(np.random.default_rng(42)) for _ in range(3)]
-            b = [model.haar_sample(np.random.default_rng(42)) for _ in range(3)]
+            a = [haar_sample(model, np.random.default_rng(42)) for _ in range(3)]
+            b = [haar_sample(model, np.random.default_rng(42)) for _ in range(3)]
             assert all(model.distance(x, y) == 0 for x, y in zip(a, b))
 
     def test_samples_are_normalized(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
-            z = CIRCLE.haar_sample(rng)
+            z = haar_sample(CIRCLE, rng)
             assert abs(abs(z) - 1) < 1e-12
-            a, b = SU2.haar_sample(rng)
+            a, b = haar_sample(SU2, rng)
             assert abs(abs(a) ** 2 + abs(b) ** 2 - 1) < 1e-12
 
 

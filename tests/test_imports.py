@@ -1,6 +1,9 @@
-"""Import footprint: each CLI process loads only the package modules its
-subcommand runs, and `import peterweyl` loads none."""
+"""Import footprint and process entry: each CLI process loads only the
+package modules its subcommand runs, `import peterweyl` loads none, and the
+process entry `run` freezes what it loaded before the call runs."""
 
+import gc
+import importlib
 import json
 import os
 import subprocess
@@ -13,18 +16,39 @@ import peterweyl
 from peterweyl import cli, fusion, groups, wiener
 
 SRC = Path(peterweyl.__file__).resolve().parents[1]
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # runs the CLI through runpy, as `python -m peterweyl` does, then prints the
-# exit code and the package's submodules that were loaded
+# exit code, the package's submodules that were loaded and a record of the
+# collector: when `gc.disable` and `gc.freeze` were called, how many
+# collections had run by then, and whether the collector was on and how many
+# objects were frozen when `cli.main` ran
 PROBE = """
+import gc
+collections = []
+gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(1))
 import json, runpy, sys
+events, disable, freeze = [], gc.disable, gc.freeze
+def recording_disable():
+    disable()
+    events.append(["disable", len(collections)])
+def recording_freeze():
+    events.append(["freeze", len(collections), gc.isenabled()])
+    freeze()
+    cli = sys.modules["peterweyl.cli"]
+    main = cli.main
+    def recording_main(argv=None):
+        events.append(["main", gc.isenabled(), gc.get_freeze_count()])
+        return main(argv)
+    cli.main = recording_main
+gc.disable, gc.freeze = recording_disable, recording_freeze
 sys.argv = ["peterweyl", *json.loads(sys.argv[1])]
 code = 0
 try:
     runpy.run_module("peterweyl", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("peterweyl."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("peterweyl.")), events]))
 """
 
 
@@ -38,7 +62,7 @@ def _python(code: str, *args: str) -> str:
 
 
 def _loaded_by(argv: list[str]) -> set[str]:
-    code, modules = json.loads(_python(PROBE, json.dumps(argv)))
+    code, modules, _ = json.loads(_python(PROBE, json.dumps(argv)))
     assert code == 0
     return {m.removeprefix("peterweyl.") for m in modules}
 
@@ -100,3 +124,32 @@ def test_resolve_attaches_its_model_to_the_ring_of_get_ring(ring_id):
 
 def test_the_parser_offers_the_wiener_kinds():
     assert cli.KINDS == wiener.KINDS
+
+
+@pytest.mark.parametrize("argv", [
+    ["folner", "--ring", "SU2", "--S", "1", "--steps", "5"],
+    ["folner", "--ring", "SU2", "--S", "1", "--steps", "0"],
+])
+def test_the_process_entry_loads_without_collecting_then_freezes(tmp_path, argv):
+    argv = argv + ["--out", str(tmp_path / "out.csv")]
+    code, _, events = json.loads(_python(PROBE, json.dumps(argv)))
+    (disabled, ran), (frozen, ran_by_freeze, on_at_freeze), (called, on, count) = events
+    assert (disabled, frozen, called) == ("disable", "freeze", "main")
+    # no collection runs while the modules load, and the call runs collected
+    assert ran_by_freeze == ran and not on_at_freeze
+    assert on and count > 0
+    # in-process calls leave the caller's collector as they find it
+    state = (gc.isenabled(), gc.get_freeze_count())
+    assert code == cli.main(argv)
+    assert (gc.isenabled(), gc.get_freeze_count()) == state
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_the_installed_command_is_the_process_entry():
+    import tomllib
+
+    with open(PYPROJECT, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["peterweyl"]
+    module, _, name = target.partition(":")
+    entry = importlib.import_module("peterweyl.__main__")
+    assert getattr(importlib.import_module(module), name) is entry.run

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import average, energy
+from helpers import average, energy, haar_sample
 from peterweyl import (
     FolnerSchedule,
     InvalidInputError,
@@ -68,7 +68,7 @@ class TestAtomAverage:
             (S3, frozenset(range(3))),
         ]
         for model, F in cases:
-            y = model.haar_sample(rng)
+            y = haar_sample(model, rng)
             value = average("atom", dirac(model, y), F, at=y)
             assert abs(value - 1.0) < 1e-12
 
@@ -96,7 +96,7 @@ class TestEnergyAverage:
     def test_point_mass_energy_is_one(self):
         rng = np.random.default_rng(2)
         for model, F in [(CIRCLE, box(9)), (SU2, frozenset(range(5)))]:
-            mu = dirac(model, model.haar_sample(rng))
+            mu = dirac(model, haar_sample(model, rng))
             assert abs(energy(mu, F) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("N", [1, 2, 9, 10])
@@ -186,7 +186,7 @@ class TestRunSeries:
     def test_nested_schedule_matches_direct_calls(self, kind, model, steps):
         # every step of a nested series is the single-set average of its set, to the bit
         rng = np.random.default_rng(17)
-        points = [model.haar_sample(rng) for _ in range(3)]
+        points = [haar_sample(model, rng) for _ in range(3)]
         mu = MeasureSpec(model, atoms=[(model.identity(), 0.3), (points[0], 0.2),
                                        (points[1], 0.1)],
                          density={model.ring.trivial: [[0.4]]})
@@ -246,7 +246,7 @@ class TestRunSeries:
     def test_su2_energy_memory_stays_below_a_pair_table(self):
         # a labels x atoms^2 complex table would take about 128 MB here
         rng = np.random.default_rng(53)
-        atoms = [(SU2.haar_sample(rng), float(w)) for w in rng.uniform(0.01, 0.02, 200)]
+        atoms = [(haar_sample(SU2, rng), float(w)) for w in rng.uniform(0.01, 0.02, 200)]
         mu = MeasureSpec(SU2, atoms=atoms)
         schedule = SU2.ring.default_schedule(200)
         tracemalloc.start()
@@ -358,11 +358,11 @@ class TestAverageProperties:
         for _ in range(25):
             atoms = []
             while len(atoms) < 3:
-                g = CIRCLE.haar_sample(rng)
+                g = haar_sample(CIRCLE, rng)
                 if all(CIRCLE.distance(g, h) > 1e-6 for h, _ in atoms):
                     atoms.append((g, float(rng.uniform(0.1, 1.5))))
             mu = MeasureSpec(CIRCLE, atoms=atoms, density={0: [[rng.uniform(0.0, 1.0)]]})
-            y = CIRCLE.haar_sample(rng)
+            y = haar_sample(CIRCLE, rng)
             N = int(rng.integers(1, 40))
             assert abs(average("atom", mu, box(N), at=y)) <= total_mass(mu) + 1e-12
 
@@ -371,7 +371,7 @@ class TestAverageProperties:
         for model, F in [(CIRCLE, box(8)), (SU2, frozenset(range(4))),
                          (S3, frozenset(range(3)))]:
             for _ in range(10):
-                atoms = [(model.haar_sample(rng), float(rng.uniform(0.2, 1.0)))]
+                atoms = [(haar_sample(model, rng), float(rng.uniform(0.2, 1.0)))]
                 density = {model.ring.trivial: [[float(rng.uniform(0.1, 0.8))]]}
                 mu = MeasureSpec(model, atoms=atoms, density=density)
                 folded = convolve(mu, conjugate_measure(mu))
