@@ -32,7 +32,6 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
-DEFAULT_TOL_ENV = "PETERWEYL_TOL"
 # the averages of `wiener --kind`, as in wiener.KINDS, which the parser does not import
 KINDS = ("atom", "energy", "char")
 
@@ -61,7 +60,7 @@ def _split_labels(text: str, ring: FusionRing) -> list:
 
 def load_schedule(ring: FusionRing, spec: str | None, steps: int) -> FolnerSchedule:
     """A named per-ring default ('default', 'boxes', 'spins', 'full') or a
-    JSON file {"description": ..., "sets": [[label literal, ...], ...]}."""
+    JSON file {"sets": [[label literal, ...], ...]}; any other field is not read."""
     name = spec or "default"
     if name in ("default", "boxes", "spins", "full"):
         if name not in ("default", ring.schedule_name):
@@ -77,8 +76,7 @@ def load_schedule(ring: FusionRing, spec: str | None, steps: int) -> FolnerSched
         raise InvalidInputError("schedule file 'sets' must be a list of lists of label literals")
     # every literal of the file is read in one batch, straight into the label table
     table = ring.parse_table([literal for F in sets for literal in F])
-    return FolnerSchedule.from_table(ring, table, [len(F) for F in sets],
-                                     description=str(obj.get("description", name)))
+    return FolnerSchedule.from_table(ring, table, [len(F) for F in sets])
 
 
 def _load_json(path: str):
@@ -219,14 +217,7 @@ def _run_ergodic(args: argparse.Namespace) -> int:
     from .ergodic import ergodic_limit_check, gns_rep, group_rep, point_rep
     from .measures import matrix_from_json
 
-    # --tol, else $PETERWEYL_TOL, else 1e-8, checked before the spec is read
-    tol = args.tol
-    if tol is None:
-        text = os.environ.get(DEFAULT_TOL_ENV, "1e-8")
-        try:
-            tol = float(text)
-        except ValueError as exc:
-            raise InvalidInputError(f"${DEFAULT_TOL_ENV}={text!r} is not a number") from exc
+    tol = args.tol  # checked before the spec is read
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidInputError(f"tolerance must be finite and positive, got {tol!r}")
     obj = _load_json(args.spec)
@@ -309,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="representation spec JSON")
     p.add_argument("--labels", default=None, help="';'-separated generating labels")
     tables(p)
-    p.add_argument("--tol", type=float, default=None,
-                   help=f"tolerance (default from ${DEFAULT_TOL_ENV} or 1e-8)")
+    p.add_argument("--tol", type=float, default=1e-8, help="tolerance (default 1e-8)")
 
     return parser
 

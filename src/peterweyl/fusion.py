@@ -439,22 +439,21 @@ class FolnerSchedule:
 
     stops = indptr = indices = None
 
-    def __init__(self, ring: FusionRing, sets: Iterable[Iterable[Label]], description: str = ""):
+    def __init__(self, ring: FusionRing, sets: Iterable[Iterable[Label]]):
         sets = [list(F) for F in sets]
         table = ring.label_table([a for F in sets for a in F])
-        self._index(ring, table, [len(F) for F in sets], description)
+        self._index(ring, table, [len(F) for F in sets])
 
     @classmethod
-    def from_table(cls, ring: FusionRing, table: np.ndarray, lengths: list[int],
-                   description: str = ""):
+    def from_table(cls, ring: FusionRing, table: np.ndarray, lengths: list[int]):
         """The schedule whose n-th set is the next lengths[n] rows of `table`
         (checked label rows of `ring`, repeats allowed)."""
         schedule = cls.__new__(cls)
-        schedule._index(ring, table, lengths, description)
+        schedule._index(ring, table, lengths)
         return schedule
 
     @classmethod
-    def prefixes(cls, ring: FusionRing, lengths, description: str = ""):
+    def prefixes(cls, ring: FusionRing, lengths):
         """The schedule whose n-th step is the first lengths[n] labels of the
         ring's order (a list or an int64 array).  Refused before anything is
         built when its table would be too large or its pass too long, and
@@ -467,22 +466,21 @@ class FolnerSchedule:
         table = ring.first_table(count)
         schedule = cls.__new__(cls)
         schedule.stops = np.minimum(lengths.astype(np.int64), len(table))
-        schedule._init(ring, table, description)
+        schedule._init(ring, table)
         return schedule
 
-    def _index(self, ring, table, lengths, description):
+    def _index(self, ring, table, lengths):
         if not all(lengths):
             raise InvalidInputError("schedule sets must be nonempty")
         seconds = len(lengths) * COST_S["index step"] + sum(lengths) * COST_S["index label"]
         _check_work(seconds, f"a pass over {len(lengths)} index steps")
         ids, first = _ranks(table, ring.order_keys(table))
         self.indptr, self.indices = _csr(lengths, ids, len(first))
-        self._init(ring, table[first], description)
+        self._init(ring, table[first])
 
-    def _init(self, ring, table, description):
+    def _init(self, ring, table):
         self.ring = ring
         self.table = table
-        self.description = description
         self.dims = ring.dims_of(table)
         self.weighted_cardinalities = _weighted_sums(self.dims, lambda w: _step_sums(w, self))
         if not len(self):
@@ -502,22 +500,6 @@ class FolnerSchedule:
     def labels(self) -> tuple:
         return tuple(self.ring.labels_of(self.table))
 
-    def _on(self, ring: FusionRing) -> "FolnerSchedule":
-        """This schedule on `ring`, its table checked there at once: the same
-        steps when `ring` orders the table alike, else rebuilt from them."""
-        if ring is self.ring:
-            return self
-        table = ring.label_table(self.table)
-        if not np.array_equal(np.lexsort(ring.order_keys(table)), np.arange(len(table))):
-            lengths = self.stops if self.stops is not None else np.diff(self.indptr)
-            _check_size(int(lengths.sum()) * ring.rank, "the schedule's label table")
-            rows = np.concatenate([np.arange(len(table))[step] for step in self.steps])
-            return FolnerSchedule.from_table(ring, table[rows], lengths.tolist(), self.description)
-        schedule = FolnerSchedule.__new__(FolnerSchedule)
-        schedule.stops, schedule.indptr, schedule.indices = self.stops, self.indptr, self.indices
-        schedule._init(ring, table, self.description)
-        return schedule
-
     def _set(self, step) -> frozenset:
         return frozenset(self.ring.labels_of(self.table[step]))
 
@@ -535,6 +517,11 @@ class FolnerSchedule:
         return self._set(self.steps[i])
 
 
+def _check_ring(schedule: FolnerSchedule, ring: FusionRing):
+    if schedule.ring is not ring:
+        raise InvalidInputError(f"the schedule's ring {schedule.ring!r} is not {ring!r}")
+
+
 def reduce_along(schedule: FolnerSchedule, ring: FusionRing, terms,
                  columns: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per-step sums of the terms over the schedule's sets, one row per
@@ -545,10 +532,9 @@ def reduce_along(schedule: FolnerSchedule, ring: FusionRing, terms,
     check.  A step's sum is the running Sum2 of its rows in ring order
     (`_compensated_sums`, one pass read at each prefix stop), so it equals
     the sum over that set alone to the bit if a label's term does not depend
-    on the rest of the batch.  A schedule on another ring object moves to
-    `ring` first (`FolnerSchedule._on`).
+    on the rest of the batch.  The schedule must be on `ring` itself.
     """
-    schedule = schedule._on(ring)
+    _check_ring(schedule, ring)
     prefix = schedule.stops is not None
     rows = len(schedule.table if prefix else schedule.indices)
     _check_size(rows * columns, "the terms of the sums")
@@ -577,7 +563,7 @@ class LatticeRing(FusionRing):
         if rank < 1:
             raise InvalidInputError("rank must be >= 1")
         self.rank = rank
-        self.name = name or ("Z" if rank == 1 else f"Z^{rank}")
+        self.name = name or ("Z" if rank == 1 else f"Z^d:{rank}")
 
     def conj(self, label):
         label = self._one(label)
@@ -625,10 +611,7 @@ class LatticeRing(FusionRing):
     def default_schedule(self, steps: int) -> FolnerSchedule:
         # the box {-n..n}^rank is the first (2n+1)^rank labels of the shell walk
         _refuse_large_prefixes(self, steps, (2 * steps + 1) ** self.rank)
-        return FolnerSchedule.prefixes(
-            self, (2 * np.arange(1, steps + 1) + 1) ** self.rank,
-            description=f"{self.name} boxes {{-n..n}} for n=1..{steps}",
-        )
+        return FolnerSchedule.prefixes(self, (2 * np.arange(1, steps + 1) + 1) ** self.rank)
 
     def generating_labels(self):
         if self.rank == 1:
@@ -684,10 +667,7 @@ class SU2Ring(FusionRing):
 
     def default_schedule(self, steps: int) -> FolnerSchedule:
         _refuse_large_prefixes(self, steps, steps + 1)
-        return FolnerSchedule.prefixes(
-            self, np.arange(2, steps + 2),
-            description=f"SU2 spin intervals {{0..n}} for n=1..{steps}",
-        )
+        return FolnerSchedule.prefixes(self, np.arange(2, steps + 2))
 
     def generating_labels(self):
         return [1]
@@ -749,8 +729,7 @@ class FiniteDualRing(FusionRing):
 
     def default_schedule(self, steps: int) -> FolnerSchedule:
         _refuse_large_prefixes(self, steps, len(self.dims))
-        return FolnerSchedule.prefixes(self, np.full(max(steps, 0), len(self.dims)),
-                                       description=f"{self.name} full dual, constant")
+        return FolnerSchedule.prefixes(self, np.full(max(steps, 0), len(self.dims)))
 
     def generating_labels(self):
         return list(range(len(self.dims)))
@@ -899,7 +878,7 @@ def _prefix_boundary_sums(schedule: FolnerSchedule, pairs, w: np.ndarray) -> np.
 
 def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
     """Boundary of F relative to S; empty for an empty F.  F may also be a
-    FolnerSchedule, whose steps' boundaries are returned as a list.  With
+    FolnerSchedule on `ring`, whose steps' boundaries are returned as a list.  With
     `weighted`, |boundary|_w is returned instead of the set (exact int64,
     one per step for a schedule), and the sets are never built.
 
@@ -919,7 +898,8 @@ def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
         if not F:
             return 0 if weighted else frozenset()
         return boundary(FolnerSchedule(ring, (F,)), S, ring, weighted)[0]
-    schedule = F._on(ring)
+    schedule = F
+    _check_ring(schedule, ring)
     prefix = weighted and schedule.stops is not None
     if not prefix:
         # count the stepwise pass's products with S and conj(S) before building any

@@ -127,7 +127,7 @@ class TorusModel(CompactGroupModel):
 
     def __init__(self, rank: int = 1, ring: LatticeRing | None = None):
         self.rank = rank
-        self.ring = ring if ring is not None else LatticeRing(rank)
+        self.ring = ring if ring is not None else get_ring(f"Z^d:{rank}")
         self.name = "circle" if rank == 1 else f"torus^{rank}"
 
     def element(self, *coords):
@@ -277,7 +277,7 @@ class SU2Model(CompactGroupModel):
     name = "SU2"
 
     def __init__(self, ring: SU2Ring | None = None):
-        self.ring = ring if ring is not None else SU2Ring()
+        self.ring = ring if ring is not None else get_ring("SU2")
 
     def element(self, a, b):
         a, b = complex(a), complex(b)

@@ -37,7 +37,7 @@ class MeasureSpec:
     concern positive measures).  Instances are immutable.
     """
 
-    def __init__(self, model: CompactGroupModel, atoms=(), density=None, meta=None):
+    def __init__(self, model: CompactGroupModel, atoms=(), density=None):
         self.model = model
         ring = model.ring
         checked = []
@@ -70,7 +70,6 @@ class MeasureSpec:
             arr.setflags(write=False)
             dens[label] = arr
         self.density = dens
-        self.meta = dict(meta or {})
         triv = ring.trivial
         if triv in dens and abs(dens[triv][0, 0].imag) > 1e-8:
             raise ConsistencyError("trivial density entry must be real")
@@ -170,12 +169,7 @@ def convolve(mu: MeasureSpec, nu: MeasureSpec, support=None) -> MeasureSpec:
     for label in ring.sorted_labels(labels):
         target = fourier_matrix(mu, label) @ fourier_matrix(nu, label)
         density[label] = target - _atom_part(model, atoms, label)
-    return MeasureSpec(
-        model,
-        atoms=atoms,
-        density=density,
-        meta={"exact_support_bound": ring.sorted_labels(labels)},
-    )
+    return MeasureSpec(model, atoms=atoms, density=density)
 
 
 def conjugate_measure(mu: MeasureSpec) -> MeasureSpec:
@@ -184,7 +178,7 @@ def conjugate_measure(mu: MeasureSpec) -> MeasureSpec:
     conjugate measure)."""
     atoms = [(mu.model.inverse(g), w) for g, w in mu.atoms]
     density = {label: mat.conj().T for label, mat in mu.density.items()}
-    return MeasureSpec(mu.model, atoms=atoms, density=density, meta=dict(mu.meta))
+    return MeasureSpec(mu.model, atoms=atoms, density=density)
 
 
 def scalar_from_json(entry) -> complex:

@@ -1,5 +1,5 @@
-"""Fuzzing of the measure parser and of `cli.main` on generated argv,
-environment and input files, for all four subcommands."""
+"""Fuzzing of the measure parser and of `cli.main` on generated argv and
+input files, for all four subcommands."""
 
 import contextlib
 import csv
@@ -7,13 +7,12 @@ import io
 import json
 import math
 import os
-from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from peterweyl import InvalidInputError, MeasureSpec, measure_from_json
-from peterweyl.cli import DEFAULT_TOL_ENV, EXIT_OK, EXIT_USAGE, main
+from peterweyl.cli import EXIT_OK, EXIT_USAGE, main
 
 _RING_IDS = st.sampled_from(["Z", "Z^d:2", "SU2", "finite:S3", "finite:Q8", "dualgroup:Z^d:2",
                              "Z^d:0", "finite:X", "dualgroup:Z", "su2"])
@@ -126,7 +125,7 @@ def _inputs(draw, ring_id, clean):
 
 @st.composite
 def _invocations(draw, files, ring_id, clean, sub):
-    """(argv, environment value of the tolerance) of one generated call of `sub`."""
+    """The argv of one generated call of `sub`."""
     pick = _chooser(clean)
     labels, elements, rep = _RINGS[ring_id]
     label = pick(st.sampled_from(labels), _LABELS)
@@ -164,9 +163,7 @@ def _invocations(draw, files, ring_id, clean, sub):
     if scheduled and draw(st.booleans()):
         argv += ["--schedule", draw(pick(st.sampled_from([files["schedule"], "default"]),
                                          st.sampled_from(["boxes", "spins", "full", "x.json"])))]
-    argv += ["--out", files["out"]]
-    env_tol = draw(pick(st.none() | st.just("1e-6"), st.sampled_from(["0", "-2", "nan", "abc", ""])))
-    return argv, env_tol
+    return argv + ["--out", files["out"]]
 
 
 def _finite_cells(path) -> bool:
@@ -190,11 +187,9 @@ def test_main_on_generated_calls_exits_cleanly(tmp_path_factory, sub, data):
     for name, doc in zip(("measure", "spec", "schedule"), data.draw(_inputs(ring_id, clean))):
         with open(files[name], "w") as fh:
             json.dump(doc, fh)
-    argv, env_tol = data.draw(_invocations(files, ring_id, clean, sub))
-    env = {} if env_tol is None else {DEFAULT_TOL_ENV: env_tol}
+    argv = data.draw(_invocations(files, ring_id, clean, sub))
     err = io.StringIO()
-    with mock.patch.dict(os.environ, env), contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     stderr = err.getvalue()
     event(f"{argv[0]} exit {code}")

@@ -11,6 +11,7 @@ from helpers import cesaro, chi, haar_sample, operator, projection
 from peterweyl import (
     FolnerSchedule,
     InvalidInputError,
+    LatticeRing,
     ergodic_limit_check,
     finite_group_model,
     get_model,
@@ -259,7 +260,7 @@ class TestErgodicLimitCheck:
     def test_z2_commuting_diagonals_match_geometric_oracle(self):
         rep = group_rep(DUAL_Z2, [np.diag([1, 1j]), np.diag([1, -1])])
         steps = (5, 10, 50, 100)
-        schedule = FolnerSchedule(DUAL_Z2, [box2(N) for N in steps], "growing boxes")
+        schedule = FolnerSchedule(DUAL_Z2, [box2(N) for N in steps])
         report = ergodic_limit_check(rep, schedule, [(1, 0), (0, 1)], tol=1e-3)
         assert report.passed
         for i, N in enumerate(steps):
@@ -276,7 +277,7 @@ class TestErgodicLimitCheck:
             points = [model.identity()] + [haar_sample(model, rng) for _ in range(2)]
             rep = point_rep(model, points)
             full = model.ring.full_dual()
-            schedule = FolnerSchedule(model.ring, (full,), "full dual")
+            schedule = FolnerSchedule(model.ring, (full,))
             report = ergodic_limit_check(rep, schedule, full, tol=1e-10)
             assert report.passed
             assert report.distances[0] <= 1e-10
@@ -291,9 +292,15 @@ class TestErgodicLimitCheck:
 
     def test_failing_tolerance_reported(self):
         rep = group_rep(DUAL_Z, [[[-1.0]]])
-        schedule = FolnerSchedule(DUAL_Z, (box(1), box(3)), "short boxes")
+        schedule = FolnerSchedule(DUAL_Z, (box(1), box(3)))
         report = ergodic_limit_check(rep, schedule, [1], tol=1e-8)
         assert not report.passed
+
+    def test_a_schedule_on_another_ring_is_refused(self):
+        # a lattice ring built by hand is another ring object than the model's
+        rep = point_rep(CIRCLE, [CIRCLE.identity()])
+        with pytest.raises(InvalidInputError, match="is not <LatticeRing Z>"):
+            ergodic_limit_check(rep, LatticeRing(1).default_schedule(3), [1])
 
     @pytest.mark.parametrize("nested", [True, False], ids=["default", "windows"])
     def test_operators_equal_single_set_cesaro_operators(self, nested):
@@ -305,7 +312,7 @@ class TestErgodicLimitCheck:
             schedule = FolnerSchedule(DUAL_Z2, [
                 frozenset((x, y) for x in range(a, a + l1) for y in range(b, b + l2))
                 for a, b, l1, l2 in ((0, 0, 3, 4), (-5, 2, 10, 7), (4, -9, 6, 6), (1, 1, 1, 1))
-            ], "windows")
+            ])
         report = ergodic_limit_check(rep, schedule, [(1, 0), (0, 1)], tol=1.0)
         for a, F in zip(report.averages, schedule):
             assert np.array_equal(operator(rep, a), cesaro(rep, F))
@@ -349,7 +356,7 @@ class TestDiagonalReport:
             [labels[i] for i in rng.choice(len(labels), size=int(rng.integers(1, len(labels))),
                                            replace=False)]
             for _ in range(6)
-        ], "windows")
+        ])
 
     def test_distances_and_averages_match_the_dense_path(self):
         rng = np.random.default_rng(32)

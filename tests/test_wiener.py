@@ -15,6 +15,7 @@ from helpers import average, energy, haar_sample
 from peterweyl import (
     FolnerSchedule,
     InvalidInputError,
+    LatticeRing,
     MeasureSpec,
     TorusModel,
     conjugate_measure,
@@ -165,21 +166,30 @@ class TestRunSeries:
 
     def test_non_nested_schedule_matches_direct_calls(self):
         mu = circle_mix()
-        schedule = FolnerSchedule(CIRCLE.ring, (box(3), box(1), box(5)), "unordered boxes")
+        schedule = FolnerSchedule(CIRCLE.ring, (box(3), box(1), box(5)))
         series = run_series("energy", mu, schedule)
         direct = [energy(mu, F) for F in schedule]
         assert list(series.real_values()) == direct
 
     def test_a_schedule_on_an_equal_ring_is_not_rebuilt_from_its_sets(self):
-        # get_ring("Z") and a torus model's ring are equal ring objects: the
-        # schedule moves over by one check of its table, not as 1e10 labels
+        # a torus model built without a ring is on get_ring's ring, so a
+        # schedule of get_ring("Z") is on the model's own ring object
         model = TorusModel(1)
+        assert model.ring is get_ring("Z")
         own = run_series("char", dirac(model, 1), model.ring.default_schedule(100_000))
         start = time.perf_counter()
-        moved = run_series("char", dirac(model, 1), get_ring("Z").default_schedule(100_000))
+        same = run_series("char", dirac(model, 1), get_ring("Z").default_schedule(100_000))
         assert time.perf_counter() - start < 1.0
-        assert moved.values.tobytes() == own.values.tobytes()
-        assert moved.weighted_cardinalities.tobytes() == own.weighted_cardinalities.tobytes()
+        assert same.values.tobytes() == own.values.tobytes()
+        assert same.weighted_cardinalities.tobytes() == own.weighted_cardinalities.tobytes()
+
+    def test_a_schedule_on_another_ring_is_refused(self):
+        # C4's irreps are not the integers 0..3 of the circle's dual
+        mu = dirac(get_model("Z"), 1j)
+        with pytest.raises(InvalidInputError, match="FiniteDualRing finite:C4.*LatticeRing Z>"):
+            run_series("char", mu, get_ring("finite:C4").default_schedule(2))
+        with pytest.raises(InvalidInputError, match="is not <LatticeRing Z>"):
+            run_series("char", mu, LatticeRing(1).default_schedule(2))
 
     @pytest.mark.parametrize("kind", ["atom", "energy", "char"])
     @pytest.mark.parametrize("model, steps", [(CIRCLE, 100), (SU2, 40)], ids=["circle", "su2"])
