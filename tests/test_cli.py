@@ -320,6 +320,23 @@ class TestErgodic:
         assert main(argv + [str(tmp_path / "env.csv")]) == code == EXIT_NUMERIC
         assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-1e-3"])
+    def test_bad_tolerance_env_var_is_validation_error(self, tmp_path, monkeypatch, capsys,
+                                                       value):
+        # a bad tolerance is refused where it is read, on --tol; in PETERWEYL_TOL it is ignored
+        spec = write_json(tmp_path / "rep.json", {"ring": "Z", "points": ["z:1,0"]})
+        argv = ["ergodic", "--rep", "point", "--spec", spec]
+        assert main(argv + ["--out", str(tmp_path / "plain.csv")]) == EXIT_OK
+        monkeypatch.setenv("PETERWEYL_TOL", value)
+        assert main(argv + ["--out", str(tmp_path / "env.csv")]) == EXIT_OK
+        assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        capsys.readouterr()
+        refused = EXIT_USAGE if value == "abc" else EXIT_VALIDATION
+        assert main(argv + [f"--tol={value}"]) == refused
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("usage: " if value == "abc" else "error: tolerance must be") in err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-2"])
     def test_bad_tolerance_option_is_validation_error(self, tmp_path, capsys, value):
         # the tolerance is checked before the spec is read
