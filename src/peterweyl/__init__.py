@@ -19,9 +19,8 @@ _EXPORTS = {
                "boundary", "folner_series", "fuse", "get_ring"),
     "groups": ("CompactGroupModel", "FiniteGroupModel", "SU2Model", "TorusModel",
                "finite_group_model", "get_model", "resolve"),
-    "measures": ("MeasureSpec", "atom_list", "atom_weight_at", "conjugate_measure", "convolve",
-                 "dirac", "fourier_matrix", "haar", "measure_from_json", "measure_to_json",
-                 "total_mass"),
+    "measures": ("MeasureSpec", "atom_list", "atom_weight_at", "dirac", "fourier_matrix", "haar",
+                 "measure_from_json", "measure_to_json", "total_mass"),
     "wiener": ("AverageSeries", "run_series"),
     "ergodic": ("ErgodicReport", "FiniteDimRep", "ergodic_limit_check", "gns_rep", "group_rep",
                 "point_rep"),

@@ -28,6 +28,8 @@ from .errors import InvalidInputError
 from .fusion import FolnerSchedule, LatticeRing, reduce_along
 from .groups import CompactGroupModel, FiniteGroupModel, TorusModel
 
+GROUP_REP_TOL = 1e-10  # group_rep's entrywise bound on U U^H - I and off-diagonal V^H U V
+
 
 @dataclass(eq=False)
 class FiniteDimRep:
@@ -74,15 +76,15 @@ def _mixing(rank: int) -> np.ndarray:
     return np.sqrt(j) * np.exp(1j * j)
 
 
-def group_rep(ring: LatticeRing, generator_images, tol: float = 1e-10) -> FiniteDimRep:
+def group_rep(ring: LatticeRing, generator_images) -> FiniteDimRep:
     """Unitary representation of a discrete abelian group given by commuting
     generator images.  Labels of the dual-group ring are group words; all
     dimensions are 1, so the Cesaro average is the plain unweighted average
     of the word unitaries U^s.
 
     The eigenvectors V of one fixed Hermitian combination of the images must
-    make every V^H U_j V diagonal to `tol`; the diagonals are the joint
-    eigenvalues, read as points of the torus dual to `ring`.  The basis
+    make every V^H U_j V diagonal to GROUP_REP_TOL = 1e-10; the diagonals are
+    the joint eigenvalues, read as points of the torus dual to `ring`.  The basis
     residue ||V^H V - I||_F is measured once, here.
     """
     if not isinstance(ring, LatticeRing):
@@ -94,16 +96,16 @@ def group_rep(ring: LatticeRing, generator_images, tol: float = 1e-10) -> Finite
     for u in images:
         if k == 0 or u.shape != (k, k):
             raise InvalidInputError("generator images must be square and equally sized")
-        if not np.all(np.abs(u @ u.conj().T - np.eye(k)) <= tol):
+        if not np.all(np.abs(u @ u.conj().T - np.eye(k)) <= GROUP_REP_TOL):
             raise InvalidInputError("generator images must be unitary")
     mix = sum(c * u for c, u in zip(_mixing(ring.rank), images))
     _, basis = np.linalg.eigh(mix + mix.conj().T)
     joint = []
     for u in images:
         d = basis.conj().T @ u @ basis
-        if not np.all(np.abs(d - np.diag(np.diag(d))) <= tol):
-            raise InvalidInputError(
-                f"generator images must commute: they are not jointly diagonal to {tol:g}")
+        if not np.all(np.abs(d - np.diag(np.diag(d))) <= GROUP_REP_TOL):
+            raise InvalidInputError("generator images must commute: "
+                                    f"they are not jointly diagonal to {GROUP_REP_TOL:g}")
         joint.append(np.diag(d) / np.abs(np.diag(d)))
     points = [complex(p[0]) if ring.rank == 1 else tuple(map(complex, p)) for p in zip(*joint)]
     residue = float(np.linalg.norm(basis.conj().T @ basis - np.eye(k)))

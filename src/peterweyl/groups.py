@@ -128,6 +128,8 @@ class TorusModel(CompactGroupModel):
     def __init__(self, rank: int = 1, ring: LatticeRing | None = None):
         self.rank = rank
         self.ring = ring if ring is not None else get_ring(f"Z^d:{rank}")
+        if not (isinstance(self.ring, LatticeRing) and self.ring.rank == rank):
+            raise InvalidInputError(f"TorusModel({rank}) needs a LatticeRing of rank {rank}")
         self.name = "circle" if rank == 1 else f"torus^{rank}"
 
     def element(self, *coords):

@@ -8,8 +8,6 @@ D(a) itself, so every coefficient of the measure is exact up to element
 evaluation roundoff:
 
     fourier_matrix(mu, a) = sum_i w_i U^a(x_i) + D(a).
-
-Convolution and conjugation act coefficientwise (product and adjoint).
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from .groups import CompactGroupModel, resolve
 
 # atoms closer than this are rejected as duplicates at construction time
 ATOM_DISTINCT_TOL = 1e-12
-# products of atoms closer than this merge into one atom (quaternion roundoff)
+# atom_weight_at counts the atoms this close to the queried point (quaternion roundoff)
 ATOM_MERGE_TOL = 1e-9
 
 
@@ -32,9 +30,8 @@ class MeasureSpec:
     """Atoms + density coefficients on a compact group model.
 
     Atom weights must be strictly positive reals and atom locations pairwise
-    distinct; density matrices may be arbitrary complex (signed and complex
-    densities arise from intermediate arithmetic; the published statements
-    concern positive measures).  Instances are immutable.
+    distinct; density matrices may be arbitrary complex (the published
+    statements concern positive measures).  Instances are immutable.
     """
 
     def __init__(self, model: CompactGroupModel, atoms=(), density=None):
@@ -128,57 +125,9 @@ def atom_list(mu: MeasureSpec) -> tuple:
     return mu.atoms
 
 
-def atom_weight_at(mu: MeasureSpec, y, tol: float = ATOM_MERGE_TOL) -> float:
-    """Oracle weight mu{y} from the stored atoms."""
-    return sum(w for g, w in mu.atoms if mu.model.distance(g, y) <= tol)
-
-
-def _merge_atoms(model: CompactGroupModel, pairs) -> list:
-    merged: list[list] = []
-    for g, w in pairs:
-        for slot in merged:
-            if model.distance(slot[0], g) <= ATOM_MERGE_TOL:
-                slot[1] += w
-                break
-        else:
-            merged.append([g, w])
-    return [(g, w) for g, w in merged]
-
-
-def convolve(mu: MeasureSpec, nu: MeasureSpec, support=None) -> MeasureSpec:
-    """Convolution, exact in coefficients: fourier(conv, a) = fourier(mu, a) @ fourier(nu, a).
-
-    Atom products merge when closer than ATOM_MERGE_TOL; the mixed and
-    density-density parts are materialized in coefficient form on the union
-    of both density supports (off that union both densities vanish, so the
-    atomic part alone is already the exact coefficient).  An extra working
-    `support` may be supplied; it is unioned in.
-    """
-    if mu.model is not nu.model:
-        raise InvalidInputError("convolution requires measures on the same model")
-    model = mu.model
-    ring = model.ring
-    products = [
-        (model.multiply(x, y), wx * wy) for x, wx in mu.atoms for y, wy in nu.atoms
-    ]
-    atoms = _merge_atoms(model, products)
-    labels = set(mu.density) | set(nu.density)
-    if support is not None:
-        labels |= {ring.check_label(a) for a in support}
-    density = {}
-    for label in ring.sorted_labels(labels):
-        target = fourier_matrix(mu, label) @ fourier_matrix(nu, label)
-        density[label] = target - _atom_part(model, atoms, label)
-    return MeasureSpec(model, atoms=atoms, density=density)
-
-
-def conjugate_measure(mu: MeasureSpec) -> MeasureSpec:
-    """Pushforward under inversion: atoms move to inverses, every coefficient
-    matrix becomes its adjoint (for positive measures this is the classical
-    conjugate measure)."""
-    atoms = [(mu.model.inverse(g), w) for g, w in mu.atoms]
-    density = {label: mat.conj().T for label, mat in mu.density.items()}
-    return MeasureSpec(mu.model, atoms=atoms, density=density)
+def atom_weight_at(mu: MeasureSpec, y) -> float:
+    """Oracle weight mu{y} from the stored atoms within ATOM_MERGE_TOL of y."""
+    return sum(w for g, w in mu.atoms if mu.model.distance(g, y) <= ATOM_MERGE_TOL)
 
 
 def scalar_from_json(entry) -> complex:

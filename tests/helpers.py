@@ -3,7 +3,8 @@ that share no code with `ergodic`, and Haar-random elements of each model."""
 
 import numpy as np
 
-from peterweyl import FolnerSchedule, ergodic_limit_check, folner_series, run_series
+from peterweyl import (FolnerSchedule, ergodic_limit_check, folner_series, fourier_matrix,
+                       run_series)
 from peterweyl.groups import FiniteGroupModel, SU2Model, TorusModel
 
 
@@ -30,6 +31,14 @@ def energy(mu, F) -> float:
     value = average("energy", mu, F)
     assert abs(value.imag) <= 1e-12, value
     return value.real
+
+
+def energy_by_definition(mu, F) -> float:
+    """(1/|F|_w) sum_{a in F} d_a ||mu_hat(a)||_F^2 with mu_hat(a) = fourier_matrix(mu, a):
+    the energy average from the matrices, sharing no code with the character path."""
+    ring = mu.model.ring
+    total = sum(ring.dim(a) * np.sum(np.abs(fourier_matrix(mu, a)) ** 2) for a in F)
+    return total / wcard(F, ring)
 
 
 def density_value(mu, g) -> float:

@@ -415,6 +415,14 @@ class TestLiteralsAndRegistry:
             with pytest.raises(InvalidInputError):
                 model.parse_element(bad)
 
+    def test_torus_model_needs_a_lattice_ring_of_its_rank(self):
+        # a rank-2 torus on Z would read the label 1 as a pair; a circle on
+        # SU2 would read spins as circle characters
+        for rank, ring_id in [(2, "Z"), (1, "SU2"), (1, "finite:C5"), (3, "dualgroup:Z^d:2")]:
+            with pytest.raises(InvalidInputError, match="LatticeRing of rank"):
+                groups.TorusModel(rank, ring=get_ring(ring_id))
+        assert groups.TorusModel(2, ring=get_ring("dualgroup:Z^d:2")).ring.rank == 2
+
     def test_enumerate_dual_examples(self):
         assert CIRCLE.ring.enumerate_labels(5) == [0, 1, -1, 2, -2]
         assert S3.ring.enumerate_labels(10) == [0, 1, 2]

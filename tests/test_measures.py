@@ -1,11 +1,11 @@
-"""Measures as atoms + Peter-Weyl densities: coefficients, convolution, conjugation."""
+"""Measures as atoms + Peter-Weyl densities: coefficients, construction, JSON."""
 
 import cmath
 
 import numpy as np
 import pytest
 
-from helpers import density_value, energy, haar_sample
+from helpers import density_value, haar_sample
 from peterweyl import (
     ConsistencyError,
     InvalidInputError,
@@ -15,8 +15,6 @@ from peterweyl import (
     TorusModel,
     atom_list,
     atom_weight_at,
-    conjugate_measure,
-    convolve,
     dirac,
     fourier_matrix,
     get_model,
@@ -88,6 +86,22 @@ class TestFourierMatrix:
                 d = model.ring.dim(label)
                 assert np.allclose(fourier_matrix(mu, label), np.eye(d), atol=1e-14)
 
+    def test_positive_measures_have_mass_contractive_coefficients(self):
+        # states/positive functionals contract unitaries: ||mu_hat(a)||_op <= mass
+        rng = np.random.default_rng(14)
+        for model, labels in MODEL_LABEL_SETS:
+            for _ in range(10):
+                atoms = distinct_atoms(model, rng, 2)
+                mu = MeasureSpec(
+                    model,
+                    atoms=atoms,
+                    density={model.ring.trivial: [[float(rng.uniform(0.0, 1.0))]]},
+                )
+                mass = total_mass(mu)
+                for label in labels:
+                    norm = np.linalg.norm(fourier_matrix(mu, label), 2)
+                    assert norm <= mass + 1e-10
+
     def test_unknown_label_rejected(self):
         with pytest.raises(InvalidInputError):
             fourier_matrix(haar(SU2), -1)
@@ -148,157 +162,6 @@ class TestDensityEval:
     def test_zero_density(self):
         mu = MeasureSpec(CIRCLE)
         assert density_value(mu, CIRCLE.identity()) == 0.0
-
-
-class TestConvolve:
-    def test_point_masses_convolve_to_product_point(self):
-        rng = np.random.default_rng(5)
-        for model, labels in MODEL_LABEL_SETS:
-            x, y = (haar_sample(model, rng) for _ in range(2))
-            conv = convolve(dirac(model, x, 0.5), dirac(model, y, 3.0))
-            assert len(conv.atoms) == 1
-            assert not conv.density
-            g, w = conv.atoms[0]
-            assert model.distance(g, model.multiply(x, y)) == 0
-            assert w == 1.5
-
-    def test_identity_point_mass_is_neutral(self):
-        rng = np.random.default_rng(6)
-        for model, labels in MODEL_LABEL_SETS:
-            mu = random_measure(model, rng, labels)
-            conv = convolve(mu, dirac(model, model.identity()))
-            for label in labels:
-                assert np.allclose(
-                    fourier_matrix(conv, label), fourier_matrix(mu, label), atol=1e-12
-                )
-
-    def test_haar_absorbs(self):
-        rng = np.random.default_rng(7)
-        for model, labels in MODEL_LABEL_SETS:
-            mu = random_measure(model, rng, labels)
-            conv = convolve(haar(model), mu)
-            triv = model.ring.trivial
-            assert abs(fourier_matrix(conv, triv)[0, 0] - total_mass(mu)) < 1e-12
-            for label in labels:
-                if label != triv:
-                    assert np.max(np.abs(fourier_matrix(conv, label))) < 1e-12
-
-    def test_coefficient_homomorphism(self):
-        rng = np.random.default_rng(8)
-        for model, labels in MODEL_LABEL_SETS:
-            for _ in range(20):
-                mu = random_measure(model, rng, labels)
-                nu = random_measure(model, rng, labels)
-                conv = convolve(mu, nu)
-                for label in labels:
-                    lhs = fourier_matrix(conv, label)
-                    rhs = fourier_matrix(mu, label) @ fourier_matrix(nu, label)
-                    assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-    def test_atomic_convolution_matches_double_sum(self):
-        rng = np.random.default_rng(9)
-        mu = MeasureSpec(CIRCLE, atoms=distinct_atoms(CIRCLE, rng, 17))
-        nu = MeasureSpec(CIRCLE, atoms=distinct_atoms(CIRCLE, rng, 20))
-        conv = convolve(mu, nu)
-        oracle_atoms = [
-            (CIRCLE.multiply(x, y), wx * wy) for x, wx in mu.atoms for y, wy in nu.atoms
-        ]
-        oracle = MeasureSpec(CIRCLE, atoms=oracle_atoms)  # generic: no collisions
-        for n in range(-6, 7):
-            assert np.max(np.abs(fourier_matrix(conv, n) - fourier_matrix(oracle, n))) < 1e-12
-
-    def test_colliding_products_merge(self):
-        one = CIRCLE.identity()
-        minus = CIRCLE.element(-1 + 0j)
-        mu = MeasureSpec(CIRCLE, atoms=[(one, 1.0), (minus, 1.0)])
-        conv = convolve(mu, mu)
-        assert sorted(w for _, w in conv.atoms) == [2.0, 2.0]
-
-    def test_model_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            convolve(haar(CIRCLE), haar(SU2))
-
-    def test_requested_support_is_honored(self):
-        mu = dirac(CIRCLE, CIRCLE.element(1j))
-        conv = convolve(mu, haar(CIRCLE), support=[5, -5])
-        assert set(conv.density) == {0, 5, -5}
-
-    def test_continuity_preserved_through_energy(self):
-        # density-only measure convolved with an atomic one stays continuous:
-        # the energy average along boxes keeps decaying toward zero
-        density_only = MeasureSpec(
-            CIRCLE, density={0: [[1.0]], 1: [[0.5]], -1: [[0.5]]}
-        )
-        atomic = MeasureSpec(
-            CIRCLE,
-            atoms=[(CIRCLE.element(1j), 0.7), (CIRCLE.element(-1 + 0j), 0.5)],
-        )
-        conv = convolve(density_only, atomic)
-        small = energy(conv, frozenset(range(-10, 11)))
-        tiny = energy(conv, frozenset(range(-100, 101)))
-        assert tiny < small
-        assert tiny < 0.05
-
-
-class TestConjugate:
-    def test_point_mass_moves_to_inverse(self):
-        rng = np.random.default_rng(10)
-        for model, _ in MODEL_LABEL_SETS:
-            x = haar_sample(model, rng)
-            bar = conjugate_measure(dirac(model, x, 0.4))
-            (g, w), = bar.atoms
-            assert model.distance(g, model.inverse(x)) == 0
-            assert w == 0.4
-
-    def test_haar_is_inversion_invariant(self):
-        for model, labels in MODEL_LABEL_SETS:
-            mu = haar(model)
-            bar = conjugate_measure(mu)
-            for label in labels:
-                assert np.allclose(
-                    fourier_matrix(bar, label), fourier_matrix(mu, label), atol=0
-                )
-
-    def test_adjoint_identity_and_involution(self):
-        rng = np.random.default_rng(11)
-        for model, labels in MODEL_LABEL_SETS:
-            mu = random_measure(model, rng, labels)
-            bar = conjugate_measure(mu)
-            double = conjugate_measure(bar)
-            for label in labels:
-                m = fourier_matrix(mu, label)
-                assert np.max(np.abs(fourier_matrix(bar, label) - m.conj().T)) < 1e-12
-                assert np.max(np.abs(fourier_matrix(double, label) - m)) < 1e-12
-
-    def test_positive_measures_have_mass_contractive_coefficients(self):
-        # states/positive functionals contract unitaries: ||mu_hat(a)||_op <= mass
-        rng = np.random.default_rng(14)
-        for model, labels in MODEL_LABEL_SETS:
-            for _ in range(10):
-                atoms = distinct_atoms(model, rng, 2)
-                mu = MeasureSpec(
-                    model,
-                    atoms=atoms,
-                    density={model.ring.trivial: [[float(rng.uniform(0.0, 1.0))]]},
-                )
-                mass = total_mass(mu)
-                for label in labels:
-                    norm = np.linalg.norm(fourier_matrix(mu, label), 2)
-                    assert norm <= mass + 1e-10
-
-    def test_energy_identity(self):
-        # sum_ij |mu(u_ij)|^2 = trace(fourier(mu) @ fourier(conj mu))
-        rng = np.random.default_rng(12)
-        for model, labels in MODEL_LABEL_SETS:
-            for _ in range(10):
-                mu = random_measure(model, rng, labels)
-                bar = conjugate_measure(mu)
-                for label in labels:
-                    m = fourier_matrix(mu, label)
-                    lhs = float(np.sum(np.abs(m) ** 2))
-                    rhs = complex(np.trace(m @ fourier_matrix(bar, label)))
-                    assert abs(rhs.imag) < 1e-10
-                    assert abs(lhs - rhs.real) < 1e-10
 
 
 class TestJson:

@@ -13,8 +13,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "peterweyl"
 UNCALLED = {
     "fuse": "clibench's unmeasured-target test deletes it by name",
     "atom_list": "clibench's unmeasured-target test deletes it by name",
-    "convolve": "criterion 7's energy identity E_F(mu) = atom average of mu * conj(mu) at e",
-    "conjugate_measure": "criterion 7's energy identity, for conj(mu)",
+    "fourier_matrix": "the definition the averages are tested against",
     "haar": "a measure constructor the tests and the ROADMAP's singular measures build on",
     "dirac": "a measure constructor the tests and the ROADMAP's singular measures build on",
 }
