@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("ConsistencyError", "InvalidInputError"),
     "fusion": ("FiniteDualRing", "FolnerSchedule", "FusionRing", "LatticeRing", "SU2Ring",
-               "boundary", "folner_series", "fuse", "get_ring"),
+               "boundary", "fuse", "get_ring"),
     "groups": ("CompactGroupModel", "FiniteGroupModel", "SU2Model", "TorusModel",
                "finite_group_model", "get_model", "resolve"),
     "measures": ("MeasureSpec", "atom_list", "atom_weight_at", "dirac", "fourier_matrix", "haar",

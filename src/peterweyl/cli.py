@@ -25,7 +25,7 @@ from contextlib import ExitStack, contextmanager
 import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError
-from .fusion import FolnerSchedule, FusionRing, folner_series, get_ring
+from .fusion import FolnerSchedule, FusionRing, boundary, get_ring
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -162,7 +162,7 @@ def _run_folner(args: argparse.Namespace) -> int:
     ring = get_ring(args.ring)
     S = _split_labels(args.s_labels, ring)
     schedule = load_schedule(ring, args.schedule, args.steps)
-    wcards, boundary_wcards = folner_series(schedule, S)
+    wcards, boundary_wcards = schedule.weighted_cardinalities, boundary(schedule, S)
     # exact ints divided by Python, which rounds the quotient correctly
     ratios = list(map(operator.truediv, boundary_wcards.tolist(), wcards.tolist()))
     _write_tables(args, ["step", "wcard", "boundary_wcard", "ratio"],

@@ -10,18 +10,18 @@ columns: the components of a Z^d label, or the label itself for Z, SU(2)
 and finite duals.  Each ring states its rules once, on a table: which rows
 are labels, the dimensions, the fusion products of every row with a label
 g and its first labels, plus the sort keys of its total order where that
-is not lexicographic.  The one-label methods (`dim`,
-`fuse`, `check_label`, `sort_key`, `parse_label`) are the one-row case.  A
-Folner schedule is one table of its distinct labels in ring order plus
-prefix lengths or a CSR table of its steps.  Everything here is exact integer
-arithmetic, except the Folner ratio and `reduce_along`, the one reduction
-that sums an average's terms along a schedule.  Folner boundaries are read
-from the same table: one pass fuses it with S and with conj(S) and ranks
-the table and all products together with one sort, so each product knows
-its row.  Weighted boundaries of prefix steps then take one linear pass
-over ring ranks; other steps each test which of their rows' products fall
-outside them.  Ring identifiers resolve here too (`get_ring`), to one
-cached ring object each, so the ring combinatorics need no other module.
+is not lexicographic.  The one-label methods (`dim`, `fuse`, `check_label`,
+`parse_label`) are the one-row case.  A Folner schedule is one table of its
+distinct labels in ring order plus prefix lengths or a CSR table of its
+steps.  Everything here is exact integer arithmetic, except `reduce_along`,
+the one reduction that sums an average's terms along a schedule.
+`boundary` reads each step's |boundary|_w from the same table: one pass
+fuses it with S and with conj(S) and ranks the table and all products
+together with one sort, so each product knows its row.  Prefix steps then
+take one linear pass over ring ranks; other steps each test which of their
+rows' products fall outside them.  Ring identifiers resolve here too
+(`get_ring`), to one cached ring object each, so the ring combinatorics
+need no other module.
 """
 
 from __future__ import annotations
@@ -199,22 +199,14 @@ class FusionRing(ABC):
             return table[:, 0].tolist()
         return list(map(tuple, table.tolist()))
 
-    def _row(self, label) -> np.ndarray | None:
-        """The label as a one-row table, or None when it is not a label."""
-        parts = self._parts(label)
-        if parts is None or not all(-LABEL_BOUND < x < LABEL_BOUND for x in parts):
-            return None
-        row = np.array([parts], dtype=np.int64)
-        return row if self.valid_rows(row)[0] else None
-
     def _label_row(self, label) -> np.ndarray:
-        row = self._row(label)
-        if row is None:
-            raise InvalidInputError(f"{label!r} is not a label of ring {self.name}")
-        return row
-
-    def is_valid_label(self, label) -> bool:
-        return self._row(label) is not None
+        """The label as a one-row table; InvalidInputError when it is not a label."""
+        parts = self._parts(label)
+        if parts is not None and all(-LABEL_BOUND < x < LABEL_BOUND for x in parts):
+            row = np.array([parts], dtype=np.int64)
+            if self.valid_rows(row)[0]:
+                return row
+        raise InvalidInputError(f"{label!r} is not a label of ring {self.name}")
 
     def check_label(self, label) -> Label:
         self._label_row(label)
@@ -227,9 +219,6 @@ class FusionRing(ABC):
     def dim(self, label: Label) -> int:
         return int(self.dims_of(self._label_row(label))[0])
 
-    def sort_key(self, label: Label) -> tuple:
-        return tuple(int(k[0]) for k in reversed(self.order_keys(self._label_row(label))))
-
     def sorted_labels(self, labels: Iterable[Label]) -> list[Label]:
         table = self.label_table(labels)
         return self.labels_of(table[np.lexsort(self.order_keys(table))])
@@ -238,18 +227,6 @@ class FusionRing(ABC):
         """Decomposition of a (x) b as {label: multiplicity}."""
         _, prods = self.products(self._label_row(a), self._one(b))
         return dict(Counter(self.labels_of(prods)))
-
-    def multiplicity(self, a: Label, b: Label, c: Label) -> int:
-        """Fusion multiplicity N[a,b]^c."""
-        self.check_label(c)
-        return self.fuse(a, b).get(c, 0)
-
-    def enumerate_labels(self, bound: int) -> list[Label]:
-        """First `bound` labels in the ring's total order."""
-        if bound < 1:
-            raise InvalidInputError("bound must be >= 1")
-        _check_size(bound * self.rank, "a label table")
-        return self.labels_of(self.first_table(bound))
 
     def parse_label(self, literal) -> Label:
         return self.labels_of(self.parse_table([literal]))[0]
@@ -434,7 +411,8 @@ class FolnerSchedule:
     of a prefix schedule, else `indices[indptr[i]:indptr[i + 1]]`, ascending
     (the other form's attributes are None).  These, `dims` and
     `weighted_cardinalities` (each step's |F|_w) are exact int64 and
-    read-only.  `labels`, `steps` and the step sets are built on demand.
+    read-only.  `steps` (each step's rows of the table) and `sets` (each
+    step's labels) are built on demand.
     """
 
     stops = indptr = indices = None
@@ -496,30 +474,12 @@ class FolnerSchedule:
             return tuple(slice(0, k) for k in self.stops.tolist())
         return tuple(np.split(self.indices, self.indptr[1:-1]))
 
-    @cached_property
-    def labels(self) -> tuple:
-        return tuple(self.ring.labels_of(self.table))
-
-    def _set(self, step) -> frozenset:
-        return frozenset(self.ring.labels_of(self.table[step]))
-
     @property
     def sets(self) -> tuple[frozenset, ...]:
-        return tuple(map(self._set, self.steps))
+        return tuple(frozenset(self.ring.labels_of(self.table[step])) for step in self.steps)
 
     def __len__(self):
         return len(self.weighted_cardinalities)
-
-    def __iter__(self):
-        return map(self._set, self.steps)
-
-    def __getitem__(self, i):
-        return self._set(self.steps[i])
-
-
-def _check_ring(schedule: FolnerSchedule, ring: FusionRing):
-    if schedule.ring is not ring:
-        raise InvalidInputError(f"the schedule's ring {schedule.ring!r} is not {ring!r}")
 
 
 def reduce_along(schedule: FolnerSchedule, ring: FusionRing, terms,
@@ -534,7 +494,8 @@ def reduce_along(schedule: FolnerSchedule, ring: FusionRing, terms,
     the sum over that set alone to the bit if a label's term does not depend
     on the rest of the batch.  The schedule must be on `ring` itself.
     """
-    _check_ring(schedule, ring)
+    if schedule.ring is not ring:
+        raise InvalidInputError(f"the schedule's ring {schedule.ring!r} is not {ring!r}")
     prefix = schedule.stops is not None
     rows = len(schedule.table if prefix else schedule.indices)
     _check_size(rows * columns, "the terms of the sums")
@@ -659,12 +620,6 @@ class SU2Ring(FusionRing):
     def first_table(self, count):
         return np.arange(count, dtype=np.int64)[:, None]
 
-    def spins(self, n: int) -> frozenset:
-        """The spin interval {2j = 0..n}."""
-        if n < 0:
-            raise InvalidInputError("spin bound must be >= 0")
-        return frozenset(range(n + 1))
-
     def default_schedule(self, steps: int) -> FolnerSchedule:
         _refuse_large_prefixes(self, steps, steps + 1)
         return FolnerSchedule.prefixes(self, np.arange(2, steps + 2))
@@ -723,9 +678,6 @@ class FiniteDualRing(FusionRing):
 
     def first_table(self, count):
         return np.arange(min(count, len(self.dims)), dtype=np.int64)[:, None]
-
-    def full_dual(self) -> frozenset:
-        return frozenset(range(len(self.dims)))
 
     def default_schedule(self, steps: int) -> FolnerSchedule:
         _refuse_large_prefixes(self, steps, len(self.dims))
@@ -876,31 +828,26 @@ def _prefix_boundary_sums(schedule: FolnerSchedule, pairs, w: np.ndarray) -> np.
     return _step_sums(change, schedule)
 
 
-def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
-    """Boundary of F relative to S; empty for an empty F.  F may also be a
-    FolnerSchedule on `ring`, whose steps' boundaries are returned as a list.  With
-    `weighted`, |boundary|_w is returned instead of the set (exact int64,
-    one per step for a schedule), and the sets are never built.
+def boundary(schedule: FolnerSchedule, S: Iterable[Label]) -> np.ndarray:
+    """|boundary(F, S)|_w of every set F of the schedule, as exact int64
+    values, with S checked on the schedule's ring.
 
     The inner part collects a in F that fuse with some g in S to a label
     outside F.  The outer part is defined by a quantifier over all labels
     not in F; by Frobenius reciprocity (N[a,g]^b = N[b,conj(g)]^a) it equals
     the set of labels outside F reachable by fusing F with conj(S), which is
     finite and computed directly.  One pass fuses the schedule's table with
-    every g in S and every conj(g).  Weighted boundaries of prefix steps are
-    then one running sum, linear in the table, products and steps; other
-    steps each test membership, refused above MAX_WORK_S before they start.
-    A set F is a one-step schedule.
+    every g in S and every conj(g).  Prefix steps then take one running sum,
+    linear in the table, products and steps; other steps each test
+    membership, refused above MAX_WORK_S before they start.
+
+    A sequence with ratios |boundary|_w / |F|_w tending to zero for every
+    finite nonempty S is a right Folner sequence; this merely reports the
+    finitely many steps asked for and makes no limit claim.
     """
+    ring = schedule.ring
     S = _generators(ring, S)
-    if not isinstance(F, FolnerSchedule):
-        F = frozenset(F)
-        if not F:
-            return 0 if weighted else frozenset()
-        return boundary(FolnerSchedule(ring, (F,)), S, ring, weighted)[0]
-    schedule = F
-    _check_ring(schedule, ring)
-    prefix = weighted and schedule.stops is not None
+    prefix = schedule.stops is not None
     if not prefix:
         # count the stepwise pass's products with S and conj(S) before building any
         counts = sum(ring.product_counts(schedule.table, g) for g in S + [ring.conj(g) for g in S])
@@ -908,15 +855,10 @@ def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
         seconds = len(schedule) * COST_S["index step"] + products * COST_S["boundary product"]
         _check_work(seconds, f"the boundary pass of {len(schedule)} steps and {products} products")
     pairs = _fusion_pairs(schedule, S)
-    rows = pairs[-1]
+    dims = ring.dims_of(pairs[-1])
     if prefix:
-        return _weighted_sums(ring.dims_of(rows),
-                              lambda w: _prefix_boundary_sums(schedule, pairs, w))
+        return _weighted_sums(dims, lambda w: _prefix_boundary_sums(schedule, pairs, w))
     indptr, indices = _step_boundaries(schedule, pairs)
-    if not weighted:
-        labels = ring.labels_of(rows)
-        return [frozenset(labels[i] for i in ids.tolist())
-                for ids in np.split(indices, indptr[1:-1])]
     owners = np.repeat(np.arange(len(schedule)), np.diff(indptr))
 
     def totals(w):  # not by reduceat: a boundary may be empty
@@ -924,16 +866,4 @@ def boundary(F, S: Iterable[Label], ring: FusionRing, weighted: bool = False):
         np.add.at(out, owners, w[indices])
         return out
 
-    return _weighted_sums(ring.dims_of(rows), totals)
-
-
-def folner_series(schedule: FolnerSchedule, S: Iterable[Label]) -> tuple[np.ndarray, np.ndarray]:
-    """|F|_w and |boundary(F,S)|_w of every set in the schedule, as exact
-    int64 arrays, from one weighted boundary pass over the schedule's table.
-
-    A sequence with ratios |boundary|_w / |F|_w tending to zero for every
-    finite nonempty S is a right Folner sequence; this merely reports the
-    finitely many steps asked for and makes no limit claim.
-    """
-    return schedule.weighted_cardinalities, boundary(schedule, S, schedule.ring, weighted=True)
-
+    return _weighted_sums(dims, totals)

@@ -288,15 +288,6 @@ class SU2Model(CompactGroupModel):
             raise InvalidInputError("quaternion too close to zero to normalize")
         return (a / norm, b / norm)
 
-    def from_axis_angle(self, axis, angle: float):
-        """Rotation by `angle` about the 3-vector `axis` (need not be unit)."""
-        x, y, z = (float(v) for v in axis)
-        r = math.sqrt(x * x + y * y + z * z)
-        if r < 1e-12:
-            raise InvalidInputError("axis must be nonzero")
-        s = math.sin(angle / 2) / r
-        return (complex(math.cos(angle / 2), z * s), complex(y * s, x * s))
-
     def identity(self):
         return (1 + 0j, 0j)
 
@@ -437,9 +428,6 @@ class FiniteGroupModel(CompactGroupModel):
         if not isinstance(g, (int, np.integer)) or isinstance(g, bool) or not 0 <= g < self.order:
             raise InvalidInputError(f"{g!r} is not an element index of {self.name}")
         return int(g)
-
-    def elements(self) -> list[int]:
-        return list(range(self.order))
 
     def irrep_matrix(self, label, g):
         self.ring.check_label(label)

@@ -86,9 +86,6 @@ class AverageSeries:
     def final(self) -> complex:
         return complex(self.values[-1])
 
-    def real_values(self) -> np.ndarray:
-        return np.real(self.values)
-
 
 def run_series(kind: str, mu: MeasureSpec, schedule: FolnerSchedule, at=None,
                with_target: bool = False) -> AverageSeries:

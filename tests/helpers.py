@@ -1,11 +1,44 @@
-"""Test-side readings of the library's one reduction path, dense oracles
-that share no code with `ergodic`, and Haar-random elements of each model."""
+"""Test-side readings of the library's one reduction path and its Folner
+pass, label sets read off the rings' tables, dense oracles that share no
+code with `ergodic`, and Haar-random elements of each model."""
+
+import math
 
 import numpy as np
 
-from peterweyl import (FolnerSchedule, ergodic_limit_check, folner_series, fourier_matrix,
-                       run_series)
+from peterweyl import (FolnerSchedule, InvalidInputError, boundary, ergodic_limit_check,
+                       fourier_matrix, run_series)
+from peterweyl import fusion
 from peterweyl.groups import FiniteGroupModel, SU2Model, TorusModel
+
+
+def enumerate_labels(ring, bound) -> list:
+    """The first `bound` labels in the ring's order (all of them when it has fewer)."""
+    return ring.labels_of(ring.first_table(bound))
+
+
+def full_dual(ring) -> frozenset:
+    """Every label of a finite dual."""
+    return frozenset(enumerate_labels(ring, len(ring.dims)))
+
+
+def is_valid_label(ring, label) -> bool:
+    """Whether `check_label` accepts the value."""
+    try:
+        ring.check_label(label)
+    except InvalidInputError:
+        return False
+    return True
+
+
+def multiplicity(ring, a, b, c) -> int:
+    """The fusion multiplicity N[a,b]^c, read off `fuse`."""
+    return ring.fuse(a, b).get(c, 0)
+
+
+def schedule_labels(schedule) -> tuple:
+    """The labels of the schedule's table, in ring order."""
+    return tuple(schedule.ring.labels_of(schedule.table))
 
 
 def wcard(F, ring) -> int:
@@ -14,10 +47,20 @@ def wcard(F, ring) -> int:
 
 
 def folner_ratio(F, S, ring) -> float:
-    """|boundary(F,S)|_w / |F|_w from `folner_series` on the one-set schedule,
+    """|boundary(F,S)|_w / |F|_w from `boundary` on the one-set schedule,
     divided as Python ints (correctly rounded)."""
-    wcards, boundary_wcards = folner_series(FolnerSchedule(ring, (F,)), S)
-    return int(boundary_wcards[0]) / int(wcards[0])
+    schedule = FolnerSchedule(ring, (F,))
+    return int(boundary(schedule, S)[0]) / int(schedule.weighted_cardinalities[0])
+
+
+def boundary_sets(schedule, S) -> list:
+    """Each step's boundary relative to S as a frozenset of labels: the CSR
+    table of the stepwise pass (`fusion._step_boundaries`), read as labels."""
+    ring = schedule.ring
+    pairs = fusion._fusion_pairs(schedule, fusion._generators(ring, S))
+    indptr, indices = fusion._step_boundaries(schedule, pairs)
+    labels = ring.labels_of(pairs[-1])
+    return [frozenset(labels[i] for i in ids.tolist()) for ids in np.split(indices, indptr[1:-1])]
 
 
 def average(kind, mu, F, at=None) -> complex:
@@ -76,6 +119,17 @@ def projection(rep, generating_labels) -> np.ndarray:
     diagonal that `ergodic_limit_check` reports."""
     schedule = FolnerSchedule(rep.ring, ([rep.ring.trivial],))
     return operator(rep, ergodic_limit_check(rep, schedule, generating_labels).invariant)
+
+
+def from_axis_angle(axis, angle: float):
+    """The SU(2) rotation by `angle` about the 3-vector `axis` (need not be
+    unit), as a unit quaternion (a, b)."""
+    x, y, z = (float(v) for v in axis)
+    r = math.sqrt(x * x + y * y + z * z)
+    if r < 1e-12:
+        raise InvalidInputError("axis must be nonzero")
+    s = math.sin(angle / 2) / r
+    return (complex(math.cos(angle / 2), z * s), complex(y * s, x * s))
 
 
 def _torus_sample(model, rng):

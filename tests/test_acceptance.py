@@ -8,8 +8,9 @@ from itertools import product
 
 import numpy as np
 
-from helpers import (average, cesaro, chi, energy, energy_by_definition, folner_ratio,
-                     haar_sample, projection, wcard)
+from helpers import (average, cesaro, chi, energy, energy_by_definition, enumerate_labels,
+                     folner_ratio, from_axis_angle, full_dual, haar_sample, multiplicity,
+                     projection, wcard)
 from peterweyl import (
     MeasureSpec,
     finite_group_model,
@@ -49,7 +50,7 @@ def test_criterion_1_classical_wiener_on_the_circle():
         atom_expected = 0.5 + 0.5 / (2 * ns + 1)
         energy_expected = 0.25 + 0.75 / (2 * ns + 1)
         assert np.max(np.abs(atom.values - atom_expected)) <= 1e-12
-        assert np.max(np.abs(energy_series.real_values() - energy_expected)) <= 1e-12
+        assert np.max(np.abs(energy_series.values.real - energy_expected)) <= 1e-12
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
         ok = True
     finally:
@@ -60,9 +61,9 @@ def test_criterion_2_nonabelian_finite_group():
     ok = False
     try:
         ring = S3.ring
-        full = ring.full_dual()
+        full = full_dual(ring)
         w_full = wcard(full, ring)  # = 6
-        elements = S3.elements()
+        elements = range(S3.order)
         for g in elements:
             if g == S3.identity():
                 continue
@@ -106,8 +107,8 @@ def test_criterion_2_nonabelian_finite_group():
 def test_criterion_3_su2_atom_detection():
     ok = False
     try:
-        g = SU2.from_axis_angle((0, 0, 1), 1.0)
-        h = SU2.from_axis_angle((1, 2, -1), 2.0)
+        g = from_axis_angle((0, 0, 1), 1.0)
+        h = from_axis_angle((1, 2, -1), 2.0)
         mu = MeasureSpec(SU2, atoms=[(g, 1.0)], density={0: [[1.0]]})  # mass 2
         start = time.perf_counter()
         schedule = SU2.ring.default_schedule(60)
@@ -207,7 +208,7 @@ def test_criterion_5_mean_ergodic_convergence():
         cases.append((point_rep(q8, pts),
                       np.diag([1.0 if x == q8.identity() else 0.0 for x in pts])))
         for rep_f, p_direct in cases:
-            full = rep_f.ring.full_dual()
+            full = full_dual(rep_f.ring)
             m = cesaro(rep_f, full)
             p_lib = projection(rep_f, full)
             assert np.linalg.norm(m - p_direct) <= 1e-10
@@ -224,8 +225,8 @@ def test_criterion_6_pure_state_dichotomy():
     try:
         for name in ("C6", "D4", "S3"):
             model = finite_group_model(name)
-            full = model.ring.full_dual()
-            for x in model.elements():
+            full = full_dual(model.ring)
+            for x in range(model.order):
                 phi = np.zeros(model.order)
                 phi[x] = 1.0
                 rep = gns_rep(model, phi)
@@ -259,7 +260,7 @@ def test_criterion_7_invariant_suites():
         rng = np.random.default_rng(100)
         counts["frobenius"] = counts["dimension"] = 0
         for ring, bound in rings:
-            prefix = ring.enumerate_labels(bound)
+            prefix = enumerate_labels(ring, bound)
             reachable = set(prefix)
             for a in prefix:
                 for b in prefix:
@@ -268,9 +269,9 @@ def test_criterion_7_invariant_suites():
             for _ in range(150):
                 a, b = (prefix[i] for i in rng.integers(len(prefix), size=2))
                 c = reachable[rng.integers(len(reachable))]
-                n = ring.multiplicity(a, b, c)
-                assert n == ring.multiplicity(c, ring.conj(b), a)
-                assert n == ring.multiplicity(ring.conj(a), c, b)
+                n = multiplicity(ring, a, b, c)
+                assert n == multiplicity(ring, c, ring.conj(b), a)
+                assert n == multiplicity(ring, ring.conj(a), c, b)
                 counts["frobenius"] += 1
                 total = sum(m * ring.dim(x) for x, m in ring.fuse(a, b).items())
                 assert total == ring.dim(a) * ring.dim(b)
@@ -293,7 +294,7 @@ def test_criterion_7_invariant_suites():
                     a = (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
                     b = (int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
                 else:
-                    a, b = (int(x) for x in rng.integers(0, len(ring.full_dual()), size=2))
+                    a, b = (int(x) for x in rng.integers(0, len(full_dual(ring)), size=2))
                 product_val = model.character_value(a, g) * model.character_value(b, g)
                 total = sum(n * model.character_value(c, g) for c, n in ring.fuse(a, b).items())
                 assert abs(total - product_val) < 1e-9
@@ -358,7 +359,7 @@ def test_criterion_7_invariant_suites():
                     rep = gns_rep(model, rng.dirichlet(np.ones(model.order)))
                 else:
                     rep = point_rep(model, [haar_sample(model, rng) for _ in range(3)])
-                gens = sorted(model.ring.full_dual())
+                gens = sorted(full_dual(model.ring))
             else:
                 model = SU2 if rng.random() < 0.5 else CIRCLE
                 points = [model.identity()] + [haar_sample(model, rng)

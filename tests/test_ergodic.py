@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import cesaro, chi, haar_sample, operator, projection
+from helpers import (cesaro, chi, from_axis_angle, full_dual, haar_sample, operator, projection,
+                     schedule_labels)
 from peterweyl import (
     FolnerSchedule,
     InvalidInputError,
@@ -60,7 +61,7 @@ class TestPointRep:
             assert np.allclose(chi(rep, n), np.diag([1.0, (-1.0) ** n]), atol=1e-13)
 
     def test_su2_identity_and_generic_point(self):
-        g = SU2.from_axis_angle((0, 1, 0), 1.3)
+        g = from_axis_angle((0, 1, 0), 1.3)
         rep = point_rep(SU2, [SU2.identity(), g])
         for n in range(5):
             expected = np.diag([n + 1.0, SU2.character_value(n, g)])
@@ -115,7 +116,7 @@ class TestGnsRep:
             phi[model.identity()] = 1.0
             rep = gns_rep(model, phi)
             assert rep.dim == 1
-            M = cesaro(rep, model.ring.full_dual())
+            M = cesaro(rep, full_dual(model.ring))
             v = rep.cyclic_vector
             assert abs((v.conj() @ M @ v) - 1.0) < 1e-12
 
@@ -125,13 +126,13 @@ class TestGnsRep:
                 phi = np.zeros(model.order)
                 phi[x] = 1.0
                 rep = gns_rep(model, phi)
-                M = cesaro(rep, model.ring.full_dual())
+                M = cesaro(rep, full_dual(model.ring))
                 v = rep.cyclic_vector
                 assert abs(v.conj() @ M @ v) < 1e-12
 
     def test_uniform_state_on_s3(self):
         rep = gns_rep(S3, np.full(6, 1 / 6))
-        M = cesaro(rep, S3.ring.full_dual())
+        M = cesaro(rep, full_dual(S3.ring))
         v = rep.cyclic_vector
         assert abs((v.conj() @ M @ v) - 1 / 6) < 1e-12
 
@@ -186,7 +187,7 @@ class TestInvariantProjection:
     def test_separating_points_project_onto_identity_coordinate(self):
         rep = point_rep(CIRCLE, [CIRCLE.identity(), CIRCLE.element(-1 + 0j)])
         assert np.allclose(projection(rep, [1]), np.diag([1.0, 0.0]), atol=1e-12)
-        g = SU2.from_axis_angle((0, 0, 1), 2.2)
+        g = from_axis_angle((0, 0, 1), 2.2)
         rep = point_rep(SU2, [SU2.identity(), g])
         assert np.allclose(projection(rep, [1]), np.diag([1.0, 0.0]), atol=1e-12)
 
@@ -223,7 +224,7 @@ class TestInvariantProjection:
         for N in (1, 3, 7):
             M = cesaro(rep, box2(N))
             assert np.max(np.abs(M @ P - P)) < 1e-9
-        rep = point_rep(SU2, [SU2.identity(), SU2.from_axis_angle((1, 1, 0), 0.9)])
+        rep = point_rep(SU2, [SU2.identity(), from_axis_angle((1, 1, 0), 0.9)])
         P = projection(rep, [1])
         for m in (2, 6):
             M = cesaro(rep, frozenset(range(m + 1)))
@@ -276,7 +277,7 @@ class TestErgodicLimitCheck:
         for model in FINITE_MODELS:
             points = [model.identity()] + [haar_sample(model, rng) for _ in range(2)]
             rep = point_rep(model, points)
-            full = model.ring.full_dual()
+            full = full_dual(model.ring)
             schedule = FolnerSchedule(model.ring, (full,))
             report = ergodic_limit_check(rep, schedule, full, tol=1e-10)
             assert report.passed
@@ -285,7 +286,7 @@ class TestErgodicLimitCheck:
     def test_point_rep_at_identity_has_zero_residues(self):
         rep = point_rep(S3, [S3.identity()])
         schedule = S3.ring.default_schedule(3)
-        report = ergodic_limit_check(rep, schedule, S3.ring.full_dual(), tol=1e-12)
+        report = ergodic_limit_check(rep, schedule, full_dual(S3.ring), tol=1e-12)
         assert report.passed
         assert np.all(report.distances <= 1e-13)
         assert np.all(report.commutant_residues <= 1e-13)
@@ -314,7 +315,7 @@ class TestErgodicLimitCheck:
                 for a, b, l1, l2 in ((0, 0, 3, 4), (-5, 2, 10, 7), (4, -9, 6, 6), (1, 1, 1, 1))
             ])
         report = ergodic_limit_check(rep, schedule, [(1, 0), (0, 1)], tol=1.0)
-        for a, F in zip(report.averages, schedule):
+        for a, F in zip(report.averages, schedule.sets):
             assert np.array_equal(operator(rep, a), cesaro(rep, F))
 
     def test_full_dual_average_equals_projection_on_finite_groups(self):
@@ -322,7 +323,7 @@ class TestErgodicLimitCheck:
         # at one step: full-dual Cesaro average == invariant projection
         rng = np.random.default_rng(9)
         for model in FINITE_MODELS:
-            full = model.ring.full_dual()
+            full = full_dual(model.ring)
             phi = rng.dirichlet(np.ones(model.order))
             for rep in (gns_rep(model, phi),
                         point_rep(model, [haar_sample(model, rng) for _ in range(3)])):
@@ -350,7 +351,7 @@ class TestDiagonalReport:
 
     def schedules(self, ring, rng):
         nested = ring.default_schedule(8)
-        labels = nested.labels
+        labels = schedule_labels(nested)
         yield nested
         yield FolnerSchedule(ring, [
             [labels[i] for i in rng.choice(len(labels), size=int(rng.integers(1, len(labels))),
@@ -366,7 +367,7 @@ class TestDiagonalReport:
                 P = operator(rep, report.invariant)
                 assert np.array_equal(P, projection(rep, gens))
                 assert np.max(np.abs(report.averages)) <= 1 + 1e-10
-                for i, F in enumerate(schedule):
+                for i, F in enumerate(schedule.sets):
                     M = cesaro(rep, F)
                     assert np.array_equal(operator(rep, report.averages[i]), M)
                     assert abs(report.distances[i] - np.linalg.norm(M - P)) <= 1e-12
@@ -413,13 +414,13 @@ class TestStateCharacterSeparation:
     def test_identity_state_matches_exactly(self):
         for model in FINITE_MODELS:
             e = model.identity()
-            for a in model.ring.full_dual():
+            for a in full_dual(model.ring):
                 assert model.character_value(a, e) == model.ring.dim(a)
 
     def test_other_states_miss_some_character(self):
         rng = np.random.default_rng(10)
         for model in FINITE_MODELS:
-            labels = sorted(model.ring.full_dual())
+            labels = sorted(full_dual(model.ring))
             for _ in range(250):
                 phi = rng.dirichlet(np.ones(model.order))
                 if phi[model.identity()] > 0.99:

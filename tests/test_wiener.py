@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import average, energy, energy_by_definition, haar_sample
+from helpers import average, energy, energy_by_definition, from_axis_angle, haar_sample
 from peterweyl import (
     FolnerSchedule,
     InvalidInputError,
@@ -122,7 +122,7 @@ class TestCharAverage:
 
     def test_su2_rotation_decays_and_matches_dirichlet_form(self):
         theta = 1.0
-        g = SU2.from_axis_angle((0, 0, 1), theta)
+        g = from_axis_angle((0, 0, 1), theta)
         mu = dirac(SU2, g)
 
         def oracle(m):
@@ -143,7 +143,7 @@ class TestRunSeries:
     def test_haar_energy_series(self):
         series = run_series("energy", haar(CIRCLE), CIRCLE.ring.default_schedule(50))
         expected = np.array([1 / (2 * N + 1) for N in range(1, 51)])
-        assert np.allclose(series.real_values(), expected, atol=1e-15)
+        assert np.allclose(series.values.real, expected, atol=1e-15)
         assert list(series.weighted_cardinalities) == [2 * N + 1 for N in range(1, 51)]
 
     def test_point_mass_atom_series_is_constant_one(self):
@@ -154,20 +154,20 @@ class TestRunSeries:
     def test_mix_energy_series(self):
         series = run_series("energy", circle_mix(), CIRCLE.ring.default_schedule(80))
         expected = np.array([0.25 + 0.75 / (2 * N + 1) for N in range(1, 81)])
-        assert np.allclose(series.real_values(), expected, atol=1e-13)
+        assert np.allclose(series.values.real, expected, atol=1e-13)
 
     def test_energy_series_values_are_real_and_nonnegative(self):
         mu = MeasureSpec(CIRCLE, atoms=[(CIRCLE.element(1j), 0.8)], density={2: [[0.3]]})
         series = run_series("energy", mu, CIRCLE.ring.default_schedule(25))
         assert np.all(np.abs(series.values.imag) == 0.0)
-        assert np.all(series.real_values() >= -1e-12)
+        assert np.all(series.values.real >= -1e-12)
 
     def test_non_nested_schedule_matches_direct_calls(self):
         mu = circle_mix()
         schedule = FolnerSchedule(CIRCLE.ring, (box(3), box(1), box(5)))
         series = run_series("energy", mu, schedule)
-        direct = [energy(mu, F) for F in schedule]
-        assert list(series.real_values()) == direct
+        direct = [energy(mu, F) for F in schedule.sets]
+        assert list(series.values.real) == direct
 
     def test_a_schedule_on_an_equal_ring_is_not_rebuilt_from_its_sets(self):
         # a torus model built without a ring is on get_ring's ring, so a
@@ -202,11 +202,11 @@ class TestRunSeries:
         at = points[0] if kind == "atom" else None
         series = run_series(kind, mu, schedule, at=at)
         if kind == "atom":
-            direct = [average("atom", mu, F, at=at) for F in schedule]
+            direct = [average("atom", mu, F, at=at) for F in schedule.sets]
         elif kind == "energy":
-            direct = [complex(energy(mu, F)) for F in schedule]
+            direct = [complex(energy(mu, F)) for F in schedule.sets]
         else:
-            direct = [average("char", mu, F) for F in schedule]
+            direct = [average("char", mu, F) for F in schedule.sets]
         assert [complex(v) for v in series.values] == direct
 
     @settings(max_examples=300, deadline=None)
@@ -334,14 +334,14 @@ class TestContinuityTest:
     exactly when the measure is continuous."""
 
     def tail(self, mu, schedule):
-        return run_series("energy", mu, schedule).real_values()[-5:]
+        return run_series("energy", mu, schedule).values.real[-5:]
 
     def test_haar_is_continuous(self):
         tail = self.tail(haar(CIRCLE), CIRCLE.ring.default_schedule(200))
         assert np.all(tail < 1e-2) and np.all(np.diff(tail) <= 0)
 
     def test_point_mass_is_atomic_with_unit_mass(self):
-        mu = dirac(SU2, SU2.from_axis_angle((1, 0, 0), 0.8))
+        mu = dirac(SU2, from_axis_angle((1, 0, 0), 0.8))
         tail = self.tail(mu, SU2.ring.default_schedule(30))
         assert np.ptp(tail) <= 1e-3 and abs(tail[-1] - 1.0) < 1e-9
 
