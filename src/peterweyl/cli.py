@@ -7,8 +7,7 @@ tolerance).  Outputs are byte-identical across runs for a fixed config.
 Each subparser binds its handler and declares only the options it reads.
 Only `errors` and `fusion` load with this module; each handler imports the
 modules it runs, so `fusion` and `folner` calls load nothing else (but
-`groups` for a finite dual), and only calls that read or write JSON load
-`json`.
+`groups` for a finite dual), and only calls that read JSON load `json`.
 """
 
 from __future__ import annotations
@@ -17,10 +16,7 @@ import argparse
 import csv
 import math
 import operator
-import os
-import stat
 import sys
-from contextlib import ExitStack, contextmanager
 
 import numpy as np
 
@@ -91,59 +87,33 @@ def _load_json(path: str):
         raise InvalidInputError(
             f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InvalidInputError(f"invalid JSON in {path}: nested too deeply") from exc
 
 
-@contextmanager
-def _open_out(path: str | None):
-    """`path` open for writing but not emptied, or stdout for None and "-".
-    If a later output of the call is refused, a file this call made is
-    removed and one that was there is left as it was."""
-    if path is None or path == "-":
-        yield sys.stdout
-        return
-    made = not os.path.lexists(path)
-    try:
-        fh = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="")
-    except OSError as exc:
-        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
-    with fh:
-        try:
-            yield fh
-        except InvalidInputError:
-            if made:
-                os.remove(path)
-            raise
-
-
-def _write_tables(args: argparse.Namespace, header: list[str], columns,
-                  canonical: str | None = None):
-    """The columns as CSV (floats by repr), with --gnuplot the same rows
-    space-separated under a commented header, and with `canonical` that
-    text as --emit-canonical.  A non-finite float is a ConsistencyError
-    before any output is opened, and every output is opened, --emit-canonical
-    first, before any is emptied or written."""
+def _write_tables(args: argparse.Namespace, header: list[str], columns):
+    """The columns as CSV (floats by repr) to --out, or stdout for None and
+    "-".  A non-finite float is a ConsistencyError before the output is
+    opened, so a refused call writes nothing."""
     columns = [np.asarray(column) for column in columns]
     for column in columns:
         if column.dtype.kind == "f" and not np.isfinite(column).all():
             value = column[~np.isfinite(column)][0].item()
             raise ConsistencyError(f"non-finite value {value!r} in the output")
-    rows = list(zip(*(column.tolist() for column in columns)))
-    with ExitStack() as outputs:
-        canonical_fh = (None if canonical is None
-                        else outputs.enter_context(_open_out(args.emit_canonical)))
-        fh = outputs.enter_context(_open_out(args.out))
-        plot_fh = None if args.gnuplot is None else outputs.enter_context(_open_out(args.gnuplot))
-        for out in (canonical_fh, fh, plot_fh):
-            if out not in (None, sys.stdout) and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-                out.truncate(0)
-        if canonical_fh is not None:
-            canonical_fh.write(canonical)
+    rows = zip(*(column.tolist() for column in columns))
+    fh = sys.stdout
+    if args.out not in (None, "-"):
+        try:
+            fh = open(args.out, "w", newline="")
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {args.out}: {exc}") from exc
+    try:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        if plot_fh is not None:
-            plot_fh.write("# " + " ".join(header) + "\n")
-            csv.writer(plot_fh, delimiter=" ", lineterminator="\n").writerows(rows)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 def _run_fusion(args: argparse.Namespace) -> int:
@@ -171,7 +141,7 @@ def _run_folner(args: argparse.Namespace) -> int:
 
 
 def _run_wiener(args: argparse.Namespace) -> int:
-    from .measures import measure_from_json, measure_to_json, total_mass
+    from .measures import measure_from_json, total_mass
     from .wiener import run_series
 
     mu = measure_from_json(_load_json(args.measure))
@@ -189,11 +159,6 @@ def _run_wiener(args: argparse.Namespace) -> int:
         at = mu.model.parse_element(args.at)
     schedule = load_schedule(ring, args.schedule, args.steps)
     series = run_series(args.kind, mu, schedule, at=at, with_target=args.ground_truth)
-    canonical = None
-    if args.emit_canonical is not None:
-        import json
-
-        canonical = json.dumps(measure_to_json(mu), indent=2, sort_keys=True) + "\n"
     values = series.values
     header = ["step", "wcard", "value_re", "value_im"]
     columns = [np.arange(1, len(values) + 1), series.weighted_cardinalities,
@@ -203,7 +168,7 @@ def _run_wiener(args: argparse.Namespace) -> int:
         errors = values - series.target
         # hypot, as abs() of one complex scalar (np.abs on an array may round otherwise)
         columns += [np.full(len(values), float(series.target)), np.hypot(errors.real, errors.imag)]
-    _write_tables(args, header, columns, canonical)
+    _write_tables(args, header, columns)
     return EXIT_OK
 
 
@@ -271,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--schedule", default=None, help="named default or JSON file")
             p.add_argument("--steps", type=int, default=20)
         p.add_argument("--out", default=None, help="output CSV path ('-' = stdout)")
-        p.add_argument("--gnuplot", default=None,
-                       help="also write a gnuplot-compatible data file")
 
     p = command("fusion", _run_fusion, "decompose a tensor product of two labels", True)
     p.add_argument("--a", required=True)
@@ -290,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", default=None, help="element literal (atom kind)")
     p.add_argument("--ground-truth", action="store_true",
                    help="attach the stored-atoms oracle target and per-step error")
-    p.add_argument("--emit-canonical", default=None,
-                   help="also write the parsed measure back in canonical JSON")
     tables(p)
 
     p = command("ergodic", _run_ergodic, "Cesaro operator averages vs the invariant projection",

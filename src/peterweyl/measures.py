@@ -152,10 +152,6 @@ def matrix_from_json(rows, what: str) -> np.ndarray:
     return np.array([[scalar_from_json(e) for e in row] for row in rows], dtype=complex)
 
 
-def scalar_to_json(z: complex):
-    return [z.real, z.imag]
-
-
 def measure_from_json(obj: dict) -> MeasureSpec:
     """Parse the measure-spec JSON schema:
 
@@ -210,7 +206,7 @@ def measure_to_json(mu: MeasureSpec) -> dict:
         "density": [
             {
                 "irrep": ring.format_label(label),
-                "matrix": [[scalar_to_json(z) for z in row] for row in mu.density[label]],
+                "matrix": [[[z.real, z.imag] for z in row] for row in mu.density[label]],
             }
             for label in mu.density_support()
         ],

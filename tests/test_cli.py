@@ -142,16 +142,6 @@ class TestFolner:
         assert lines[0] == "step,wcard,boundary_wcard,ratio"
         assert lines[1] == "1,6,0,0.0"
 
-    def test_gnuplot_companion_file(self, tmp_path):
-        out = tmp_path / "folner.csv"
-        dat = tmp_path / "folner.dat"
-        assert main(["folner", "--ring", "Z", "--S", "1", "--steps", "3",
-                     "--out", str(out), "--gnuplot", str(dat)]) == EXIT_OK
-        lines = dat.read_text().splitlines()
-        assert lines[0] == "# step wcard boundary_wcard ratio"
-        assert lines[1].split() == ["1", "3", "2", str(2 / 3)]
-        assert len(lines) == 4
-
 
 class TestWiener:
     def test_haar_energy_series(self, tmp_path):
@@ -177,17 +167,6 @@ class TestWiener:
         for step, row in enumerate(rows, start=1):
             assert float(row[4]) == 0.5
             assert abs(float(row[5]) - 0.5 / (2 * step + 1)) < 1e-13
-
-    def test_emit_canonical_round_trip(self, tmp_path):
-        measure = write_json(tmp_path / "mix.json", mix_measure_doc())
-        canonical = tmp_path / "canonical.json"
-        out = tmp_path / "series.csv"
-        assert main(["wiener", "--kind", "char", "--measure", measure, "--steps", "3",
-                     "--emit-canonical", str(canonical), "--out", str(out)]) == EXIT_OK
-        doc = json.loads(canonical.read_text())
-        assert doc["group"] == "Z"
-        assert doc["atoms"][0]["weight"] == 0.5
-        assert doc["density"][0]["irrep"] == "0"
 
     def test_schedule_file(self, tmp_path):
         measure = write_json(tmp_path / "haar.json", haar_measure_doc())
@@ -307,6 +286,17 @@ class TestErgodic:
         )
         assert main(["ergodic", "--rep", "group", "--spec", spec, "--steps", "3",
                      "--tol", "1.0", "--out", str(tmp_path / "r.csv")]) == EXIT_OK
+
+    def test_an_overflowing_generator_is_refused_in_one_line(self, tmp_path):
+        # its unitarity check overflows to inf: no numpy warning on stderr
+        spec = write_json(tmp_path / "rep.json",
+                          {"ring": "dualgroup:Z^d:1", "generators": [[[1e308]]]})
+        result = subprocess.run(
+            [sys.executable, "-m", "peterweyl", "ergodic", "--rep", "group", "--spec", spec],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == EXIT_VALIDATION
+        assert result.stderr == "error: generator images must be unitary\n"
 
     def test_tolerance_env_var(self, tmp_path, monkeypatch):
         # the tolerance is --tol alone: an environment variable is not read
@@ -457,14 +447,37 @@ class TestUsageErrors:
         ["fusion", "--ring", "Z", "--a", "1", "--b", "2", "--tol", "1"],
         ["folner", "--ring", "Z", "--S", "1", "--tol", "1"],
         ["wiener", "--kind", "energy", "--measure", "m.json", "--tol", "1"],
-    ], ids=["fusion-steps", "fusion-tol", "folner-tol", "wiener-tol"])
+        # a call has one output, --out
+        ["fusion", "--ring", "Z", "--a", "1", "--b", "2", "--gnuplot", "x"],
+        ["folner", "--ring", "Z", "--S", "1", "--gnuplot", "x"],
+        ["wiener", "--kind", "energy", "--measure", "m.json", "--gnuplot", "x"],
+        ["ergodic", "--rep", "point", "--spec", "rep.json", "--gnuplot", "x"],
+        ["wiener", "--kind", "energy", "--measure", "m.json", "--emit-canonical", "x"],
+    ], ids=["fusion-steps", "fusion-tol", "folner-tol", "wiener-tol", "fusion-gnuplot",
+            "folner-gnuplot", "wiener-gnuplot", "ergodic-gnuplot", "wiener-emit-canonical"])
     def test_an_option_the_subcommand_does_not_read_is_a_usage_error(self, capsys, argv):
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage: peterweyl")
 
 
+@pytest.mark.parametrize("argv", [
+    ["folner", "--ring", "Z", "--S", "1", "--schedule"],
+    ["wiener", "--kind", "energy", "--measure"],
+    ["ergodic", "--rep", "point", "--spec"],
+], ids=["schedule", "measure", "spec"])
+def test_json_nested_past_the_recursion_limit_is_refused_in_one_line(tmp_path, capsys, argv):
+    # written as text: json.dump cannot write it
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "out.csv"
+    assert main(argv + [str(deep), "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: invalid JSON in {deep}: nested too deeply\n"
+    assert not out.exists()
+
+
 class TestUnwritableOutput:
-    """An output path that cannot be opened is a validation error, not a traceback."""
+    """The one output, --out: a path that cannot be opened is a validation
+    error, not a traceback, and a refused call leaves the path as it was."""
 
     def _refused(self, capsys, argv):
         assert main(argv) == EXIT_VALIDATION
@@ -477,31 +490,20 @@ class TestUnwritableOutput:
         self._refused(capsys, ["folner", "--ring", "Z", "--S", "1", "--steps", "3",
                                "--out", str(out)])
 
-    def test_gnuplot(self, tmp_path, capsys):
-        self._refused(capsys, ["folner", "--ring", "Z", "--S", "1", "--steps", "3",
-                               "--out", str(tmp_path / "f.csv"), "--gnuplot", str(tmp_path)])
-
-    def test_emit_canonical(self, tmp_path, capsys):
-        measure = write_json(tmp_path / "m.json", haar_measure_doc())
-        out = tmp_path / "w.csv"
-        self._refused(capsys, ["wiener", "--kind", "energy", "--measure", measure,
-                               "--emit-canonical", str(tmp_path), "--out", str(out)])
-        assert not out.exists()
-
-    def test_a_refused_gnuplot_leaves_no_table(self, tmp_path, capsys):
-        # the --out file sits in the directory given as --gnuplot
-        out = tmp_path / "gp" / "f.csv"
-        out.parent.mkdir()
-        self._refused(capsys, ["folner", "--ring", "Z", "--S", "1", "--steps", "3",
-                               "--out", str(out), "--gnuplot", str(out.parent)])
-        assert not out.exists()
-
-    def test_a_refused_gnuplot_leaves_an_existing_table_as_it_was(self, tmp_path, capsys):
-        out = tmp_path / "gp" / "f.csv"
-        out.parent.mkdir()
+    @pytest.mark.parametrize("refusal", ["work-guard", "non-finite"])
+    def test_a_refused_call_leaves_an_existing_table_as_it_was(self, tmp_path, capsys, refusal):
+        out = tmp_path / "f.csv"
         out.write_text("a user's data\n")
-        self._refused(capsys, ["folner", "--ring", "Z", "--S", "1", "--steps", "3",
-                               "--out", str(out), "--gnuplot", str(out.parent)])
+        if refusal == "work-guard":
+            code = main(["folner", "--ring", "SU2", "--S", "1", "--steps", "3000000",
+                         "--out", str(out)])
+            assert code == EXIT_VALIDATION and ABOVE_THE_WORK_LIMIT in capsys.readouterr().err
+        else:
+            measure = write_json(tmp_path / "huge.json", {
+                "group": "Z", "atoms": [{"element": "z:1,0", "weight": 1e308}]})
+            code = main(["wiener", "--kind", "energy", "--measure", measure, "--steps", "5",
+                         "--out", str(out)])
+            assert code == EXIT_NUMERIC and "non-finite value" in capsys.readouterr().err
         assert out.read_text() == "a user's data\n"
 
     def test_an_existing_longer_table_is_replaced_whole(self, tmp_path):
@@ -511,37 +513,20 @@ class TestUnwritableOutput:
         assert main(argv + ["--out", str(out)]) == main(argv + ["--out", str(fresh)]) == EXIT_OK
         assert out.read_bytes() == fresh.read_bytes()
 
-    def test_a_refused_series_leaves_no_canonical_measure(self, tmp_path, capsys):
-        measure = write_json(tmp_path / "m.json", haar_measure_doc())
-        canonical = tmp_path / "canon.json"
-        assert main(["wiener", "--kind", "energy", "--measure", measure, "--steps", "3000000",
-                     "--emit-canonical", str(canonical),
-                     "--out", str(tmp_path / "w.csv")]) == EXIT_VALIDATION
-        assert ABOVE_THE_WORK_LIMIT in capsys.readouterr().err
-        assert not canonical.exists() and not (tmp_path / "w.csv").exists()
-
-    def test_a_non_finite_table_leaves_no_canonical_measure(self, tmp_path):
+    def test_a_non_finite_table_writes_no_output(self, tmp_path):
         # the energy of two atoms of weight 1e308 overflows to nan: one line
-        # on stderr, no numpy warning, and neither output written
+        # on stderr, no numpy warning, and no output written
         measure = write_json(tmp_path / "huge.json", {"group": "Z", "atoms": [
             {"element": "z:1,0", "weight": 1e308}, {"element": "z:0,1", "weight": 1e308}]})
-        canonical, out = tmp_path / "c.json", tmp_path / "s.csv"
+        out = tmp_path / "s.csv"
         result = subprocess.run(
             [sys.executable, "-m", "peterweyl", "wiener", "--kind", "energy", "--measure",
-             measure, "--steps", "5", "--out", str(out), "--emit-canonical", str(canonical)],
+             measure, "--steps", "5", "--out", str(out)],
             capture_output=True, text=True,
         )
         assert result.returncode == EXIT_NUMERIC
         assert result.stderr == "numeric consistency failure: non-finite value nan in the output\n"
-        assert not canonical.exists() and not out.exists()
-
-    def test_an_unwritable_table_leaves_no_canonical_measure(self, tmp_path, capsys):
-        measure = write_json(tmp_path / "m.json", haar_measure_doc())
-        canonical = tmp_path / "c.json"
-        self._refused(capsys, ["wiener", "--kind", "energy", "--measure", measure,
-                               "--steps", "5", "--out", str(tmp_path / "nodir" / "s.csv"),
-                               "--emit-canonical", str(canonical)])
-        assert not canonical.exists()
+        assert not out.exists()
 
 
 class TestWorkGuards:
