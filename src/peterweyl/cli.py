@@ -55,16 +55,13 @@ def _split_labels(text: str, ring: FusionRing) -> list:
 
 
 def load_schedule(ring: FusionRing, spec: str | None, steps: int) -> FolnerSchedule:
-    """A named per-ring default ('default', 'boxes', 'spins', 'full') or a
-    JSON file {"sets": [[label literal, ...], ...]}; any other field is not read."""
-    name = spec or "default"
-    if name in ("default", "boxes", "spins", "full"):
-        if name not in ("default", ring.schedule_name):
-            raise InvalidInputError(f"schedule {name!r} does not apply to ring {ring.name}")
+    """The ring's default schedule of `steps` steps for None, else the JSON
+    file `spec`, {"sets": [[label literal, ...], ...]}; any other field is not read."""
+    if spec is None:
         if steps < 1:
             raise InvalidInputError("steps must be >= 1")
         return ring.default_schedule(steps)
-    obj = _load_json(name)
+    obj = _load_json(spec)
     if not isinstance(obj, dict) or "sets" not in obj:
         raise InvalidInputError("schedule file needs a 'sets' field")
     sets = obj["sets"]
@@ -145,10 +142,6 @@ def _run_wiener(args: argparse.Namespace) -> int:
     from .wiener import run_series
 
     mu = measure_from_json(_load_json(args.measure))
-    if args.ring is not None and get_ring(args.ring).name != mu.model.ring.name:
-        raise InvalidInputError(
-            f"--ring {args.ring} does not match the measure's group {mu.model.ring.name!r}"
-        )
     if not total_mass(mu) > 0:
         raise InvalidInputError("measure must have positive total mass")
     ring = mu.model.ring
@@ -158,7 +151,7 @@ def _run_wiener(args: argparse.Namespace) -> int:
             raise InvalidInputError("atom averages need --at <element literal>")
         at = mu.model.parse_element(args.at)
     schedule = load_schedule(ring, args.schedule, args.steps)
-    series = run_series(args.kind, mu, schedule, at=at, with_target=args.ground_truth)
+    series = run_series(args.kind, mu, schedule, at=at)
     values = series.values
     header = ["step", "wcard", "value_re", "value_im"]
     columns = [np.arange(1, len(values) + 1), series.weighted_cardinalities,
@@ -189,10 +182,6 @@ def _run_ergodic(args: argparse.Namespace) -> int:
     if not isinstance(obj, dict) or "ring" not in obj:
         raise InvalidInputError("rep spec needs a 'ring' field")
     ring, model = resolve(obj["ring"])
-    if args.ring is not None and get_ring(args.ring).name != ring.name:
-        raise InvalidInputError(
-            f"--ring {args.ring} does not match the rep spec's ring {ring.name!r}"
-        )
     if args.rep == "point":
         if model is None:
             raise InvalidInputError("point reps need a ring with a compact-group model")
@@ -223,40 +212,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="peterweyl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def command(name, handler, help, ring_required):
+    def command(name, handler, help, ring=False):
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        p.add_argument("--ring", required=ring_required, help=(
-            "Z | Z^d:<d> | SU2 | finite:<name> | dualgroup:Z^d:<d>" if ring_required
-            else "optional; must agree with the input file's ring"))
+        if ring:  # wiener and ergodic read the ring from their input file
+            p.add_argument("--ring", required=True,
+                           help="Z | Z^d:<d> | SU2 | finite:<name> | dualgroup:Z^d:<d>")
         return p
 
     def tables(p, schedule=True):
         if schedule:
-            p.add_argument("--schedule", default=None, help="named default or JSON file")
+            p.add_argument("--schedule", default=None,
+                           help="JSON schedule file (default: the ring's default schedule)")
             p.add_argument("--steps", type=int, default=20)
         p.add_argument("--out", default=None, help="output CSV path ('-' = stdout)")
 
-    p = command("fusion", _run_fusion, "decompose a tensor product of two labels", True)
+    p = command("fusion", _run_fusion, "decompose a tensor product of two labels", ring=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     tables(p, schedule=False)
 
-    p = command("folner", _run_folner, "boundary sizes and Folner ratios along a schedule", True)
+    p = command("folner", _run_folner, "boundary sizes and Folner ratios along a schedule",
+                ring=True)
     p.add_argument("--S", dest="s_labels", required=True,
                    help="';'-separated label literals")
     tables(p)
 
-    p = command("wiener", _run_wiener, "atom/energy/char averages of a measure", False)
+    p = command("wiener", _run_wiener, "atom/energy/char averages of a measure")
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--measure", required=True, help="measure spec JSON")
     p.add_argument("--at", default=None, help="element literal (atom kind)")
     p.add_argument("--ground-truth", action="store_true",
-                   help="attach the stored-atoms oracle target and per-step error")
+                   help="add the stored-atoms oracle target and per-step error columns")
     tables(p)
 
-    p = command("ergodic", _run_ergodic, "Cesaro operator averages vs the invariant projection",
-                False)
+    p = command("ergodic", _run_ergodic, "Cesaro operator averages vs the invariant projection")
     p.add_argument("--rep", required=True, choices=["point", "group", "gns"])
     p.add_argument("--spec", required=True, help="representation spec JSON")
     p.add_argument("--labels", default=None, help="';'-separated generating labels")

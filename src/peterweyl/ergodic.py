@@ -129,12 +129,12 @@ def gns_rep(model: FiniteGroupModel, state) -> FiniteDimRep:
         raise InvalidInputError(f"state must have one entry per element ({model.order})")
     if not np.all(np.isfinite(phi) & (phi >= 0)):
         raise InvalidInputError("state entries must be finite and nonnegative")
-    total = float(phi.sum())
-    if total <= 0:
+    # the support from the raw entries, which scaling may underflow to 0
+    support = np.flatnonzero(phi > 0).tolist()
+    if not support:
         raise InvalidInputError("state must not be the zero vector")
-    phi = phi / total
-    support = [i for i in range(model.order) if phi[i] > 0]
-    return FiniteDimRep(model, support, "gns-rep", cyclic_vector=np.sqrt(phi[support]))
+    phi = phi[support] / phi.max()  # so the sum cannot overflow
+    return FiniteDimRep(model, support, "gns-rep", cyclic_vector=np.sqrt(phi / phi.sum()))
 
 
 def _averages(rep: FiniteDimRep, schedule: FolnerSchedule) -> tuple[np.ndarray, np.ndarray]:

@@ -110,8 +110,6 @@ class FusionRing(ABC):
     """
 
     name: str = "ring"
-    # the name under which the CLI offers default_schedule, if any
-    schedule_name: str | None = None
     # columns of a label row
     rank: int = 1
     # label literals that name the labels 0, 1, ... (rank 1)
@@ -517,7 +515,6 @@ class LatticeRing(FusionRing):
     shells outward, lexicographically inside each shell.
     """
 
-    schedule_name = "boxes"
     literal_prefix = "w:"
 
     def __init__(self, rank: int = 1, name: str | None = None):
@@ -592,7 +589,6 @@ class SU2Ring(FusionRing):
     """
 
     name = "SU2"
-    schedule_name = "spins"
 
     def conj(self, label):
         return self._one(label)
@@ -638,8 +634,6 @@ class FiniteDualRing(FusionRing):
     finite group model derives the table from its character table, which it
     keeps itself.
     """
-
-    schedule_name = "full"
 
     def __init__(self, name: str, irrep_names: tuple[str, ...], dims: tuple[int, ...],
                  fusion: np.ndarray):

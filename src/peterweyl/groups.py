@@ -184,29 +184,11 @@ class TorusModel(CompactGroupModel):
         return max(abs(a - b) for a, b in zip(g, h))
 
     def parse_element(self, literal):
-        if isinstance(literal, (list, tuple)):
-            if self.rank == 1:
-                raise InvalidInputError(f"cannot parse element literal {literal!r}")
-            coords = []
-            for part in literal:
-                coords.append(self._parse_circle_coord(part))
-            if len(coords) != self.rank:
-                raise InvalidInputError(f"{self.name} element needs {self.rank} coordinates")
-            return self.element(*coords)
-        if isinstance(literal, str):
-            if not literal.startswith("z:"):
-                raise InvalidInputError(f"cannot parse element literal {literal!r}")
-            chunks = literal[2:].split(";")
-            coords = [complex(*_parse_floats(c, 2, literal)) for c in chunks]
-            if len(coords) != self.rank:
-                raise InvalidInputError(f"{self.name} element needs {self.rank} coordinates")
-            return self.element(*coords)
+        if isinstance(literal, str) and literal.startswith("z:"):
+            # element() refuses a wrong number of coordinates
+            return self.element(*(complex(*_parse_floats(c, 2, literal))
+                                  for c in literal[2:].split(";")))
         raise InvalidInputError(f"cannot parse element literal {literal!r}")
-
-    def _parse_circle_coord(self, part) -> complex:
-        if isinstance(part, str) and part.startswith("z:"):
-            return complex(*_parse_floats(part[2:], 2, part))
-        raise InvalidInputError(f"cannot parse element literal {part!r}")
 
     def format_element(self, g):
         if self.rank == 1:
@@ -278,8 +260,8 @@ class SU2Model(CompactGroupModel):
 
     name = "SU2"
 
-    def __init__(self, ring: SU2Ring | None = None):
-        self.ring = ring if ring is not None else get_ring("SU2")
+    def __init__(self):
+        self.ring = get_ring("SU2")
 
     def element(self, a, b):
         a, b = complex(a), complex(b)
@@ -441,8 +423,6 @@ class FiniteGroupModel(CompactGroupModel):
         return 0.0 if self._check(g) == self._check(h) else 1.0
 
     def parse_element(self, literal):
-        if isinstance(literal, (int, np.integer)):
-            return self._check(literal)
         if isinstance(literal, str) and literal.startswith("g:"):
             try:
                 return self._check(int(literal[2:]))
@@ -590,7 +570,7 @@ def _model_on(ring: FusionRing) -> CompactGroupModel | None:
     if isinstance(ring, FiniteDualRing):
         return finite_group_model(ring.name[7:])
     if isinstance(ring, SU2Ring):
-        return SU2Model(ring)
+        return SU2Model()
     return None if ring.name.startswith("dualgroup:") else TorusModel(ring.rank, ring=ring)
 
 

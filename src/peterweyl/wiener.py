@@ -76,7 +76,7 @@ class AverageSeries:
     schedule: FolnerSchedule
     values: np.ndarray
     weighted_cardinalities: np.ndarray
-    target: float | None = None
+    target: float  # the limit predicted by the stored atoms
 
     def __post_init__(self):
         if len(self.values) != len(self.schedule):
@@ -87,17 +87,16 @@ class AverageSeries:
         return complex(self.values[-1])
 
 
-def run_series(kind: str, mu: MeasureSpec, schedule: FolnerSchedule, at=None,
-               with_target: bool = False) -> AverageSeries:
+def run_series(kind: str, mu: MeasureSpec, schedule: FolnerSchedule, at=None) -> AverageSeries:
     """Evaluate the chosen average at every schedule step.
 
     One reduction serves every schedule, nested or not: the terms of all
     distinct labels are computed in one batch, and each step's value is the
     sum of its terms in ring order divided by its weighted cardinality.  So every value
-    equals the single-set average of that step's set to the bit.  With
-    `with_target` the limit predicted by the stored atoms (an oracle,
-    unavailable to the averaging itself) is attached: mu{y} for atom, sum of
-    squared weights for energy, mu{e} for char.
+    equals the single-set average of that step's set to the bit.  The limit
+    predicted by the stored atoms (an oracle, unavailable to the averaging
+    itself) is attached as `target`: mu{y} for atom, sum of squared weights
+    for energy, mu{e} for char.
     """
     if kind not in KINDS:
         raise InvalidInputError(f"unknown average kind {kind!r}; expected one of {KINDS}")
@@ -110,12 +109,10 @@ def run_series(kind: str, mu: MeasureSpec, schedule: FolnerSchedule, at=None,
         # CPython's complex / int by column (numpy's complex128 / int differs in the last bit)
         values = ((sums.real + sums.imag * 0.0) / wcards).astype(complex)
         values.imag = (sums.imag - sums.real * 0.0) / wcards
-    target = None
-    if with_target:
-        if kind == "atom":
-            target = atom_weight_at(mu, at)
-        elif kind == "energy":
-            target = sum(w * w for _, w in mu.atoms)
-        else:
-            target = atom_weight_at(mu, mu.model.identity())
+    if kind == "atom":
+        target = atom_weight_at(mu, at)
+    elif kind == "energy":
+        target = sum(w * w for _, w in mu.atoms)
+    else:
+        target = atom_weight_at(mu, mu.model.identity())
     return AverageSeries(kind, schedule, values, wcards, target)

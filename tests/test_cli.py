@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -238,14 +239,6 @@ class TestWiener:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
-    def test_optional_ring_flag_must_match_measure(self, tmp_path):
-        measure = write_json(tmp_path / "haar.json", haar_measure_doc())
-        out = tmp_path / "s.csv"
-        assert main(["wiener", "--kind", "energy", "--measure", measure, "--ring", "Z",
-                     "--steps", "5", "--out", str(out)]) == EXIT_OK
-        assert main(["wiener", "--kind", "energy", "--measure", measure, "--ring", "SU2",
-                     "--steps", "5", "--out", str(out)]) == EXIT_VALIDATION
-
     def test_long_circle_energy_series_runs(self, tmp_path):
         # three atoms, boxes to radius 40000: the energy average is
         # sum_ij w_i w_j D_n(t_i - t_j) / (2n + 1), D_n the Dirichlet kernel
@@ -334,6 +327,19 @@ class TestErgodic:
                      "--steps", "2", "--tol", value]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "tolerance must be finite and positive" in err and "Traceback" not in err
+
+    def test_a_gns_state_of_huge_entries_keeps_its_support(self, tmp_path, capsys):
+        # the state is scaled by its largest entry before it is summed, so
+        # its sum cannot overflow: the same table as the state [1] * 6
+        for name, state in [("huge", [0.5] * 4 + [1e308] * 2), ("ones", [1] * 6)]:
+            spec = write_json(tmp_path / f"{name}.json", {"ring": "finite:S3", "state": state})
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["ergodic", "--rep", "gns", "--spec", spec, "--steps", "3",
+                             "--out", str(tmp_path / f"{name}.csv")]) == EXIT_OK
+            assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "huge.csv").read_bytes() == (tmp_path / "ones.csv").read_bytes()
 
     def test_gns_full_dual_is_exact(self, tmp_path):
         spec = write_json(
@@ -437,10 +443,16 @@ class TestUsageErrors:
     def test_missing_required_flag(self):
         assert main(["folner", "--ring", "SU2"]) == EXIT_USAGE
 
-    def test_bad_schedule_name(self, tmp_path):
-        measure = write_json(tmp_path / "m.json", haar_measure_doc())
-        assert main(["wiener", "--kind", "energy", "--measure", measure,
-                     "--schedule", "spins"]) == EXIT_VALIDATION
+    def test_bad_schedule_name(self, tmp_path, monkeypatch, capsys):
+        # --schedule names a file, "spins" too: refused while absent, read once written
+        monkeypatch.chdir(tmp_path)
+        argv = ["wiener", "--kind", "energy", "--measure", write_json(tmp_path / "m.json",
+                haar_measure_doc()), "--schedule", "spins", "--out", "s.csv"]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: cannot read spins: ")
+        write_json(tmp_path / "spins", {"sets": [["0"], ["0", "1", "-1"]]})
+        assert main(argv) == EXIT_OK
+        assert [row[1] for row in read_csv(tmp_path / "s.csv")[1]] == ["1", "3"]
 
     @pytest.mark.parametrize("argv", [
         ["fusion", "--ring", "Z", "--a", "1", "--b", "2", "--steps", "3"],
@@ -458,6 +470,39 @@ class TestUsageErrors:
     def test_an_option_the_subcommand_does_not_read_is_a_usage_error(self, capsys, argv):
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage: peterweyl")
+
+
+_ENERGY = ["wiener", "--kind", "energy", "--measure", "in.json"]
+
+
+@pytest.mark.parametrize("argv, doc, code", [
+    (["wiener", "--ring", "Z", "--kind", "energy", "--measure", "in.json"], haar_measure_doc(),
+     EXIT_USAGE),
+    (["ergodic", "--ring", "Z", "--rep", "point", "--spec", "in.json"],
+     {"ring": "Z", "points": ["z:1,0"]}, EXIT_USAGE),
+    (_ENERGY + ["--schedule", "boxes"], haar_measure_doc("Z"), EXIT_VALIDATION),
+    (_ENERGY + ["--schedule", "spins"], haar_measure_doc("SU2"), EXIT_VALIDATION),
+    (_ENERGY + ["--schedule", "full"], {"group": "finite:S3", "atoms": [
+        {"element": "g:0", "weight": 1}]}, EXIT_VALIDATION),
+    (_ENERGY + ["--schedule", "default"], haar_measure_doc("Z"), EXIT_VALIDATION),
+    (_ENERGY, {"group": "Z^d:2", "atoms": [{"element": ["z:1,0", "z:0,1"], "weight": 1}]},
+     EXIT_VALIDATION),
+    (_ENERGY, {"group": "finite:S3", "atoms": [{"element": 4, "weight": 1}]}, EXIT_VALIDATION),
+], ids=["wiener-ring", "ergodic-ring", "schedule-boxes", "schedule-spins", "schedule-full",
+        "schedule-default", "torus-atom-list", "finite-atom-int"])
+def test_a_second_spelling_of_an_input_is_refused(tmp_path, monkeypatch, capsys, argv, doc,
+                                                  code):
+    # each input is written one way: the ring comes from the input file, a
+    # schedule is a file or the ring's default, an element is its literal
+    monkeypatch.chdir(tmp_path)  # no file here is named like a schedule
+    write_json(tmp_path / "in.json", doc)
+    assert main(argv + ["--out", "out.csv"]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_USAGE:
+        assert err.startswith("usage: peterweyl")
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import warnings
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -25,10 +26,13 @@ _JUNK = st.recursive(
 _NUMBERS = st.integers(-3, 3) | st.floats(-2, 2) | st.sampled_from(
     [0.5, 1e300, -1e300, 1e308, float("nan"), float("inf")])
 _ENTRIES = _NUMBERS | st.lists(_NUMBERS, min_size=2, max_size=2) | _JUNK
+# second spellings of an element, each refused: a list of circle literals, a bare index
+_ELEMENT_SPELLINGS = st.lists(st.sampled_from(["z:1,0", "z:0,1"]), min_size=1, max_size=3) \
+    | st.integers(0, 5)
 _ELEMENTS = st.sampled_from([
     "z:1,0", "z:0,1", "z:-1,0", "z:1,0;0,1", "z:0.6,0.8;1,0", "q:1,0,0,0", "q:0.5,0.5,0.5,0.5",
     "q:0,1,0,0", "g:0", "g:3", "g:5", "g:9", "z:nan,0", "z:0,0", "q:1,2", "w:1,0",
-]) | st.lists(st.sampled_from(["z:1,0", "z:0,1"]), min_size=1, max_size=3) | _JUNK
+]) | _ELEMENT_SPELLINGS | _JUNK
 _LABELS = st.sampled_from(["0", "1", "2", "-1", "1,0", "0,1", "0,-1", "1;0", "w:1,1", "std",
                            "sign", "trivial", "twodim", "chi_i", "", ";", "x", "2**70",
                            "3037000499", "1,0,0"])
@@ -102,7 +106,8 @@ def _inputs(draw, ring_id, clean):
     among it."""
     pick = _chooser(clean)
     labels, elements, _ = _RINGS[ring_id]
-    label, element = st.sampled_from(labels), st.sampled_from(elements)
+    label = st.sampled_from(labels)
+    element = pick(st.sampled_from(elements), _ELEMENT_SPELLINGS)
     weight = pick(st.sampled_from([0.25, 0.5, 1, 2]), _NUMBERS | _JUNK)
     measure = pick(st.fixed_dictionaries({
         "group": pick(st.just(ring_id), _RING_IDS),
@@ -133,9 +138,11 @@ def _invocations(draw, files, ring_id, clean, sub):
     labels, elements, rep = _RINGS[ring_id]
     label = pick(st.sampled_from(labels), _LABELS)
     ring = pick(st.just(ring_id), _RING_IDS | st.text(max_size=6))
-    # the ring of a wiener or ergodic call is optional: it comes from its input file
-    argv = [sub] if sub in ("wiener", "ergodic") and draw(st.booleans()) else \
-        [sub] + _option(draw, clean, "--ring", ring)
+    if sub in ("fusion", "folner"):
+        argv = [sub] + _option(draw, clean, "--ring", ring)
+    else:
+        # a wiener or ergodic call reads its ring from its input file: --ring is a usage error
+        argv = [sub] + ([] if clean or draw(st.integers(0, 3)) else ["--ring", draw(ring)])
     if sub == "fusion":
         argv += _option(draw, clean, "--a", label) + _option(draw, clean, "--b", label)
     elif sub == "folner":
@@ -163,8 +170,9 @@ def _invocations(draw, files, ring_id, clean, sub):
         argv += ["--tol", draw(pick(st.sampled_from(["1e-9", "1e-3", "1"]),
                                     st.sampled_from(["0", "-1", "nan", "inf", "x"])))]
     if scheduled and draw(st.booleans()):
-        argv += ["--schedule", draw(pick(st.sampled_from([files["schedule"], "default"]),
-                                         st.sampled_from(["boxes", "spins", "full", "x.json"])))]
+        # the names that only meant "omit --schedule" are paths, of no file
+        argv += ["--schedule", draw(pick(st.just(files["schedule"]), st.sampled_from(
+            ["default", "boxes", "spins", "full", "x.json"])))]
     return argv + ["--out", files["out"]]
 
 
@@ -191,12 +199,16 @@ def test_main_on_generated_calls_exits_cleanly(tmp_path_factory, sub, data):
             fh.write(doc if doc is _DEEP else json.dumps(doc))
     argv = data.draw(_invocations(files, ring_id, clean, sub))
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv)
     stderr = err.getvalue()
     event(f"{argv[0]} exit {code}")
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in stderr
+    # every numeric pass keeps its warnings to itself: an input it cannot take is refused
+    assert [f"{w.category.__name__}: {w.message}" for w in caught] == []
     # argparse prints its usage line for every usage error, and only there
     assert (code == EXIT_USAGE) == stderr.startswith("usage:")
     wrote = os.path.exists(files["out"])

@@ -136,6 +136,12 @@ class TestGnsRep:
         v = rep.cyclic_vector
         assert abs((v.conj() @ M @ v) - 1 / 6) < 1e-12
 
+    def test_the_support_is_read_before_scaling(self):
+        # 5e-324 / 1e308 underflows to 0, yet the state is positive at both elements
+        rep = gns_rep(S3, [1e308, 5e-324, 0, 0, 0, 0])
+        assert rep.points == [0, 1]
+        assert np.all(np.isfinite(rep.cyclic_vector))
+
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             gns_rep(S3, np.zeros(6))

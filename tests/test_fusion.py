@@ -1044,8 +1044,7 @@ class TestSchedulesAndEnumeration:
         with pytest.raises(InvalidInputError):
             FolnerSchedule(SU2, [{0, -1}])
 
-    def test_ring_schedule_names_and_generators(self):
-        assert [r.schedule_name for r in (Z, Z2, SU2, S3)] == ["boxes", "boxes", "spins", "full"]
+    def test_ring_generating_labels(self):
         assert Z.generating_labels() == [1]
         assert Z2.generating_labels() == [(1, 0), (0, 1)]
         assert SU2.generating_labels() == [1]

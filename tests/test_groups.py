@@ -358,7 +358,6 @@ class TestLiteralsAndRegistry:
     def test_torus_literals(self):
         g = TORUS2.parse_element("z:1,0;0,1")
         assert TORUS2.distance(g, (1 + 0j, 1j)) < 1e-14
-        assert TORUS2.parse_element(["z:1,0", "z:0,1"]) == g
         assert TORUS2.parse_element(TORUS2.format_element(g)) == g
 
     def test_su2_literal_round_trip_and_renormalize(self):
@@ -411,6 +410,10 @@ class TestLiteralsAndRegistry:
             (SU2, "z:1,0"),
             (SU2, "q:0,0,0,0"),
             (S3, "4"),
+            # one spelling per element: no bare index, no list of circle literals
+            (S3, 4),
+            (TORUS2, ["z:1,0", "z:0,1"]),
+            (TORUS2, "z:1,0"),
         ]:
             with pytest.raises(InvalidInputError):
                 model.parse_element(bad)

@@ -305,20 +305,18 @@ class TestRunSeries:
         z = CIRCLE.element(cmath.exp(0.9j))
         mu = MeasureSpec(CIRCLE, atoms=[(z, 0.3), (CIRCLE.identity(), 0.7)])
         schedule = CIRCLE.ring.default_schedule(10)
-        assert run_series("atom", mu, schedule, at=z, with_target=True).target == 0.3
-        assert run_series("energy", mu, schedule, with_target=True).target == pytest.approx(
-            0.09 + 0.49
-        )
-        assert run_series("char", mu, schedule, with_target=True).target == 0.7
+        assert run_series("atom", mu, schedule, at=z).target == 0.3
+        assert run_series("energy", mu, schedule).target == pytest.approx(0.09 + 0.49)
+        assert run_series("char", mu, schedule).target == 0.7
 
     def test_oracle_agreement_at_final_step(self):
         z1 = CIRCLE.element(cmath.exp(0.9j))
         z2 = CIRCLE.element(cmath.exp(2.3j))
         mu = MeasureSpec(CIRCLE, atoms=[(z1, 0.3), (z2, 0.7)])
         schedule = CIRCLE.ring.default_schedule(300)
-        series = run_series("energy", mu, schedule, with_target=True)
+        series = run_series("energy", mu, schedule)
         assert abs(series.final.real - series.target) < 0.01
-        atom_series = run_series("atom", mu, schedule, at=z1, with_target=True)
+        atom_series = run_series("atom", mu, schedule, at=z1)
         assert abs(atom_series.final - atom_series.target) < 0.01
 
     def test_validation(self):
