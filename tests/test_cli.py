@@ -465,8 +465,12 @@ class TestUsageErrors:
         ["wiener", "--kind", "energy", "--measure", "m.json", "--gnuplot", "x"],
         ["ergodic", "--rep", "point", "--spec", "rep.json", "--gnuplot", "x"],
         ["wiener", "--kind", "energy", "--measure", "m.json", "--emit-canonical", "x"],
+        # the ring comes from the input file
+        ["wiener", "--ring", "Z", "--kind", "energy", "--measure", "m.json"],
+        ["ergodic", "--ring", "Z", "--rep", "point", "--spec", "rep.json"],
     ], ids=["fusion-steps", "fusion-tol", "folner-tol", "wiener-tol", "fusion-gnuplot",
-            "folner-gnuplot", "wiener-gnuplot", "ergodic-gnuplot", "wiener-emit-canonical"])
+            "folner-gnuplot", "wiener-gnuplot", "ergodic-gnuplot", "wiener-emit-canonical",
+            "wiener-ring", "ergodic-ring"])
     def test_an_option_the_subcommand_does_not_read_is_a_usage_error(self, capsys, argv):
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage: peterweyl")
@@ -475,33 +479,23 @@ class TestUsageErrors:
 _ENERGY = ["wiener", "--kind", "energy", "--measure", "in.json"]
 
 
-@pytest.mark.parametrize("argv, doc, code", [
-    (["wiener", "--ring", "Z", "--kind", "energy", "--measure", "in.json"], haar_measure_doc(),
-     EXIT_USAGE),
-    (["ergodic", "--ring", "Z", "--rep", "point", "--spec", "in.json"],
-     {"ring": "Z", "points": ["z:1,0"]}, EXIT_USAGE),
-    (_ENERGY + ["--schedule", "boxes"], haar_measure_doc("Z"), EXIT_VALIDATION),
-    (_ENERGY + ["--schedule", "spins"], haar_measure_doc("SU2"), EXIT_VALIDATION),
+@pytest.mark.parametrize("argv, doc", [
+    (_ENERGY + ["--schedule", "boxes"], haar_measure_doc("Z")),
     (_ENERGY + ["--schedule", "full"], {"group": "finite:S3", "atoms": [
-        {"element": "g:0", "weight": 1}]}, EXIT_VALIDATION),
-    (_ENERGY + ["--schedule", "default"], haar_measure_doc("Z"), EXIT_VALIDATION),
-    (_ENERGY, {"group": "Z^d:2", "atoms": [{"element": ["z:1,0", "z:0,1"], "weight": 1}]},
-     EXIT_VALIDATION),
-    (_ENERGY, {"group": "finite:S3", "atoms": [{"element": 4, "weight": 1}]}, EXIT_VALIDATION),
-], ids=["wiener-ring", "ergodic-ring", "schedule-boxes", "schedule-spins", "schedule-full",
-        "schedule-default", "torus-atom-list", "finite-atom-int"])
-def test_a_second_spelling_of_an_input_is_refused(tmp_path, monkeypatch, capsys, argv, doc,
-                                                  code):
-    # each input is written one way: the ring comes from the input file, a
-    # schedule is a file or the ring's default, an element is its literal
+        {"element": "g:0", "weight": 1}]}),
+    (_ENERGY + ["--schedule", "default"], haar_measure_doc("Z")),
+    (_ENERGY, {"group": "Z^d:2", "atoms": [{"element": ["z:1,0", "z:0,1"], "weight": 1}]}),
+    (_ENERGY, {"group": "finite:S3", "atoms": [{"element": 4, "weight": 1}]}),
+], ids=["schedule-boxes", "schedule-full", "schedule-default", "torus-atom-list",
+        "finite-atom-int"])
+def test_a_second_spelling_of_an_input_is_refused(tmp_path, monkeypatch, capsys, argv, doc):
+    # a schedule is a file or the ring's default, an element is its literal;
+    # "spins" is test_bad_schedule_name's case
     monkeypatch.chdir(tmp_path)  # no file here is named like a schedule
     write_json(tmp_path / "in.json", doc)
-    assert main(argv + ["--out", "out.csv"]) == code
+    assert main(argv + ["--out", "out.csv"]) == EXIT_VALIDATION
     err = capsys.readouterr().err
-    if code == EXIT_USAGE:
-        assert err.startswith("usage: peterweyl")
-    else:
-        assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -1,11 +1,11 @@
 """Check that two trees of the program give the same outputs on the benchmark calls.
 
-    python tools/same_outputs.py PARENT_SRC CHANGE_SRC [--seeds 1 2 3]
+    python tools/same_outputs.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are directories holding the `peterweyl` package,
 such as the `src/` of two checkouts.  Every call of
-`clibench.workloads.build_round` (workloads `lattice` and `spins`, seeds 1-3
-by default: 51 calls) runs as `python -m peterweyl` once on each tree, in
+`clibench.workloads.build_round` (workloads `lattice` and `spins`, seeds 1-3:
+51 calls) runs as `python -m peterweyl` once on each tree, in
 the same working directory and with the same input files, so a path in an
 error message reads the same on both sides.  The script compares each
 call's exit code, stderr and the sha256 of its CSV, prints one line per
@@ -28,6 +28,7 @@ from clibench.workloads import WORKLOADS, build_round  # noqa: E402
 
 # one BLAS thread, as clibench runs the calls
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+SEEDS = (1, 2, 3)
 
 
 def run(call, src: Path, workdir: Path) -> tuple[int, str, str]:
@@ -46,7 +47,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="package directory of the parent tree")
     parser.add_argument("change", type=Path, help="package directory of the changed tree")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
     for src in (args.parent, args.change):
         if not (src / "peterweyl" / "__init__.py").is_file():
@@ -55,7 +55,7 @@ def main(argv=None) -> int:
     calls = differ = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         for workload in WORKLOADS:
-            for seed in args.seeds:
+            for seed in SEEDS:
                 workdir = Path(tmp) / f"{workload}_{seed}"
                 for call in build_round(workload, seed, workdir):
                     calls += 1
