@@ -48,16 +48,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _split_labels(text: str, ring: FusionRing) -> list:
     # labels are ';'-separated so tuple labels can keep their commas
-    chunks = [c for c in text.split(";") if c.strip() != ""]
-    if not chunks:
-        raise InvalidInputError(f"no labels in {text!r}")
-    return [ring.parse_label(c.strip()) for c in chunks]
+    return ring.labels_of(ring.parse_table(text.split(";")))
 
 
-def load_schedule(ring: FusionRing, spec: str | None, steps: int) -> FolnerSchedule:
-    """The ring's default schedule of `steps` steps for None, else the JSON
-    file `spec`, {"sets": [[label literal, ...], ...]}; any other field is not read."""
+def load_schedule(ring: FusionRing, spec: str | None, steps: int | None) -> FolnerSchedule:
+    """The ring's default schedule of `steps` steps (20 for None) for None, else the
+    JSON file `spec`, {"sets": [[label literal, ...], ...]}; any other field is not read."""
     if spec is None:
+        steps = 20 if steps is None else steps
         if steps < 1:
             raise InvalidInputError("steps must be >= 1")
         return ring.default_schedule(steps)
@@ -221,10 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def tables(p, schedule=True):
-        if schedule:
-            p.add_argument("--schedule", default=None,
-                           help="JSON schedule file (default: the ring's default schedule)")
-            p.add_argument("--steps", type=int, default=20)
+        if schedule:  # a schedule file, or the steps of the ring's default schedule
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--schedule",
+                               help="JSON schedule file (default: the ring's default schedule)")
+            group.add_argument("--steps", type=int, help="default schedule steps (default 20)")
         p.add_argument("--out", default=None, help="output CSV path ('-' = stdout)")
 
     p = command("fusion", _run_fusion, "decompose a tensor product of two labels", ring=True)

@@ -30,7 +30,7 @@ import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import product, repeat
+from itertools import product
 from typing import Iterable, Union
 
 import numpy as np
@@ -230,15 +230,13 @@ class FusionRing(ABC):
         return self.labels_of(self.parse_table([literal]))[0]
 
     def _decimal_table(self, texts: list[str]) -> np.ndarray | None:
-        """The unchecked (m, rank) table of m > 1 canonical literals, or None
-        when one is not canonical.  A canonical literal is ASCII: an optional
-        `literal_prefix`, then `rank` components -?[0-9]{1,18} (each fits in
-        int64, and int() reads the same value) separated by ',' or ';'.  The
-        batch is joined, scanned in numpy and read by one np.fromstring, with
-        no Python work per literal.  One literal (`parse_label`) is left to
-        int(), which reads it faster than numpy's per-call costs."""
-        if len(texts) < 2:
-            return None
+        """The unchecked (m, rank) table of m >= 1 label literals, or None
+        when one is not a literal.  A literal is ASCII: an optional
+        `literal_prefix`, then `rank` components -?[0-9]{1,19} separated by
+        ',' or ';'.  A component beyond int64 reads as 2**63 - 1, which is
+        no label.  The batch is joined, scanned in numpy and read by one
+        np.fromstring, with no Python work per literal; it is read exactly
+        when each of its literals is read alone."""
         text = "\n".join(texts)
         prefix = self.literal_prefix
         if prefix:
@@ -255,9 +253,9 @@ class FusionRing(ABC):
         sizes = np.diff(cuts, prepend=-1, append=codes.size) - 1
         if sizes.min() < 1:
             return None
-        # 1 to 18 digits after an optional sign, and no other byte
+        # 1 to 19 digits after an optional sign, and no other byte
         digits = sizes - (codes[np.concatenate(([0], cuts + 1))] == ord("-"))
-        if (digits.min() < 1 or digits.max() > 18
+        if (digits.min() < 1 or digits.max() > 19
                 or np.count_nonzero(codes - ord("0") < 10) != digits.sum()):
             return None
         values = np.fromstring(text.replace(";", ",").replace("\n", ","), dtype=np.int64, sep=",")
@@ -266,7 +264,8 @@ class FusionRing(ABC):
     def parse_table(self, literals) -> np.ndarray:
         """Label literals into a checked (n, rank) table: irrep names, ints
         at rank 1 and lists of int components (not bool, not float), and
-        strings such as "3", "1;-2" or "w:1,-2" (`_split_ints`)."""
+        strings such as "3", "1;-2" or "w:1,-2", all read in one batch
+        (`_split_ints`)."""
         literals = list(literals)
         _check_size(len(literals) * self.rank, "a label table")
         names = self.irrep_names
@@ -283,39 +282,18 @@ class FusionRing(ABC):
         return rows
 
     def _split_ints(self, texts: list[str]) -> np.ndarray:
-        """String literals to a checked (m, rank) table, each maybe after
-        the ring's `literal_prefix`: at once when all of them are canonical
-        (`_decimal_table`), else by one join and split over all of them and
-        int() on every part.  A literal of rank 1 with no ',' or ';' reaches
-        int() whole."""
+        """String literals to a checked (m, rank) table by `_decimal_table`.
+        A batch it refuses names the first literal it refuses alone, found
+        by halving the batch (about two scans in all)."""
         if not texts:
             return np.zeros((0, self.rank), dtype=np.int64)
         table = self._decimal_table(texts)
         if table is not None:
             return self._checked(table, texts)
-        bare = map(str.removeprefix, texts, repeat(self.literal_prefix))
-        parts = ",".join(bare).replace(";", ",").split(",")
-        pieces = np.array([t.count(",") + t.count(";") + 1 for t in texts], dtype=np.int64)
-        if np.any(pieces != self.rank):
-            # empty or blank parts are skipped; with the right number of
-            # parts, int() rejects them
-            parts = [p.strip() for p in parts]
-            filled = np.array([p != "" for p in parts], dtype=np.int64)
-            counts = np.add.reduceat(filled, np.cumsum(pieces) - pieces)
-            wrong = np.flatnonzero(counts != self.rank)
-            if wrong.size:
-                raise InvalidInputError(f"{texts[wrong[0]]!r} does not have the {self.rank} "
-                                        f"components of a label of ring {self.name}")
-            parts = [p for p in parts if p]
-        try:
-            values = np.array(list(map(int, parts)), dtype=np.int64)
-        except ValueError as exc:
-            raise InvalidInputError(
-                f"cannot parse a label literal of ring {self.name}: {exc}") from exc
-        except OverflowError as exc:
-            raise InvalidInputError(
-                f"label components of ring {self.name} must be below 2**62 in modulus") from exc
-        return self._checked(values.reshape(len(texts), self.rank), texts)
+        while len(texts) > 1:
+            half = len(texts) // 2
+            texts = texts[:half] if self._decimal_table(texts[:half]) is None else texts[half:]
+        raise InvalidInputError(f"{texts[0]!r} is not a label of ring {self.name}")
 
     def format_label(self, label: Label) -> str:
         return str(label) if self.rank == 1 else ",".join(map(str, label))

@@ -178,16 +178,17 @@ def measure_from_json(obj: dict) -> MeasureSpec:
             raise
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"atoms[{k}] needs 'element' and numeric 'weight' fields") from exc
+    entries = obj.get("density", [])
+    for k, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and {"irrep", "matrix"} <= entry.keys()):
+            raise InvalidInputError(f"density[{k}] needs 'irrep' and 'matrix' fields")
+    # every irrep literal is read in one batch
+    labels = ring.labels_of(ring.parse_table([entry["irrep"] for entry in entries]))
     density = {}
-    for k, entry in enumerate(obj.get("density", [])):
-        try:
-            label = ring.parse_label(entry["irrep"])
-            rows = entry["matrix"]
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError(f"density[{k}] needs 'irrep' and 'matrix' fields") from exc
+    for k, (entry, label) in enumerate(zip(entries, labels)):
         if label in density:
             raise InvalidInputError(f"density[{k}] repeats irrep {entry['irrep']!r}")
-        density[label] = matrix_from_json(rows, f"density[{k}] matrix")
+        density[label] = matrix_from_json(entry["matrix"], f"density[{k}] matrix")
     try:
         return MeasureSpec(model, atoms=atoms, density=density)
     except ConsistencyError as exc:

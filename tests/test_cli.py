@@ -423,13 +423,13 @@ class TestFusionCommand:
         ]
 
     def test_su2_clebsch_gordan(self, capsys):
-        # empty parts of a literal are skipped, on SU2 as on Z^d
-        for a in ("2", "2,", ";2"):
-            assert main(["fusion", "--ring", "SU2", "--a", a, "--b", "3"]) == EXIT_OK
-            lines = capsys.readouterr().out.strip().splitlines()
-            assert lines == ["label,multiplicity,dim", "1,1,2", "3,1,4", "5,1,6"]
-        assert main(["fusion", "--ring", "SU2", "--a", "2;4", "--b", "3"]) == EXIT_VALIDATION
-        assert "does not have the 1 components" in capsys.readouterr().err
+        assert main(["fusion", "--ring", "SU2", "--a", "2", "--b", "3"]) == EXIT_OK
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines == ["label,multiplicity,dim", "1,1,2", "3,1,4", "5,1,6"]
+        # a literal of SU2 has one component
+        for a in ("2;4", "2,", ";2"):
+            assert main(["fusion", "--ring", "SU2", "--a", a, "--b", "3"]) == EXIT_VALIDATION
+            assert capsys.readouterr().err == f"error: {a!r} is not a label of ring SU2\n"
 
 
 class TestUsageErrors:
@@ -468,9 +468,16 @@ class TestUsageErrors:
         # the ring comes from the input file
         ["wiener", "--ring", "Z", "--kind", "energy", "--measure", "m.json"],
         ["ergodic", "--ring", "Z", "--rep", "point", "--spec", "rep.json"],
+        # a schedule file and the default schedule's steps exclude each other
+        ["folner", "--ring", "Z", "--S", "1", "--schedule", "s.json", "--steps", "-7"],
+        ["wiener", "--kind", "energy", "--measure", "m.json", "--steps", "20",
+         "--schedule", "s.json"],
+        ["ergodic", "--rep", "point", "--spec", "rep.json", "--schedule", "s.json",
+         "--steps", "5"],
     ], ids=["fusion-steps", "fusion-tol", "folner-tol", "wiener-tol", "fusion-gnuplot",
             "folner-gnuplot", "wiener-gnuplot", "ergodic-gnuplot", "wiener-emit-canonical",
-            "wiener-ring", "ergodic-ring"])
+            "wiener-ring", "ergodic-ring", "folner-schedule-steps", "wiener-steps-schedule",
+            "ergodic-schedule-steps"])
     def test_an_option_the_subcommand_does_not_read_is_a_usage_error(self, capsys, argv):
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage: peterweyl")
@@ -496,6 +503,32 @@ def test_a_second_spelling_of_an_input_is_refused(tmp_path, monkeypatch, capsys,
     assert main(argv + ["--out", "out.csv"]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("ring_id, literal", [
+    ("Z", " 3"), ("Z", "+3"), ("Z", "3_0"), ("Z", "\u0663"), ("Z", "3,"), ("Z", ";3"),
+    ("Z^d:2", "7,,8"), ("Z^d:2", " w:1,2"), ("Z^d:2", "w:w:1,2"), ("Z", "1" + "0" * 19),
+    ("Z", ""),
+])
+@pytest.mark.parametrize("where", ["--S", "--a", "schedule", "density"])
+def test_a_spelling_outside_the_grammar_is_refused_in_one_line(tmp_path, monkeypatch, capsys,
+                                                                 ring_id, literal, where):
+    # ';' splits --S, so there ";3" is refused at its empty first label
+    monkeypatch.chdir(tmp_path)
+    good = "0" if ring_id == "Z" else "0,0"
+    refused = literal.split(";")[0] if where == "--S" else literal
+    argv = {
+        "--S": ["folner", "--ring", ring_id, "--S", f"{good};{literal}", "--steps", "2"],
+        "--a": ["fusion", "--ring", ring_id, "--a", literal, "--b", good],
+        "schedule": ["folner", "--ring", ring_id, "--S", good, "--schedule",
+                     write_json(tmp_path / "s.json", {"sets": [[good], [good, literal]]})],
+        "density": ["wiener", "--kind", "energy", "--steps", "2", "--measure", write_json(
+            tmp_path / "m.json", {"group": ring_id, "density": [
+                {"irrep": good, "matrix": [[1]]}, {"irrep": literal, "matrix": [[0.5]]}]})],
+    }[where]
+    assert main(argv + ["--out", "out.csv"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {refused!r} is not a label of ring {ring_id}\n"
     assert not (tmp_path / "out.csv").exists()
 
 

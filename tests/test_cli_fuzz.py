@@ -33,9 +33,11 @@ _ELEMENTS = st.sampled_from([
     "z:1,0", "z:0,1", "z:-1,0", "z:1,0;0,1", "z:0.6,0.8;1,0", "q:1,0,0,0", "q:0.5,0.5,0.5,0.5",
     "q:0,1,0,0", "g:0", "g:3", "g:5", "g:9", "z:nan,0", "z:0,0", "q:1,2", "w:1,0",
 ]) | _ELEMENT_SPELLINGS | _JUNK
+# label literals, and spellings outside their grammar: blanks, signs, `_`, empty parts, 20 digits
 _LABELS = st.sampled_from(["0", "1", "2", "-1", "1,0", "0,1", "0,-1", "1;0", "w:1,1", "std",
                            "sign", "trivial", "twodim", "chi_i", "", ";", "x", "2**70",
-                           "3037000499", "1,0,0"])
+                           "3037000499", "1,0,0", " 3", "+3", "3_0", "\u0663", "3,", ";3",
+                           "7,,8", " w:1,2", "w:w:1,2", "1" * 20])
 _MATRICES = st.lists(st.lists(_ENTRIES, min_size=1, max_size=2), min_size=1, max_size=2) | _JUNK
 # a JSON document nested past the recursion limit, written as text: json.dump cannot write it
 _DEEP = "[" * 100_000 + "]" * 100_000
