@@ -19,14 +19,15 @@ the one reduction that sums an average's terms along a schedule.
 fuses it with S and with conj(S) and ranks the table and all products
 together with one sort, so each product knows its row.  Prefix steps then
 take one linear pass over ring ranks; other steps each test which of their
-rows' products fall outside them.  Ring identifiers resolve here too
-(`get_ring`), to one cached ring object each, so the ring combinatorics
-need no other module.
+rows' products fall outside them.  Ring identifiers are read here too, in
+one exact grammar (`get_ring`); each accepted id names one cached ring
+object, so the ring combinatorics need no other module.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from abc import ABC, abstractmethod
 from collections import Counter
 from functools import cached_property, lru_cache
@@ -170,15 +171,15 @@ class FusionRing(ABC):
         """Checked rows from component tuples (None for a literal already
         known to be bad)."""
         _check_size(len(parts) * self.rank, "a label table")
-        if None in parts:
-            raise InvalidInputError(
-                f"{literals[parts.index(None)]!r} is not a label of ring {self.name}")
-        try:
-            table = np.array(parts, dtype=np.int64).reshape(len(parts), self.rank)
-        except OverflowError as exc:
-            raise InvalidInputError(
-                f"label components of ring {self.name} must be below 2**62 in modulus") from exc
-        return self._checked(table, literals)
+        if None not in parts:
+            try:
+                table = np.array(parts, dtype=np.int64).reshape(len(parts), self.rank)
+            except OverflowError:  # a component beyond int64: found below
+                pass
+            else:
+                return self._checked(table, literals)
+        bad = next(i for i, p in enumerate(parts) if p is None or max(map(abs, p)) >= LABEL_BOUND)
+        raise InvalidInputError(f"{literals[bad]!r} is not a label of ring {self.name}")
 
     def label_table(self, labels) -> np.ndarray:
         """The labels as an (n, rank) int64 table in the given order, each
@@ -197,25 +198,16 @@ class FusionRing(ABC):
             return table[:, 0].tolist()
         return list(map(tuple, table.tolist()))
 
-    def _label_row(self, label) -> np.ndarray:
-        """The label as a one-row table; InvalidInputError when it is not a label."""
-        parts = self._parts(label)
-        if parts is not None and all(-LABEL_BOUND < x < LABEL_BOUND for x in parts):
-            row = np.array([parts], dtype=np.int64)
-            if self.valid_rows(row)[0]:
-                return row
-        raise InvalidInputError(f"{label!r} is not a label of ring {self.name}")
-
     def check_label(self, label) -> Label:
-        self._label_row(label)
+        self.label_table([label])
         return label
 
     def _one(self, label) -> Label:
         """The label checked, as a Python int or int tuple."""
-        return self.labels_of(self._label_row(label))[0]
+        return self.labels_of(self.label_table([label]))[0]
 
     def dim(self, label: Label) -> int:
-        return int(self.dims_of(self._label_row(label))[0])
+        return int(self.dims_of(self.label_table([label]))[0])
 
     def sorted_labels(self, labels: Iterable[Label]) -> list[Label]:
         table = self.label_table(labels)
@@ -223,7 +215,7 @@ class FusionRing(ABC):
 
     def _fused(self, a: Label, b: Label) -> dict[Label, int]:
         """Decomposition of a (x) b as {label: multiplicity}."""
-        _, prods = self.products(self._label_row(a), self._one(b))
+        _, prods = self.products(self.label_table([a]), self._one(b))
         return dict(Counter(self.labels_of(prods)))
 
     def parse_label(self, literal) -> Label:
@@ -663,47 +655,32 @@ class FiniteDualRing(FusionRing):
 
 
 def get_ring(ring_id: str) -> FusionRing:
-    """The ring of an identifier: "Z", "Z^d:<d>", "SU2", "finite:<name>" or
-    "dualgroup:Z^d:<d>", one object per ring however the id is written
-    ("Z" and "Z^d:1" are one ring).  A finite dual's fusion table is derived
-    from its group's character table, so only "finite:" ids load `groups`.
-    A dual-group ring presents the group algebra of Z^d: the labels and
-    fusion of the torus dual under its own name, with no compact-group
-    model."""
+    """The ring of an identifier, exactly "SU2", "Z", "Z^d:<d>",
+    "finite:<name>" or "dualgroup:Z^d:<d>", <d> being 1 to 9 ASCII digits
+    without a leading zero and <name> one of C2..C12, S3, D4, Q8.  Each
+    accepted id names one cached ring object ("Z" and "Z^d:1" are one ring).
+    A finite dual's fusion table is derived from its group's character
+    table, so only "finite:" ids load `groups`.  A dual-group ring presents
+    the group algebra of Z^d: the labels and fusion of the torus dual under
+    its own name, with no compact-group model."""
     if not isinstance(ring_id, str):
         raise InvalidInputError(f"ring id must be a string, got {ring_id!r}")
-    if ring_id == "SU2":
-        return _canonical_ring("SU2", 1)
-    if ring_id == "Z" or ring_id.startswith("Z^d:"):
-        rank = 1 if ring_id == "Z" else _parse_rank(ring_id[4:], ring_id)
-        return _canonical_ring("Z" if rank == 1 else f"Z^d:{rank}", rank)
-    if ring_id.startswith("dualgroup:Z^d:"):
-        rank = _parse_rank(ring_id[14:], ring_id)
-        return _canonical_ring(f"dualgroup:Z^d:{rank}", rank)
     if ring_id.startswith("finite:"):
         from .groups import finite_group_model
 
         return finite_group_model(ring_id[7:]).ring
-    raise InvalidInputError(
-        f"unknown ring id {ring_id!r}; expected Z, Z^d:<d>, SU2, finite:<name> "
-        f"or dualgroup:Z^d:<d>"
-    )
+    match = re.fullmatch(r"SU2|Z|(?:dualgroup:)?Z\^d:([1-9][0-9]{0,8})", ring_id)
+    if match is None:
+        raise InvalidInputError(
+            f"unknown ring id {ring_id!r}; expected Z, Z^d:<d>, SU2, finite:<name> "
+            f"or dualgroup:Z^d:<d>")
+    return _canonical_ring("Z" if ring_id == "Z^d:1" else ring_id, int(match[1] or 1))
 
 
 @lru_cache(maxsize=None)
 def _canonical_ring(name: str, rank: int) -> FusionRing:
     # the ring carries its canonical identifier, for JSON round-trips
     return SU2Ring() if name == "SU2" else LatticeRing(rank, name=name)
-
-
-def _parse_rank(text: str, ring_id: str) -> int:
-    try:
-        rank = int(text)
-    except ValueError as exc:
-        raise InvalidInputError(f"bad rank in ring id {ring_id!r}") from exc
-    if rank < 1:
-        raise InvalidInputError(f"bad rank in ring id {ring_id!r}")
-    return rank
 
 
 def fuse(a: Label, b: Label, ring: FusionRing) -> dict[Label, int]:

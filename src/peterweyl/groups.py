@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice, permutations
 
 import numpy as np
@@ -543,25 +543,17 @@ def _quaternion_group_8() -> FiniteGroupModel:
     return FiniteGroupModel("Q8", elems, mult, irreps)
 
 
-_FINITE_NAMES = tuple(f"C{n}" for n in range(2, 13)) + ("S3", "D4", "Q8")
+_FINITE_GROUPS = {**{f"C{n}": partial(_cyclic_group, n) for n in range(2, 13)},
+                  "S3": _symmetric_group_3, "D4": _dihedral_group_4, "Q8": _quaternion_group_8}
+_FINITE_NAMES = tuple(_FINITE_GROUPS)
 
 
 @lru_cache(maxsize=None)
 def finite_group_model(name: str) -> FiniteGroupModel:
-    if name == "S3":
-        return _symmetric_group_3()
-    if name == "D4":
-        return _dihedral_group_4()
-    if name == "Q8":
-        return _quaternion_group_8()
-    if name.startswith("C"):
-        try:
-            n = int(name[1:])
-        except ValueError:
-            n = 0
-        if 2 <= n <= 12:
-            return _cyclic_group(n)
-    raise InvalidInputError(f"unknown finite group {name!r}; known: {_FINITE_NAMES}")
+    """The model of the finite group named exactly `name`, built once."""
+    if name not in _FINITE_GROUPS:
+        raise InvalidInputError(f"unknown finite group {name!r}; known: {_FINITE_NAMES}")
+    return _FINITE_GROUPS[name]()
 
 
 @lru_cache(maxsize=None)

@@ -486,23 +486,33 @@ class TestUsageErrors:
 _ENERGY = ["wiener", "--kind", "energy", "--measure", "in.json"]
 
 
-@pytest.mark.parametrize("argv, doc", [
-    (_ENERGY + ["--schedule", "boxes"], haar_measure_doc("Z")),
+@pytest.mark.parametrize("argv, doc, spelling", [
+    (_ENERGY + ["--schedule", "boxes"], haar_measure_doc("Z"), "'boxes'"),
     (_ENERGY + ["--schedule", "full"], {"group": "finite:S3", "atoms": [
-        {"element": "g:0", "weight": 1}]}),
-    (_ENERGY + ["--schedule", "default"], haar_measure_doc("Z")),
-    (_ENERGY, {"group": "Z^d:2", "atoms": [{"element": ["z:1,0", "z:0,1"], "weight": 1}]}),
-    (_ENERGY, {"group": "finite:S3", "atoms": [{"element": 4, "weight": 1}]}),
+        {"element": "g:0", "weight": 1}]}, "'full'"),
+    (_ENERGY + ["--schedule", "default"], haar_measure_doc("Z"), "'default'"),
+    (_ENERGY, {"group": "Z^d:2", "atoms": [{"element": ["z:1,0", "z:0,1"], "weight": 1}]},
+     "['z:1,0', 'z:0,1']"),
+    (_ENERGY, {"group": "finite:S3", "atoms": [{"element": 4, "weight": 1}]}, "literal 4"),
+    (_ENERGY, {"group": "Z^d:02", "density": [{"irrep": "0,0", "matrix": [[1.0]]}]},
+     "'Z^d:02'"),
+    (_ENERGY, haar_measure_doc("finite:C05"), "'C05'"),
+    (["ergodic", "--rep", "point", "--spec", "in.json"],
+     {"ring": "finite:C05", "points": ["g:1"]}, "'C05'"),
+    (["folner", "--ring", "Z^d:2_0", "--S", "0"], None, "'Z^d:2_0'"),
 ], ids=["schedule-boxes", "schedule-full", "schedule-default", "torus-atom-list",
-        "finite-atom-int"])
-def test_a_second_spelling_of_an_input_is_refused(tmp_path, monkeypatch, capsys, argv, doc):
-    # a schedule is a file or the ring's default, an element is its literal;
-    # "spins" is test_bad_schedule_name's case
+        "finite-atom-int", "rank-leading-zero", "finite-name-leading-zero",
+        "ergodic-finite-name-leading-zero", "rank-underscore"])
+def test_a_second_spelling_of_an_input_is_refused(tmp_path, monkeypatch, capsys, argv, doc,
+                                                  spelling):
+    # a schedule is a file or the ring's default, an element is its literal,
+    # a ring its one id; "spins" is test_bad_schedule_name's case
     monkeypatch.chdir(tmp_path)  # no file here is named like a schedule
     write_json(tmp_path / "in.json", doc)
     assert main(argv + ["--out", "out.csv"]) == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # the message names the spelling it refuses
+    assert err.startswith("error: ") and err.count("\n") == 1 and spelling in err
     assert not (tmp_path / "out.csv").exists()
 
 

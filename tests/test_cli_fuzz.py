@@ -15,8 +15,10 @@ from hypothesis import event, given, settings, strategies as st
 from peterweyl import InvalidInputError, MeasureSpec, measure_from_json
 from peterweyl.cli import EXIT_OK, EXIT_USAGE, main
 
+# ring ids, and spellings outside their grammar: blanks, `_`, leading zeros, 5,000 digits
 _RING_IDS = st.sampled_from(["Z", "Z^d:2", "SU2", "finite:S3", "finite:Q8", "dualgroup:Z^d:2",
-                             "Z^d:0", "finite:X", "dualgroup:Z", "su2"])
+                             "Z^d:0", "finite:X", "dualgroup:Z", "su2", "Z^d:02", "Z^d: 2",
+                             "Z^d:2_0", "finite:C05", "finite:C5 ", "Z^d:" + "9" * 5000])
 _JUNK = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,

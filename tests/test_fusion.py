@@ -665,6 +665,12 @@ class TestLabelTables:
             with pytest.raises(InvalidInputError):
                 Z2.parse_label([bad, 0])
         assert Z.fuse(2 ** 62 - 1, 2 ** 62 - 1) == {2 ** 63 - 2: 1}
+        # a component beyond int64 gets the message of every other non-label
+        with pytest.raises(InvalidInputError, match=f"^{2 ** 63} is not a label of ring Z$"):
+            Z.label_table([0, 2 ** 63])
+        for refuse in (lambda: Z2.check_label((2 ** 70, 0)), lambda: Z.dim(2 ** 70)):
+            with pytest.raises(InvalidInputError, match="is not a label of ring"):
+                refuse()
 
     def test_label_tables_are_checked_as_a_whole(self):
         table = Z2.label_table([(1, 2), (-3, 0)])

@@ -439,7 +439,12 @@ class TestLiteralsAndRegistry:
             get_model("dualgroup:Z^d:2")
         assert get_model("Z") is CIRCLE
         assert get_ring("finite:S3") is S3.ring
-        for bad in ["zz", "Z^d:0", "finite:C99", "finite:A5", "dualgroup:Z^d:x"]:
+        # one spelling per ring: no blanks, signs, `_`, leading zeros or
+        # non-ASCII digits, and no rank past nine digits
+        for bad in ["zz", "Z^d:0", "finite:C99", "finite:A5", "dualgroup:Z^d:x", "Z^d: 2",
+                    "Z^d:+2", "Z^d:2_0", "Z^d:02", "Z^d:\u0662", "dualgroup:Z^d:02",
+                    "finite:C05", "finite:C 5", "finite:C+5", "finite:C5 ", "finite:C\u0665",
+                    "Z^d:" + "9" * 5000]:
             with pytest.raises(InvalidInputError):
                 resolve(bad)
 

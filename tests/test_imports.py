@@ -115,6 +115,7 @@ def test_every_public_name_resolves():
 def test_resolve_attaches_its_model_to_the_ring_of_get_ring(ring_id):
     ring, model = groups.resolve(ring_id)
     assert ring is fusion.get_ring(ring_id) is cli.resolve(ring_id)[0]
+    assert fusion.get_ring(ring.name) is ring
     if ring_id.startswith("dualgroup:"):
         assert model is None
     else:
