@@ -152,7 +152,7 @@ def _run_wiener(args: argparse.Namespace) -> int:
     series = run_series(args.kind, mu, schedule, at=at)
     values = series.values
     header = ["step", "wcard", "value_re", "value_im"]
-    columns = [np.arange(1, len(values) + 1), series.weighted_cardinalities,
+    columns = [np.arange(1, len(values) + 1), schedule.weighted_cardinalities,
                values.real, values.imag]
     if args.ground_truth:
         header += ["target", "abs_error"]
@@ -194,12 +194,12 @@ def _run_ergodic(args: argparse.Namespace) -> int:
     schedule = load_schedule(ring, args.schedule, args.steps)
     report = ergodic_limit_check(rep, schedule, gens, tol=tol)
     _write_tables(args, ["step", "wcard", "dist_to_projection", "commutant_residue"],
-                  [np.arange(1, len(schedule) + 1), report.weighted_cardinalities,
-                   report.distances, report.commutant_residues])
+                  [np.arange(1, len(schedule) + 1), schedule.weighted_cardinalities,
+                   report.distances, np.full(len(schedule), rep.basis_residue)])
     if not report.passed:
         print(
             f"ergodic check failed: final distance {report.distances[-1]:.3e}, "
-            f"final commutant residue {report.commutant_residues[-1]:.3e}, tol {report.tol:.3e}",
+            f"final commutant residue {rep.basis_residue:.3e}, tol {tol:.3e}",
             file=sys.stderr,
         )
         return EXIT_NUMERIC

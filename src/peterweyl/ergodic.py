@@ -137,15 +137,15 @@ def gns_rep(model: FiniteGroupModel, state) -> FiniteDimRep:
     return FiniteDimRep(model, support, "gns-rep", cyclic_vector=np.sqrt(phi / phi.sum()))
 
 
-def _averages(rep: FiniteDimRep, schedule: FolnerSchedule) -> tuple[np.ndarray, np.ndarray]:
+def _averages(rep: FiniteDimRep, schedule: FolnerSchedule) -> np.ndarray:
     """The diagonal a_n of every step's average M_n in the representation's
-    basis, one row per step, and the steps' weighted cardinalities."""
+    basis, one row per step."""
 
     def terms(table, dims):
         return dims[:, None] * rep.model.characters(table, rep.points)
 
-    sums, wcards = reduce_along(schedule, rep.ring, terms, len(rep.points))
-    return sums / np.asarray(wcards, dtype=float)[:, None], wcards
+    sums = reduce_along(schedule, rep.ring, terms, len(rep.points))
+    return sums / np.asarray(schedule.weighted_cardinalities, dtype=float)[:, None]
 
 
 def _invariant(rep: FiniteDimRep, generating_labels) -> np.ndarray:
@@ -172,13 +172,9 @@ class ErgodicReport:
     averages of chi_a(p)/dim(a), of modulus at most one, with weights
     dim(a)^2/|F|_w summing to one."""
 
-    schedule: FolnerSchedule
-    weighted_cardinalities: np.ndarray
-    averages: np.ndarray            # row n: the diagonal a_n of M_n
-    distances: np.ndarray           # ||M_n - P||_F = ||a_n - p||_2
-    commutant_residues: np.ndarray  # the basis residue at every step
-    invariant: np.ndarray           # the diagonal p of P
-    tol: float
+    averages: np.ndarray   # row n: the diagonal a_n of M_n
+    distances: np.ndarray  # ||M_n - P||_F = ||a_n - p||_2
+    invariant: np.ndarray  # the diagonal p of P
     passed: bool
 
 
@@ -189,20 +185,13 @@ def ergodic_limit_check(rep: FiniteDimRep, schedule: FolnerSchedule, generating_
     representation's basis V, so each distance is the row norm ||a_n - p||_2
     and no dense operator is built.  Every commutator [M_n, pi(chi(g))]
     vanishes there; with V unitary only to ||V^H V - I||_F, its norm is at
-    most 2 dim(g) times that basis residue plus rounding, so the residue
-    stands for the commutant residues.  Passes when the final distance and
-    the basis residue are below tol."""
-    averages, wcards = _averages(rep, schedule)
+    most 2 dim(g) times that basis residue plus rounding, so
+    `rep.basis_residue` stands for the commutant residues.  Passes when the
+    final distance and the basis residue are below tol.  The report holds
+    what this pass computed; the steps' |F|_w stay on the schedule."""
+    averages = _averages(rep, schedule)
     invariant = _invariant(rep, generating_labels)  # checks the labels, rejects an empty list
     diff = averages - invariant
     dists = np.sqrt(np.sum(diff.real**2, axis=1) + np.sum(diff.imag**2, axis=1))
-    return ErgodicReport(
-        schedule=schedule,
-        weighted_cardinalities=wcards,
-        averages=averages,
-        distances=dists,
-        commutant_residues=np.full(len(dists), rep.basis_residue),
-        invariant=invariant,
-        tol=tol,
-        passed=bool(dists[-1] < tol and rep.basis_residue < tol),
-    )
+    return ErgodicReport(averages, dists, invariant,
+                         passed=bool(dists[-1] < tol and rep.basis_residue < tol))

@@ -6,5 +6,5 @@ class InvalidInputError(ValueError):
 
 
 class ConsistencyError(ArithmeticError):
-    """Raised when a numeric self-check fails (e.g. an imaginary residue
-    exceeds tolerance on a quantity that must be real)."""
+    """Raised when a numeric self-check fails: the CLI raises it for a
+    non-finite value in its output, before the output is opened."""

@@ -451,9 +451,9 @@ class FolnerSchedule:
 
 
 def reduce_along(schedule: FolnerSchedule, ring: FusionRing, terms,
-                 columns: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                 columns: int = 1) -> np.ndarray:
     """Per-step sums of the terms over the schedule's sets, one row per
-    step, and their weighted cardinalities.
+    step; the caller divides by `schedule.weighted_cardinalities`.
 
     `terms(table, dims)` returns `columns` values (a scalar for one) per row
     of the schedule's table; it is called once, after a MAX_TABLE_ENTRIES
@@ -472,8 +472,7 @@ def reduce_along(schedule: FolnerSchedule, ring: FusionRing, terms,
     with np.errstate(invalid="ignore"):  # an infinite sum turns to nan
         sums = (_compensated_sums(x)[schedule.stops - 1] if prefix
                 else np.array([_compensated_sums(x[s])[-1] for s in schedule.steps]))
-    sums = sums.view(complex).reshape((len(sums),) + table.shape[1:])
-    return sums, schedule.weighted_cardinalities
+    return sums.view(complex).reshape((len(sums),) + table.shape[1:])
 
 
 class LatticeRing(FusionRing):

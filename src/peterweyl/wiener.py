@@ -70,17 +70,10 @@ def _terms(kind: str, mu: MeasureSpec, y=None):
 
 @dataclass
 class AverageSeries:
-    """Per-step values of one average along a schedule."""
+    """Per-step values of one average, one per step of the schedule it ran on."""
 
-    kind: str
-    schedule: FolnerSchedule
     values: np.ndarray
-    weighted_cardinalities: np.ndarray
     target: float  # the limit predicted by the stored atoms
-
-    def __post_init__(self):
-        if len(self.values) != len(self.schedule):
-            raise InvalidInputError("values and schedule lengths differ")
 
     @property
     def final(self) -> complex:
@@ -93,10 +86,11 @@ def run_series(kind: str, mu: MeasureSpec, schedule: FolnerSchedule, at=None) ->
     One reduction serves every schedule, nested or not: the terms of all
     distinct labels are computed in one batch, and each step's value is the
     sum of its terms in ring order divided by its weighted cardinality.  So every value
-    equals the single-set average of that step's set to the bit.  The limit
-    predicted by the stored atoms (an oracle, unavailable to the averaging
-    itself) is attached as `target`: mu{y} for atom, sum of squared weights
-    for energy, mu{e} for char.
+    equals the single-set average of that step's set to the bit.  The series
+    holds the values and the limit predicted by the stored atoms (an oracle,
+    unavailable to the averaging itself) as `target`: mu{y} for atom, sum of
+    squared weights for energy, mu{e} for char.  The steps' |F|_w stay on the
+    schedule, as `schedule.weighted_cardinalities`.
     """
     if kind not in KINDS:
         raise InvalidInputError(f"unknown average kind {kind!r}; expected one of {KINDS}")
@@ -105,7 +99,8 @@ def run_series(kind: str, mu: MeasureSpec, schedule: FolnerSchedule, at=None) ->
     # a non-finite value is left to the caller's check: it warns of nothing here,
     # and an infinite part times 0.0 is nan, as in Python
     with np.errstate(invalid="ignore", over="ignore"):
-        sums, wcards = reduce_along(schedule, mu.model.ring, _terms(kind, mu, at))
+        sums = reduce_along(schedule, mu.model.ring, _terms(kind, mu, at))
+        wcards = schedule.weighted_cardinalities
         # CPython's complex / int by column (numpy's complex128 / int differs in the last bit)
         values = ((sums.real + sums.imag * 0.0) / wcards).astype(complex)
         values.imag = (sums.imag - sums.real * 0.0) / wcards
@@ -115,4 +110,4 @@ def run_series(kind: str, mu: MeasureSpec, schedule: FolnerSchedule, at=None) ->
         target = sum(w * w for _, w in mu.atoms)
     else:
         target = atom_weight_at(mu, mu.model.identity())
-    return AverageSeries(kind, schedule, values, wcards, target)
+    return AverageSeries(values, target)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import wcard
-from peterweyl import InvalidInputError, get_ring
+from peterweyl import InvalidInputError, get_ring, group_rep
 from peterweyl.cli import (EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, load_schedule,
                            main)
 from peterweyl.fusion import MAX_WORK_S
@@ -91,11 +91,13 @@ class TestFolner:
 
     @pytest.mark.parametrize("ring, S", [("Z", "1"), ("Z^d:2", "1,0;0,1"), ("SU2", "1"),
                                          ("finite:D4", "twodim")])
-    @pytest.mark.parametrize("sets", [5, [5], ["12", ["3"]], [{"1": 0}], "12", {"a": [1]}],
-                             ids=["sets-number", "set-number", "set-string", "set-dict",
-                                  "sets-string", "sets-dict"])
-    def test_schedule_sets_must_be_lists_of_lists(self, tmp_path, capsys, ring, S, sets):
-        schedule = write_json(tmp_path / "s.json", {"sets": sets})
+    @pytest.mark.parametrize("doc", [
+        {"sets": 5}, {"sets": [5]}, {"sets": ["12", ["3"]]}, {"sets": [{"1": 0}]},
+        {"sets": "12"}, {"sets": {"a": [1]}}, [], {}, {"set": [["1"]]},
+    ], ids=["sets-number", "set-number", "set-string", "set-dict", "sets-string", "sets-dict",
+            "doc-list", "doc-empty", "doc-no-sets"])
+    def test_schedule_sets_must_be_lists_of_lists(self, tmp_path, capsys, ring, S, doc):
+        schedule = write_json(tmp_path / "s.json", doc)
         out = tmp_path / "folner.csv"
         assert main(["folner", "--ring", ring, "--S", S, "--schedule", schedule,
                      "--out", str(out)]) == EXIT_VALIDATION
@@ -207,14 +209,17 @@ class TestWiener:
         assert main(["wiener", "--kind", "atom", "--measure", measure]) == EXIT_VALIDATION
 
     def test_non_finite_element_is_validation_error(self, tmp_path, capsys):
-        doc = {"group": "Z", "atoms": [{"element": "z:nan,0", "weight": 0.5}],
-               "density": [{"irrep": "0", "matrix": [[0.5]]}]}
-        measure = write_json(tmp_path / "nan.json", doc)
-        out = tmp_path / "series.csv"
-        assert main(["wiener", "--kind", "energy", "--measure", measure,
-                     "--steps", "5", "--out", str(out)]) == EXIT_VALIDATION
-        assert "Traceback" not in capsys.readouterr().err
-        assert not out.exists()
+        # a non-finite and an unreadable component
+        for element in ("z:nan,0", "z:a,0"):
+            doc = {"group": "Z", "atoms": [{"element": element, "weight": 0.5}],
+                   "density": [{"irrep": "0", "matrix": [[0.5]]}]}
+            measure = write_json(tmp_path / "nan.json", doc)
+            out = tmp_path / "series.csv"
+            assert main(["wiener", "--kind", "energy", "--measure", measure,
+                         "--steps", "5", "--out", str(out)]) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, element
+            assert not out.exists()
 
     def test_overflowing_weight_is_numeric_error_without_output(self, tmp_path, capsys):
         doc = {"group": "Z", "atoms": [{"element": "z:1,0", "weight": 1e308}]}
@@ -225,10 +230,12 @@ class TestWiener:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("atom, matrix", [(True, [[0.5]]), (0.5, [[False]]),
-                                              (0.5, [[[True, 0]]])],
-                             ids=["bool-weight", "bool-entry", "bool-in-pair"])
-    def test_bool_numbers_are_validation_errors(self, tmp_path, capsys, atom, matrix):
+    @pytest.mark.parametrize("atom, matrix", [
+        (True, [[0.5]]), (0.5, [[False]]), (0.5, [[[True, 0]]]), ("heavy", [[0.5]]),
+        (0.5, [[["a", 0]]]), (0.5, [[float("inf")]]), (0.5, [[[0.5, 1.0]]]),
+    ], ids=["bool-weight", "bool-entry", "bool-in-pair", "string-weight", "string-in-pair",
+            "infinite-entry", "complex-trivial-entry"])
+    def test_malformed_numbers_are_validation_errors(self, tmp_path, capsys, atom, matrix):
         measure = write_json(tmp_path / "m.json", {
             "group": "Z", "atoms": [{"element": "z:1,0", "weight": atom}],
             "density": [{"irrep": "0", "matrix": matrix}]})
@@ -260,17 +267,23 @@ class TestWiener:
 
 
 class TestErgodic:
-    def test_group_rep_failing_tolerance_exits_numeric(self, tmp_path):
-        spec = write_json(
-            tmp_path / "rep.json",
-            {"ring": "dualgroup:Z^d:1", "generators": [[[[-1.0, 0.0]]]]},
-        )
-        out = tmp_path / "report.csv"
-        assert main(["ergodic", "--rep", "group", "--spec", spec, "--steps", "3",
-                     "--out", str(out)]) == EXIT_NUMERIC
-        header, rows = read_csv(out)
-        assert header == ["step", "wcard", "dist_to_projection", "commutant_residue"]
-        assert len(rows) == 3
+    def test_group_rep_failing_tolerance_exits_numeric(self, tmp_path, capsys):
+        # the commutant_residue column is the representation's basis residue,
+        # nonzero for the swap
+        ring = get_ring("dualgroup:Z^d:1")
+        for gen in ([[-1]], [[0, 1], [1, 0]]):
+            spec = write_json(tmp_path / "rep.json", {"ring": ring.name, "generators": [gen]})
+            out = tmp_path / "report.csv"
+            assert main(["ergodic", "--rep", "group", "--spec", spec, "--steps", "3",
+                         "--out", str(out)]) == EXIT_NUMERIC
+            header, rows = read_csv(out)
+            assert header == ["step", "wcard", "dist_to_projection", "commutant_residue"]
+            assert len(rows) == 3
+            residue = group_rep(ring, [gen]).basis_residue
+            assert [row[3] for row in rows] == [repr(residue)] * 3
+            assert capsys.readouterr().err == (
+                f"ergodic check failed: final distance {float(rows[-1][2]):.3e}, "
+                f"final commutant residue {residue:.3e}, tol {1e-8:.3e}\n")
 
     def test_group_rep_loose_tolerance_passes(self, tmp_path):
         spec = write_json(
@@ -372,8 +385,9 @@ class TestErgodic:
         ("gns", {"ring": "finite:S3", "state": [1, 1, 1, 1, 1, "a"]}),
         ("gns", {"ring": "finite:S3", "state": [1, 0, 0, 0, 0, False]}),
         ("group", {"ring": "dualgroup:Z^d:1", "generators": [[[True]]]}),
+        ("point", {"ring": "dualgroup:Z^d:2", "points": ["z:1,0;1,0"]}),
     ], ids=["generators-number", "generator-number", "points-number", "point-bool",
-            "state-string", "state-bool", "generator-bool"])
+            "state-string", "state-bool", "generator-bool", "point-no-model"])
     def test_malformed_rep_spec_is_validation_error(self, tmp_path, capsys, rep, doc):
         spec = write_json(tmp_path / "rep.json", doc)
         out = tmp_path / "report.csv"

@@ -295,7 +295,7 @@ class TestErgodicLimitCheck:
         report = ergodic_limit_check(rep, schedule, full_dual(S3.ring), tol=1e-12)
         assert report.passed
         assert np.all(report.distances <= 1e-13)
-        assert np.all(report.commutant_residues <= 1e-13)
+        assert rep.basis_residue <= 1e-13
 
     def test_failing_tolerance_reported(self):
         rep = group_rep(DUAL_Z, [[[-1.0]]])
@@ -380,7 +380,6 @@ class TestDiagonalReport:
                     for g in gens:
                         u = chi(rep, g)
                         assert np.linalg.norm(M @ u - u @ M) <= 1e-12
-                assert np.all(report.commutant_residues == rep.basis_residue)
 
     def test_basis_residue(self):
         for rep, _ in self.reps():
@@ -399,7 +398,6 @@ class TestDiagonalReport:
             report = ergodic_limit_check(rep, schedule, [1], tol=tol)
             assert report.passed is passed
             assert np.all(report.distances == 0.0)
-            assert np.all(report.commutant_residues == 1e-6)
 
     def test_a_large_rep_is_checked_without_an_operator(self):
         rng = np.random.default_rng(33)
@@ -489,7 +487,7 @@ class TestDiagonalPath:
         averages = np.cumsum((n + 1) * chi, axis=0)[1:] / wcard[:, None]
         invariant = (half == 0).astype(float)
         oracle = np.sqrt(((averages - invariant) ** 2).sum(axis=1))
-        assert report.weighted_cardinalities.tolist() == wcard.tolist()
+        assert schedule.weighted_cardinalities.tolist() == wcard.tolist()
         assert np.max(np.abs(report.distances - oracle)) < 1e-9
         assert report.passed
 

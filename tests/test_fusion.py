@@ -767,12 +767,12 @@ class TestStepSums:
     @given(data=st.data())
     def test_every_step_equals_its_set_alone(self, name, nested, data):
         ring, terms, columns, schedule = self._draw(data, name, nested)
-        sums, _ = fusion.reduce_along(schedule, ring, terms, columns)
+        sums = fusion.reduce_along(schedule, ring, terms, columns)
         assert sums.shape == (len(schedule),) + ((columns,) if columns > 1 else ())
-        indexed, _ = fusion.reduce_along(FolnerSchedule(ring, schedule.sets), ring, terms, columns)
+        indexed = fusion.reduce_along(FolnerSchedule(ring, schedule.sets), ring, terms, columns)
         assert indexed.tobytes() == sums.tobytes()
         for k, F in enumerate(schedule.sets):
-            alone, _ = fusion.reduce_along(FolnerSchedule(ring, (F,)), ring, terms, columns)
+            alone = fusion.reduce_along(FolnerSchedule(ring, (F,)), ring, terms, columns)
             assert alone[0].tobytes() == sums[k].tobytes()
 
     @pytest.mark.parametrize("nested", [True, False], ids=["nested", "windows"])
@@ -783,7 +783,7 @@ class TestStepSums:
         # |sum - S| <= eps |S| + gamma(n - 1)**2 sum |x_i| (Ogita, Rump and
         # Oishi), S the exact sum of the n terms, gamma(k) = k eps / (1 - k eps)
         ring, terms, columns, schedule = self._draw(data, name, nested)
-        sums, _ = fusion.reduce_along(schedule, ring, terms, columns)
+        sums = fusion.reduce_along(schedule, ring, terms, columns)
         sums = sums.reshape(len(schedule), columns)
         eps = Fraction(1, 2 ** 53)
         for k, F in enumerate(schedule.sets):
@@ -804,7 +804,7 @@ class TestStepSums:
         values = rng.standard_normal((119_000, 12)).view(complex)
         table = np.concatenate([np.arange(1000 * i, 1000 * i + 100_000) for i in range(20)])
         schedule = FolnerSchedule.from_table(Z, table[:, None], [100_000] * 20)
-        sums, _ = fusion.reduce_along(schedule, Z, lambda t, d: values[t[:, 0]], 6)
+        sums = fusion.reduce_along(schedule, Z, lambda t, d: values[t[:, 0]], 6)
         for i in range(20):
             assert np.allclose(sums[i], values[1000 * i:1000 * i + 100_000].sum(axis=0),
                                rtol=0, atol=1e-10)

@@ -7,7 +7,6 @@ import pytest
 
 from helpers import density_value, haar_sample
 from peterweyl import (
-    ConsistencyError,
     InvalidInputError,
     LatticeRing,
     MeasureSpec,
@@ -125,7 +124,7 @@ class TestConstruction:
             MeasureSpec(SU2, density={-3: [[1.0]]})
 
     def test_rejects_imaginary_trivial_density(self):
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(InvalidInputError, match="trivial density entry must be real"):
             MeasureSpec(CIRCLE, density={0: [[1j]]})
 
     def test_mass_examples(self):

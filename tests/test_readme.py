@@ -3,6 +3,7 @@ what it states about the guards, the ring rules, the options and the
 library surface holds."""
 
 import ast
+import dataclasses
 import inspect
 import re
 from functools import cached_property
@@ -19,14 +20,20 @@ UNCALLED = {
     "haar": "a measure constructor the tests and the ROADMAP's singular measures build on",
     "dirac": "a measure constructor the tests and the ROADMAP's singular measures build on",
 }
-# public methods and properties of exported classes that nothing in `src/` reads and the
-# quick start does not show, each kept for a reason
+# public methods, properties and dataclass fields of exported classes that nothing in
+# `src/` reads and the quick start does not show, each kept for a reason
 UNREAD = {
     "CompactGroupModel.character_value":
         "clibench's test_spin_160_series_is_flagged_exactly_when_characters_are_wrong "
         "calls it, and clibench/tracing.py wraps it",
     "FolnerSchedule.sets":
         "clibench/tracing.py's schedule_sizes reads it for the schedule-size metrics",
+    "ErgodicReport.averages":
+        "tests/helpers.py's cesaro builds the dense M_F from it, the dense-path oracle",
+    "ErgodicReport.invariant": "tests/helpers.py's projection builds the dense P from it",
+    "FiniteDimRep.basis": "tests/helpers.py's operator builds dense operators from it",
+    "FiniteDimRep.cyclic_vector":
+        "the GNS tests and acceptance criterion 6 read the state through it",
 }
 
 
@@ -66,7 +73,9 @@ def test_every_public_function_has_a_caller_or_is_shown():
 
 def test_every_public_method_has_a_reader_or_is_shown():
     # an attribute read anywhere in src/ counts as a caller, on whatever
-    # object it is read: the code reads methods off rings, models and schedules
+    # object it is read: the code reads methods off rings, models and schedules.
+    # So a dataclass field counts as read when any object's attribute of its
+    # name is: the check finds fields that only tests read, not copies of inputs
     import peterweyl
 
     read = {node.attr for path in SRC.glob("*.py")
@@ -78,7 +87,11 @@ def test_every_public_method_has_a_reader_or_is_shown():
                for attr, value in vars(getattr(peterweyl, name)).items()
                if not attr.startswith("_")
                and (inspect.isfunction(value) or isinstance(value, kinds))}
-    unread = {method for method in methods if method.split(".")[1] not in read | _shown()}
+    fields = {f"{name}.{field.name}" for name in peterweyl.__all__
+              if dataclasses.is_dataclass(getattr(peterweyl, name))
+              for field in dataclasses.fields(getattr(peterweyl, name))}
+    unread = {member for member in methods | fields
+              if member.split(".")[1] not in read | _shown()}
     assert sorted(unread) == sorted(UNREAD)
 
 
