@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _split_labels(text: str, ring: FusionRing) -> list:
-    # labels are ';'-separated so tuple labels can keep their commas
+    # ';' separates labels, ',' the components of one
     return ring.labels_of(ring.parse_table(text.split(";")))
 
 
@@ -139,16 +139,14 @@ def _run_wiener(args: argparse.Namespace) -> int:
     from .measures import measure_from_json, total_mass
     from .wiener import run_series
 
+    if (args.at is None) == (args.kind == "atom"):  # checked before the measure is read
+        raise InvalidInputError("atom averages need --at <element literal>" if args.at is None
+                                else f"--at is read by --kind atom only, not --kind {args.kind}")
     mu = measure_from_json(_load_json(args.measure))
     if not total_mass(mu) > 0:
         raise InvalidInputError("measure must have positive total mass")
-    ring = mu.model.ring
-    at = None
-    if args.kind == "atom":
-        if args.at is None:
-            raise InvalidInputError("atom averages need --at <element literal>")
-        at = mu.model.parse_element(args.at)
-    schedule = load_schedule(ring, args.schedule, args.steps)
+    at = None if args.at is None else mu.model.parse_element(args.at)
+    schedule = load_schedule(mu.model.ring, args.schedule, args.steps)
     series = run_series(args.kind, mu, schedule, at=at)
     values = series.values
     header = ["step", "wcard", "value_re", "value_im"]
@@ -240,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("wiener", _run_wiener, "atom/energy/char averages of a measure")
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--measure", required=True, help="measure spec JSON")
-    p.add_argument("--at", default=None, help="element literal (atom kind)")
+    p.add_argument("--at", default=None, help="element literal (--kind atom only)")
     p.add_argument("--ground-truth", action="store_true",
                    help="add the stored-atoms oracle target and per-step error columns")
     tables(p)

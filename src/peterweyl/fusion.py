@@ -105,15 +105,15 @@ class FusionRing(ABC):
     first label of ``first_table(1)``; ``order_keys(table)``, the
     `np.lexsort` keys of the ring's total order (primary key last),
     lexicographic; and ``format_label(a)``, the components joined by ','.
-    Every ring reads label literals with one grammar (``parse_table``); a
-    ring names its literals' prefix and its irreps in ``literal_prefix`` and
-    ``irrep_names``.
+    Every ring reads its label literals, strings, with one reader
+    (``parse_table``): its ``irrep_names`` if it names its irreps, else
+    decimals after an optional ``literal_prefix``.
     """
 
     name: str = "ring"
     # columns of a label row
     rank: int = 1
-    # label literals that name the labels 0, 1, ... (rank 1)
+    # the literals of the labels 0, 1, ... (rank 1); a ring that names them reads no decimals
     irrep_names: tuple[str, ...] = ()
     # an optional prefix of a string literal, such as "w:" in "w:1,-2"
     literal_prefix: str = ""
@@ -149,8 +149,7 @@ class FusionRing(ABC):
     # -- rows and labels --------------------------------------------------
     def _parts(self, label):
         """The components of a label, or None for a value of the wrong type
-        or shape: rank 1 takes an int (not bool), higher ranks a tuple of
-        them."""
+        or shape: an int (not bool) at rank 1, else a tuple of rank ints."""
         parts = (label,) if self.rank == 1 else label
         if isinstance(parts, tuple) and len(parts) == self.rank and all(map(_is_int, parts)):
             return parts
@@ -167,9 +166,17 @@ class FusionRing(ABC):
             raise InvalidInputError(f"{literals[bad[0]]!r} is not a label of ring {self.name}")
         return table
 
-    def _table(self, parts: list, literals: list) -> np.ndarray:
-        """Checked rows from component tuples (None for a literal already
-        known to be bad)."""
+    def label_table(self, labels) -> np.ndarray:
+        """The labels (Python ints, or int tuples above rank 1) as an (n,
+        rank) int64 table in the given order, each checked; an int64 table
+        of that shape is checked as a whole."""
+        if isinstance(labels, np.ndarray) and labels.ndim == 2:
+            if labels.dtype != np.int64 or labels.shape[1] != self.rank:
+                raise InvalidInputError(
+                    f"a label table of ring {self.name} is int64 with {self.rank} columns")
+            return self._checked(labels, labels)
+        labels = list(labels)
+        parts = [self._parts(a) for a in labels]
         _check_size(len(parts) * self.rank, "a label table")
         if None not in parts:
             try:
@@ -177,20 +184,9 @@ class FusionRing(ABC):
             except OverflowError:  # a component beyond int64: found below
                 pass
             else:
-                return self._checked(table, literals)
+                return self._checked(table, labels)
         bad = next(i for i, p in enumerate(parts) if p is None or max(map(abs, p)) >= LABEL_BOUND)
-        raise InvalidInputError(f"{literals[bad]!r} is not a label of ring {self.name}")
-
-    def label_table(self, labels) -> np.ndarray:
-        """The labels as an (n, rank) int64 table in the given order, each
-        checked; an int64 table of that shape is checked as a whole."""
-        if isinstance(labels, np.ndarray) and labels.ndim == 2:
-            if labels.dtype != np.int64 or labels.shape[1] != self.rank:
-                raise InvalidInputError(
-                    f"a label table of ring {self.name} is int64 with {self.rank} columns")
-            return self._checked(labels, labels)
-        labels = list(labels)
-        return self._table([self._parts(a) for a in labels], labels)
+        raise InvalidInputError(f"{labels[bad]!r} is not a label of ring {self.name}")
 
     def labels_of(self, table: np.ndarray) -> list:
         """The labels of a table's rows, as Python ints or int tuples."""
@@ -221,15 +217,18 @@ class FusionRing(ABC):
     def parse_label(self, literal) -> Label:
         return self.labels_of(self.parse_table([literal]))[0]
 
-    def _decimal_table(self, texts: list[str]) -> np.ndarray | None:
+    def _decimal_table(self, texts: list) -> np.ndarray | None:
         """The unchecked (m, rank) table of m >= 1 label literals, or None
-        when one is not a literal.  A literal is ASCII: an optional
+        when one is not a literal.  A literal is an ASCII string: an optional
         `literal_prefix`, then `rank` components -?[0-9]{1,19} separated by
-        ',' or ';'.  A component beyond int64 reads as 2**63 - 1, which is
-        no label.  The batch is joined, scanned in numpy and read by one
-        np.fromstring, with no Python work per literal; it is read exactly
-        when each of its literals is read alone."""
-        text = "\n".join(texts)
+        ','.  A component beyond int64 reads as 2**63 - 1, which is no label.
+        The batch is joined, scanned in numpy and read by one np.fromstring,
+        with no Python work per literal; it is read exactly when each of its
+        literals is read alone."""
+        try:
+            text = "\n".join(texts)
+        except TypeError:  # a literal that is no string
+            return None
         prefix = self.literal_prefix
         if prefix:
             # a literal's prefix follows a line break (none is inside a literal: checked next)
@@ -237,7 +236,7 @@ class FusionRing(ABC):
         if not text.isascii() or text.count("\n") != len(texts) - 1:
             return None
         codes = np.frombuffer(text.encode(), dtype=np.uint8)
-        cuts = np.flatnonzero((codes == ord(",")) | (codes == ord(";")) | (codes == ord("\n")))
+        cuts = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
         # rank components per literal: the line breaks are every rank-th cut
         if cuts.size != len(texts) * self.rank - 1 or np.any(
                 codes[cuts[self.rank - 1::self.rank]] != ord("\n")):
@@ -250,42 +249,31 @@ class FusionRing(ABC):
         if (digits.min() < 1 or digits.max() > 19
                 or np.count_nonzero(codes - ord("0") < 10) != digits.sum()):
             return None
-        values = np.fromstring(text.replace(";", ",").replace("\n", ","), dtype=np.int64, sep=",")
+        values = np.fromstring(text.replace("\n", ","), dtype=np.int64, sep=",")
         return values.reshape(len(texts), self.rank)
 
     def parse_table(self, literals) -> np.ndarray:
-        """Label literals into a checked (n, rank) table: irrep names, ints
-        at rank 1 and lists of int components (not bool, not float), and
-        strings such as "3", "1;-2" or "w:1,-2", all read in one batch
-        (`_split_ints`)."""
+        """Label literals, each a string, into a checked (n, rank) table: on a
+        ring with `irrep_names` one of them, by a dict lookup, else decimals
+        such as "3" or "w:1,-2", read in one batch by `_decimal_table`.  A
+        refused batch names its first literal that is refused alone, for
+        decimals found by halving the batch (about two scans in all)."""
         literals = list(literals)
         _check_size(len(literals) * self.rank, "a label table")
-        names = self.irrep_names
-        # a schedule file's batch, read without a loop over its literals
-        if set(map(type, literals)) <= {str} and set(names).isdisjoint(literals):
-            return self._split_ints(literals)
-        is_text = np.array([isinstance(x, str) and x not in names for x in literals], dtype=bool)
-        others = [literals[i] for i in np.flatnonzero(~is_text).tolist()]
-        rows = np.empty((len(literals), self.rank), dtype=np.int64)
-        rows[~is_text] = self._table(
-            [(names.index(x),) if isinstance(x, str)
-             else self._parts(tuple(x) if isinstance(x, list) else x) for x in others], others)
-        rows[is_text] = self._split_ints([literals[i] for i in np.flatnonzero(is_text).tolist()])
-        return rows
-
-    def _split_ints(self, texts: list[str]) -> np.ndarray:
-        """String literals to a checked (m, rank) table by `_decimal_table`.
-        A batch it refuses names the first literal it refuses alone, found
-        by halving the batch (about two scans in all)."""
-        if not texts:
+        if self.irrep_names:
+            index = {name: i for i, name in enumerate(self.irrep_names)}
+            rows = [index.get(x) if isinstance(x, str) else None for x in literals]
+            if None not in rows:
+                return np.array(rows, dtype=np.int64).reshape(len(rows), 1)
+            literals = [literals[rows.index(None)]]
+        elif not literals:
             return np.zeros((0, self.rank), dtype=np.int64)
-        table = self._decimal_table(texts)
-        if table is not None:
-            return self._checked(table, texts)
-        while len(texts) > 1:
-            half = len(texts) // 2
-            texts = texts[:half] if self._decimal_table(texts[:half]) is None else texts[half:]
-        raise InvalidInputError(f"{texts[0]!r} is not a label of ring {self.name}")
+        elif (table := self._decimal_table(literals)) is not None:
+            return self._checked(table, literals)
+        while len(literals) > 1:
+            head, tail = literals[:len(literals) // 2], literals[len(literals) // 2:]
+            literals = head if self._decimal_table(head) is None else tail
+        raise InvalidInputError(f"{literals[0]!r} is not a label of ring {self.name}")
 
     def format_label(self, label: Label) -> str:
         return str(label) if self.rank == 1 else ",".join(map(str, label))

@@ -150,7 +150,7 @@ def matrix_from_json(rows, what: str) -> np.ndarray:
 
 
 def measure_from_json(obj: dict) -> MeasureSpec:
-    """Parse the measure-spec JSON schema:
+    """Parse the measure-spec JSON schema, which has no other field:
 
     {"group": <ring id>,
      "atoms": [{"element": <literal>, "weight": <float>}, ...],
@@ -158,6 +158,9 @@ def measure_from_json(obj: dict) -> MeasureSpec:
     """
     if not isinstance(obj, dict):
         raise InvalidInputError("measure spec must be a JSON object")
+    unknown = [name for name in obj if name not in ("group", "atoms", "density")]
+    if unknown:  # a misspelled field would be dropped in silence
+        raise InvalidInputError(f"measure spec has no field {unknown[0]!r}")
     if "group" not in obj:
         raise InvalidInputError("measure spec is missing the 'group' field")
     ring, model = resolve(obj["group"])

@@ -1,6 +1,7 @@
 """Test-side readings of the library's one reduction path and its Folner
 pass, label sets read off the rings' tables, dense oracles that share no
-code with `ergodic`, and Haar-random elements of each model."""
+code with `ergodic`, Haar-random elements of each model, and decimal
+label literals on and outside the edge of their grammar."""
 
 import math
 
@@ -153,3 +154,18 @@ _SAMPLERS = {TorusModel: _torus_sample, SU2Model: _su2_sample, FiniteGroupModel:
 def haar_sample(model, rng):
     """A Haar-random element of `model`, drawn from `rng` by its model type."""
     return _SAMPLERS[type(model)](model, rng)
+
+
+# decimal label literal components, each in the grammar and a label of Z
+CANONICAL_EDGES = ["0", "-0", "007", "-0012", "9" * 18, "-" + "9" * 18, "1" + "0" * 17]
+# components on the edge of the grammar -?[0-9]{1,19}: up to 10**18 labels of Z; then
+# 2**62 or more in modulus, no label, the nineteen nines beyond int64 too
+EDGE_COMPONENTS = CANONICAL_EDGES + [
+    "0" * 18 + "1", str(2 ** 62 - 1), str(-(2 ** 62 - 1)), "1" + "0" * 18,
+    str(2 ** 62), str(-(2 ** 62)), "9" * 19, "-" + "9" * 19,
+]
+# strings outside the grammar, each refused: blanks, signs, `_`, non-ASCII digits, empty
+# parts, line breaks, ';' inside a label, 20 digits
+NON_LITERALS = ["", " 1 ", "+3", "3_0", "\u0661", "\u0661,2", "-", "--1", "1-", "1w:2", "w:",
+                "\xe9", "0x1", "1e3", "\n1", "1\n", "\ud800", "1" * 20, "w:w:1", " w:1", "1,",
+                ";1", "1;2", "1,,2"]

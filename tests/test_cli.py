@@ -208,6 +208,29 @@ class TestWiener:
         measure = write_json(tmp_path / "mix.json", mix_measure_doc())
         assert main(["wiener", "--kind", "atom", "--measure", measure]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("kind", ["energy", "char"])
+    def test_at_goes_with_the_atom_kind_only(self, tmp_path, capsys, kind):
+        measure = write_json(tmp_path / "mix.json", mix_measure_doc())
+        out = tmp_path / "series.csv"
+        assert main(["wiener", "--kind", kind, "--measure", measure, "--at", "z:0,1",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: --at is read by --kind atom only, not --kind {kind}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["densty", "atom"])
+    def test_a_misspelled_measure_field_is_refused(self, tmp_path, capsys, field):
+        # dropped, the field would change the measure: without its density the
+        # mix's char average at step 1 reads 0.5, not 0.6667
+        doc = mix_measure_doc()
+        doc[field] = doc.pop({"densty": "density", "atom": "atoms"}[field])
+        measure = write_json(tmp_path / "m.json", doc)
+        out = tmp_path / "series.csv"
+        assert main(["wiener", "--kind", "char", "--measure", measure, "--steps", "1",
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: measure spec has no field {field!r}\n"
+        assert not out.exists()
+
     def test_non_finite_element_is_validation_error(self, tmp_path, capsys):
         # a non-finite and an unreadable component
         for element in ("z:nan,0", "z:a,0"):
@@ -556,6 +579,32 @@ def test_a_spelling_outside_the_grammar_is_refused_in_one_line(tmp_path, monkeyp
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("ring_id, where, literal", [
+    ("Z", "schedule", [1, 2]), ("Z^d:2", "schedule", "1;-2"), ("Z", "density", 0),
+    ("finite:S3", "--S", "1"), ("finite:S3", "--a", "2"),
+], ids=["schedule-numbers", "schedule-semicolon", "density-number", "S-index", "a-index"])
+def test_a_removed_label_spelling_is_refused_by_name(tmp_path, monkeypatch, capsys, ring_id,
+                                                     where, literal):
+    # a label literal is a string; ',' alone joins components; a finite dual's labels
+    # are its irrep names
+    monkeypatch.chdir(tmp_path)
+    good = get_ring(ring_id).format_label(get_ring(ring_id).trivial)
+    # the schedule case's literal is a set of two numbers, refused at its first
+    step, refused = (literal, literal[0]) if isinstance(literal, list) else ([literal], literal)
+    argv = {
+        "--S": ["folner", "--ring", ring_id, "--S", literal, "--steps", "2"],
+        "--a": ["fusion", "--ring", ring_id, "--a", literal, "--b", "std"],
+        "schedule": ["folner", "--ring", ring_id, "--S", good, "--schedule",
+                     write_json(tmp_path / "s.json", {"sets": [step]})],
+        "density": ["wiener", "--kind", "energy", "--steps", "2", "--measure", write_json(
+            tmp_path / "m.json", {"group": ring_id, "density": [
+                {"irrep": literal, "matrix": [[1.0]]}]})],
+    }[where]
+    assert main(argv + ["--out", "out.csv"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {refused!r} is not a label of ring {ring_id}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["folner", "--ring", "Z", "--S", "1", "--schedule"],
     ["wiener", "--kind", "energy", "--measure"],
@@ -639,7 +688,7 @@ class TestWorkGuards:
 
     def test_su2_characters_of_a_label_near_the_bound(self, tmp_path, capsys):
         # a valid label: its dimension squared still fits in int64
-        schedule = write_json(tmp_path / "s.json", {"sets": [[0, 3_037_000_000]]})
+        schedule = write_json(tmp_path / "s.json", {"sets": [["0", "3037000000"]]})
         measure = write_json(tmp_path / "m.json", {
             "group": "SU2", "atoms": [{"element": "q:0.6,0.8,0,0", "weight": 1},
                                       {"element": "q:0,1,0,0", "weight": 1}],
@@ -647,8 +696,9 @@ class TestWorkGuards:
         spec = write_json(tmp_path / "rep.json", {"ring": "SU2", "points": ["q:0.6,0.8,0,0"]})
         out = tmp_path / "out.csv"
         for kind in ("atom", "energy", "char"):
+            at = ["--at", "q:1,0,0,0"] if kind == "atom" else []
             err = self._refused(capsys, out, ["wiener", "--kind", kind, "--measure", measure,
-                                              "--at", "q:1,0,0,0", "--schedule", schedule])
+                                              "--schedule", schedule] + at)
             assert "SU(2) characters up to label 3037000000" in err and ABOVE_THE_WORK_LIMIT in err
         self._refused(capsys, out, ["ergodic", "--rep", "point", "--spec", spec,
                                     "--schedule", schedule])
@@ -740,12 +790,12 @@ class TestEntryPoints:
 # with values of every other JSON kind, in sets that may not be lists
 _SMALL = st.integers(-4, 4)
 _VALID_LITERALS = {
-    "Z": _SMALL | _SMALL.map(str) | _SMALL.map("w:{}".format),
-    "Z^d:2": st.lists(_SMALL, min_size=2, max_size=2)
+    "Z": _SMALL.map(str) | _SMALL.map("w:{}".format),
+    "Z^d:2": st.tuples(_SMALL, _SMALL).map(lambda t: "{},{}".format(*t))
     | st.tuples(_SMALL, _SMALL).map(lambda t: "w:{},{}".format(*t))
     | st.tuples(_SMALL, _SMALL).map(lambda t: " {} ;{}".format(*t)),
-    "SU2": st.integers(0, 6) | st.integers(0, 6).map(str),
-    "finite:D4": st.integers(0, 4) | st.sampled_from(["trivial", "sign_s", "twodim", "3"]),
+    "SU2": st.integers(0, 6).map(str),
+    "finite:D4": st.sampled_from(["trivial", "sign_s", "sign_r", "sign_rs", "twodim"]),
 }
 _JUNK = st.recursive(
     st.none() | st.integers() | st.booleans() | st.floats() | st.text(max_size=8)

@@ -152,11 +152,13 @@ def _invocations(draw, files, ring_id, clean, sub):
     elif sub == "folner":
         argv += _option(draw, clean, "--S", st.lists(label, min_size=1, max_size=2).map(";".join))
     elif sub == "wiener":
-        argv += _option(draw, clean, "--kind", pick(st.sampled_from(["atom", "energy", "char"]),
-                                                    st.just("x")))
-        argv += _option(draw, clean, "--measure", st.just(files["measure"]))
-        argv += _option(draw, clean, "--at", pick(st.sampled_from(elements),
-                                                  _ELEMENTS.filter(lambda e: isinstance(e, str))))
+        kind = _option(draw, clean, "--kind", pick(st.sampled_from(["atom", "energy", "char"]),
+                                                   st.just("x")))
+        argv += kind + _option(draw, clean, "--measure", st.just(files["measure"]))
+        # a clean call passes --at with the atom kind only
+        if not clean or kind == ["--kind", "atom"]:
+            argv += _option(draw, clean, "--at", pick(
+                st.sampled_from(elements), _ELEMENTS.filter(lambda e: isinstance(e, str))))
         argv += draw(st.sampled_from([[], ["--ground-truth"]]))
     else:
         argv += _option(draw, clean, "--rep", pick(st.just(rep), st.sampled_from(

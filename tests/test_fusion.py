@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import (boundary_sets, enumerate_labels, folner_ratio, full_dual, is_valid_label,
-                     multiplicity, schedule_labels, wcard)
+from helpers import (CANONICAL_EDGES, EDGE_COMPONENTS, NON_LITERALS, boundary_sets,
+                     enumerate_labels, folner_ratio, full_dual, is_valid_label, multiplicity,
+                     schedule_labels, wcard)
 from peterweyl import (
     FolnerSchedule,
     FusionRing,
@@ -232,7 +233,10 @@ class TestRingContract:
     def test_the_defaults_serve_a_ring_of_seven_rules(self):
         ring = CyclicRing()
         assert ring.trivial == 0 and ring.parse_label("3") == 3 and ring.format_label(3) == "3"
-        assert ring.parse_table(["4", 2, "1"]).tolist() == [[4], [2], [1]]
+        assert ring.parse_table(["4", "2", "1"]).tolist() == [[4], [2], [1]]
+        # a label literal is a string, not a JSON number
+        with pytest.raises(InvalidInputError, match="^2 is not a label of ring ring$"):
+            ring.parse_table(["4", 2, "1"])
         assert ring.sorted_labels([4, 1, 3, 0]) == [0, 1, 3, 4]
         assert ring.fuse(3, 4) == {2: 1} and ring.conj(2) == 3
         sets = [{0}, {0, 1}, {1, 3}, {4, 2, 0}, set(range(5))]
@@ -691,19 +695,22 @@ class TestLabelTables:
 
     def test_schedule_file_literals_are_read_as_python_ints_read_them(self):
         # each component as int() reads it, with leading zeros, after an optional "w:"
-        assert Z2.parse_table(["w:1,-2", "3;4", "-0,007", [5, 6]]).tolist() == [
-            [1, -2], [3, 4], [0, 7], [5, 6]]
-        assert Z.parse_table([3, "w:-4", "05", str(2 ** 62 - 1)]).tolist() == [
-            [3], [-4], [5], [2 ** 62 - 1]]
-        assert D4.parse_table(["twodim", 0, "3"]).tolist() == [[4], [0], [3]]
-        assert SU2.parse_table(["3", 4, "5"]).tolist() == [[3], [4], [5]]
-        # blanks, signs, underscores and empty parts are not in the grammar
-        for ring, bad in [(Z2, ["1,2", "1,2,3"]), (Z2, ["1,2", " w:1,2"]), (Z2, ["w:1;x"]),
+        assert Z2.parse_table(["w:1,-2", "3,4", "-0,007"]).tolist() == [[1, -2], [3, 4], [0, 7]]
+        assert Z.parse_table(["w:-4", "05", str(2 ** 62 - 1)]).tolist() == [
+            [-4], [5], [2 ** 62 - 1]]
+        assert D4.parse_table(["twodim", "trivial", "sign_rs"]).tolist() == [[4], [0], [3]]
+        assert SU2.parse_table(["3", "5"]).tolist() == [[3], [5]]
+        # a JSON number or list, ';' inside a label and a finite dual's index are refused
+        # by name, as are blanks, signs, underscores and empty parts
+        for ring, bad in [(Z2, ["w:1,-2", "3;4"]), (Z2, ["3,4", [5, 6]]), (Z, ["05", 3]),
+                          (D4, ["twodim", 0]), (D4, ["twodim", "3"]), (SU2, ["3", 4]),
+                          (Z2, ["1,2", "1,2,3"]), (Z2, ["1,2", " w:1,2"]), (Z2, ["w:1;x"]),
                           (Z, ["1", 2.0]), (SU2, ["1", "-1"]), (SU2, ["3;4"]), (SU2, ["w:3"]),
                           (D4, ["twodim", "5"]), (Z2, [" 3 ; 4"]), (Z2, ["+5,6"]),
                           (Z2, ["7,,8"]), (Z2, ["3_0,0"]), (Z, [" 5 "]), (SU2, ["3,"])]:
-            with pytest.raises(InvalidInputError):
+            with pytest.raises(InvalidInputError) as refused:
                 ring.parse_table(bad)
+            assert str(refused.value) == _refusal(ring, bad[-1])
 
 
 @st.composite
@@ -813,25 +820,19 @@ class TestStepSums:
             fusion.reduce_along(schedule, Z, None, 9)
 
 
-CANONICAL_EDGES = ["0", "-0", "007", "-0012", "9" * 18, "-" + "9" * 18, "1" + "0" * 17]
-# components on the edge of the grammar -?[0-9]{1,19}: up to 10**18 labels of Z; then
-# 2**62 or more in modulus, no label, the nineteen nines beyond int64 too
-EDGE_COMPONENTS = CANONICAL_EDGES + [
-    "0" * 18 + "1", str(2 ** 62 - 1), str(-(2 ** 62 - 1)), "1" + "0" * 18,
-    str(2 ** 62), str(-(2 ** 62)), "9" * 19, "-" + "9" * 19,
-]
-# strings outside the grammar, each refused: blanks, signs, `_`, non-ASCII digits, empty
-# parts, line breaks, 20 digits
-NON_LITERALS = ["", " 1 ", "+3", "3_0", "\u0661", "\u0661,2", "-", "--1", "1-", "1w:2", "w:",
-                "\xe9", "0x1", "1e3", "\n1", "1\n", "\ud800", "1" * 20, "w:w:1", " w:1", "1,",
-                ";1", "1,,2"]
-
-
 @st.composite
 def _literals(draw, ring, canonical: bool):
-    """A literal of `ring.rank` components (about as often one more or one
-    fewer when not `canonical`), each either canonical or from the edge
-    and non-literal lists, separated by ',' or ';', maybe after a prefix."""
+    """A literal of `ring`.  On a ring with irrep names one of them, or when
+    not `canonical` maybe a name with a blank or in capitals, or a decimal.
+    Else `ring.rank` components (about as often one more or one fewer when
+    not `canonical`), each either canonical or from the edge and non-literal
+    lists, separated by ',' (when not `canonical` now and then by ';'),
+    maybe after a prefix."""
+    if ring.irrep_names:
+        names = st.sampled_from(ring.irrep_names)
+        odd = (names.map(" {}".format) | names.map(str.upper)
+               | st.sampled_from(EDGE_COMPONENTS + NON_LITERALS))
+        return draw(names if canonical else names | odd)
     rank = ring.rank
     count = rank if canonical else draw(st.sampled_from([rank - 1, rank, rank, rank + 1]))
     digits = st.integers(-10 ** 6, 10 ** 6).map(str) | st.sampled_from(CANONICAL_EDGES)
@@ -839,7 +840,7 @@ def _literals(draw, ring, canonical: bool):
     parts = [draw(digits if canonical else digits | odd) for _ in range(count)]
     text = parts[0] if parts else ""
     for part in parts[1:]:
-        text += draw(st.sampled_from(",;")) + part
+        text += draw(st.sampled_from("," if canonical else ",,;")) + part
     prefixes = ["", "", ring.literal_prefix] if canonical else ["", "w:", "w:w:", " w:"]
     return draw(st.sampled_from(prefixes)) + text
 
@@ -858,20 +859,29 @@ def _refusal(ring, literal) -> str:
 
 
 def _in_grammar(ring, literal) -> bool:
-    """Whether the string is an optional prefix, then `ring.rank` components
-    -?[0-9]{1,19} separated by ',' or ';'."""
+    """Whether the value is a label literal of the ring: one of its irrep
+    names, or on a ring without them a string of an optional prefix, then
+    `ring.rank` components -?[0-9]{1,19} separated by ','."""
+    if ring.irrep_names:
+        return literal in ring.irrep_names
     part = "-?[0-9]{1,19}"
     prefix = re.escape(ring.literal_prefix)
-    grammar = f"(?:{prefix})?{part}(?:[,;]{part}){{{ring.rank - 1}}}"
-    return re.fullmatch(grammar, literal) is not None
+    grammar = f"(?:{prefix})?{part}(?:,{part}){{{ring.rank - 1}}}"
+    return isinstance(literal, str) and re.fullmatch(grammar, literal) is not None
 
 
 def _int_oracle(ring, literals):
-    """The outcome of literals in the grammar: each component as int()
-    reads it, or the refusal of the first literal that is no label."""
+    """The outcome of a batch: the refusal of its first literal outside the
+    grammar, else of its first literal that is no label, else each irrep
+    name's index or each component as int() reads it."""
+    outside = [x for x in literals if not _in_grammar(ring, x)]
+    if outside:
+        return _refusal(ring, outside[0])
+    if ring.irrep_names:
+        return [[ring.irrep_names.index(x)] for x in literals]
     rows = []
     for literal in literals:
-        parts = re.split("[,;]", literal.removeprefix(ring.literal_prefix))
+        parts = literal.removeprefix(ring.literal_prefix).split(",")
         label = int(parts[0]) if ring.rank == 1 else tuple(map(int, parts))
         if not is_valid_label(ring, label):
             return _refusal(ring, literal)
@@ -891,23 +901,29 @@ class TestCanonicalLiterals:
 
     @pytest.mark.parametrize("ring_id", RINGS)
     def test_edge_literals_agree_with_int(self, ring_id):
+        # ';' inside a label is refused on every ring, and every decimal on a finite dual
         ring = get_ring(ring_id)
+        trivial = ring.format_label(ring.trivial)
         for part in EDGE_COMPONENTS:
             prefix = ring.literal_prefix
             for literal in [part, prefix + part, ",".join([part] * ring.rank),
+                            ",".join(["1"] * (ring.rank - 1) + [part]),
                             ";".join(["1"] * (ring.rank - 1) + [part]),
+                            prefix + ",".join([part] * ring.rank),
                             prefix + ";".join([part] * ring.rank)]:
-                for batch in ([literal], ["0", literal], [literal, "0"], ["0", literal, "0"]):
-                    batch = [",".join([x] * ring.rank) if x == "0" else x for x in batch]
+                for batch in ([literal], [trivial, literal], [literal, trivial],
+                              [trivial, literal, trivial]):
                     assert _outcome(ring, batch) == _int_oracle(ring, batch), batch
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), ring_id=st.sampled_from(RINGS))
     def test_a_batch_is_read_exactly_when_each_literal_is(self, data, ring_id):
         ring = get_ring(ring_id)
+        # JSON numbers and lists are no literals either
         literals = data.draw(st.lists(
             _literals(ring, True) | _literals(ring, False) | st.text(max_size=8)
-            | st.sampled_from(NON_LITERALS), min_size=1, max_size=8))
+            | st.sampled_from(NON_LITERALS) | st.integers(-3, 3)
+            | st.lists(st.integers(-2, 2), min_size=1, max_size=3), min_size=1, max_size=8))
         self._check_batch(ring, literals)
 
     def test_batches_whose_counts_add_up_are_read_as_their_literals(self):
@@ -940,16 +956,22 @@ class TestCanonicalLiterals:
             assert _outcome(ring, literals) == [row for rows in alone for row in rows]
 
     def test_irrep_names_come_before_decimals(self):
+        # a finite dual reads its irrep names and no decimal: SWAPPED's "0" is label 1
         assert SWAPPED.parse_table(["0", "1", "0"]).tolist() == [[1], [0], [1]]
-        assert SWAPPED.parse_table(["0", "01"]).tolist() == [[1], [1]]
+        for ring, batch, refused in [(SWAPPED, ["0", "01"], "01"), (SWAPPED, ["1", 0], 0),
+                                     (S3, ["std", "2"], "2"), (S3, ["02"], "02"),
+                                     (S3, [2, "std"], 2)]:
+            assert _outcome(ring, batch) == _refusal(ring, refused)
 
     @pytest.mark.parametrize("ring_id, canonical, odd", [
         ("Z", ["w:-3", "4", "-0"], " 5"),
-        ("Z^d:2", ["w:1,-2", "3;4", "007,-0"], "w:1,,2"),
-        ("Z^d:3", ["1,2,3", "w:-1;0;" + "9" * 18], "+1,2,3"),
+        ("Z^d:2", ["w:1,-2", "3,4", "007,-0"], "w:1,,2"),
+        ("Z^d:3", ["1,2,3", "w:-1,0," + "9" * 18], "+1,2,3"),
         ("SU2", ["0", "17", "007"], "3_0"),
-        ("finite:D4", ["0", "4", "2"], "twodim"),
-        ("finite:D4", ["0", "4", "2"], " 3"),
+        ("finite:D4", ["trivial", "twodim", "sign_r"], "twodim"),
+        ("finite:D4", ["trivial", "twodim", "sign_r"], " 3"),
+        ("Z^d:2", ["w:1,-2", "3,4", "007,-0"], "3;4"),
+        ("finite:D4", ["trivial", "twodim", "sign_r"], "4"),
     ])
     def test_which_path_a_batch_takes(self, monkeypatch, ring_id, canonical, odd):
         ring = get_ring(ring_id)
@@ -962,27 +984,34 @@ class TestCanonicalLiterals:
             return decimal_table(self, texts)
 
         monkeypatch.setattr(FusionRing, "_decimal_table", spy)
-        # the decimals of a batch take one scan, a single literal too
-        assert ring.parse_table(canonical).tolist() == expected and scans == [len(canonical)]
+        # the decimals of a batch take one scan, a single literal too; a finite
+        # dual's names take none
+        decimal = not ring.irrep_names
+        assert ring.parse_table(canonical).tolist() == expected
+        assert scans == ([len(canonical)] if decimal else [])
         assert ring.parse_label(canonical[0]) == ring.labels_of(np.array([expected[0]]))[0]
-        assert scans[1:] == [1]
-        # an irrep name is read apart; any other literal is refused by name, found by halving
+        assert scans[1:] == ([1] if decimal else [])
+        # any other literal is refused by name, among decimals found by halving
         batch = canonical[:1] + [odd] + canonical[1:]
         del scans[:]
         if odd in ring.irrep_names:
             assert ring.parse_table(batch).tolist()[1] == [ring.irrep_names.index(odd)]
-            assert scans == [len(canonical)]
+            assert scans == []
         else:
             with pytest.raises(InvalidInputError, match=re.escape(_refusal(ring, odd))):
                 ring.parse_table(batch)
             # the first scan reads the batch, the halving about one more in all
-            assert scans[0] == len(batch) and sum(scans[1:]) < len(batch)
+            if decimal:
+                assert scans[0] == len(batch) and sum(scans[1:]) < len(batch)
+            else:
+                assert scans == []
 
 
 @pytest.mark.parametrize("ring_id, literal", [
     ("Z", " 3"), ("Z", "+3"), ("Z", "3_0"), ("Z", "\u0663"), ("Z", "3,"), ("SU2", ";3"),
     ("Z^d:2", "7,,8"), ("Z^d:2", " w:1,2"), ("Z^d:2", "w:w:1,2"), ("Z", "1" + "0" * 19),
-    ("SU2", ""),
+    ("SU2", ""), ("Z^d:2", "1;-2"), ("finite:S3", "2"), ("finite:S3", "02"), ("Z", 3),
+    ("Z^d:2", [1, -2]),
 ])
 def test_spellings_outside_the_grammar_are_refused_by_name(ring_id, literal):
     # refused alone and first, in the middle or last in a batch of labels, by name
@@ -1017,21 +1046,24 @@ def test_every_label_reads_back_from_its_literal(ring_id):
 
 
 def _rank1_reference(ring, literals):
-    """An independent rank-1 reader: ints (not bool), irrep names, and
-    strings of the grammar -?[0-9]{1,19} read by int(); the table as a list
-    of rows, or None when it refuses the batch."""
+    """An independent rank-1 reader of strings: a ring's irrep names where
+    it has them, else the grammar -?[0-9]{1,19} read by int(); the table as
+    a list of rows, or None when it refuses the batch."""
     rows = []
     for x in literals:
-        if isinstance(x, str):
-            if x in ring.irrep_names:
-                x = ring.irrep_names.index(x)
-            elif re.fullmatch("-?[0-9]{1,19}", x):
-                x = int(x)
-            else:
-                return None
-        if not (fusion._is_int(x) and is_valid_label(ring, x)):
+        if not isinstance(x, str):
             return None
-        rows.append([int(x)])
+        if ring.irrep_names:
+            if x not in ring.irrep_names:
+                return None
+            x = ring.irrep_names.index(x)
+        elif re.fullmatch("-?[0-9]{1,19}", x):
+            x = int(x)
+        else:
+            return None
+        if not is_valid_label(ring, x):
+            return None
+        rows.append([x])
     return rows
 
 
@@ -1046,9 +1078,9 @@ _RANK1_ODD = (
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), ring=st.sampled_from([SU2, D4, SWAPPED]))
 def test_every_literal_the_rank1_reference_reads_reads_the_same(data, ring):
-    # literals of labels 0 and 1, which each ring reads, and maybe one from anywhere
+    # literals the ring reads, and maybe one from anywhere
     literals = data.draw(st.lists(st.sampled_from(
-        [0, 1, "0", "1", "01", "001", *ring.irrep_names]), min_size=1, max_size=6))
+        ring.irrep_names or ("0", "1", "01", "001")), min_size=1, max_size=6))
     if data.draw(st.booleans()):
         literals.insert(data.draw(st.integers(0, len(literals))), data.draw(_RANK1_ODD))
     reference = _rank1_reference(ring, literals)
@@ -1158,25 +1190,33 @@ class TestSchedulesAndEnumeration:
 
     def test_label_literals_round_trip(self):
         assert Z.parse_label("-3") == -3
-        assert Z2.parse_label("w:1,-2") == (1, -2)
-        assert Z2.parse_label([1, -2]) == (1, -2)
+        assert Z2.parse_label("w:1,-2") == Z2.parse_label("1,-2") == (1, -2)
         assert SU2.parse_label("4") == 4
         assert S3.parse_label("std") == 2
         assert S3.format_label(2) == "std"
-        with pytest.raises(InvalidInputError):
-            SU2.parse_label("-1")
-        with pytest.raises(InvalidInputError):
-            S3.parse_label("spin")
+        # one spelling per label: no list, ';', number or index of an irrep name
+        for ring, literal in [(SU2, "-1"), (S3, "spin"), (Z2, [1, -2]), (Z2, "1;-2"),
+                              (Z2, "w:1;-2"), (S3, "2"), (S3, 2), (SU2, 4), (Z, -3)]:
+            with pytest.raises(InvalidInputError) as refused:
+                ring.parse_label(literal)
+            assert str(refused.value) == f"{literal!r} is not a label of ring {ring.name}"
 
     def test_lattice_literals_need_integer_components(self):
         Z3 = get_ring("Z^d:3")
         for ring, bad in [(Z2, [1.5, 0]), (Z2, [True, 0]), (Z2, [0, -0.9]), (Z2, [1.0, 0]),
                           (Z2, ["1", 0]), (Z2, [[1], 0]), (Z2, [1, 2, 3]), (Z3, [0, False, 0]),
                           (Z, 1.5), (Z, True), (Z, [1]), (Z2, 3), (Z2, "1,2,3")]:
+            # no literal, a string, and no label either
             with pytest.raises(InvalidInputError):
                 ring.parse_label(bad)
-        assert Z2.parse_label([np.int64(3), -1]) == (3, -1)
-        assert type(Z.parse_label(np.int64(-4))) is int
+            with pytest.raises(InvalidInputError):
+                ring.label_table([tuple(bad) if isinstance(bad, list) else bad])
+        # numpy ints make labels, and no label literal
+        assert Z2.labels_of(Z2.label_table([(np.int64(3), -1)])) == [(3, -1)]
+        assert type(Z.labels_of(Z.label_table([np.int64(-4)]))[0]) is int
+        for ring, literal in [(Z2, [np.int64(3), -1]), (Z, np.int64(-4))]:
+            with pytest.raises(InvalidInputError):
+                ring.parse_label(literal)
 
     @settings(max_examples=300, deadline=None)
     @given(

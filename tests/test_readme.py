@@ -124,6 +124,33 @@ def test_the_rules_a_ring_states_are_the_abstract_methods():
     assert "`FusionRing.parse_table`" in text and "sets `literal_prefix` (`w:`)" in text
 
 
+def test_the_label_grammar_is_the_reader_s():
+    # the grammar of the Literals bullet, with `w:` where a ring has that prefix and
+    # d = rank, matches exactly the strings the decimal reader reads
+    from helpers import CANONICAL_EDGES, EDGE_COMPONENTS, NON_LITERALS
+
+    from peterweyl import get_ring
+
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    bullet = text.split("### Literals", 1)[1].split("- labels:", 1)[1].split(" - ", 1)[0]
+    grammar = re.search(r"exactly the strings `([^`]+)`", bullet).group(1)
+    assert "a finite dual's labels are its irrep names" in text
+    for ring_id in ("Z", "Z^d:2", "Z^d:3", "SU2", "dualgroup:Z^d:2"):
+        ring = get_ring(ring_id)
+        assert ring.literal_prefix in ("", "w:") and not ring.irrep_names
+        pattern = grammar if ring.literal_prefix else grammar.replace("(w:)?", "")
+        pattern = pattern.replace("{d-1}", f"{{{ring.rank - 1}}}")
+        literals = {prefix + sep.join(["1"] * (count - 1) + [part])
+                    for part in CANONICAL_EDGES + EDGE_COMPONENTS + NON_LITERALS
+                    for count in (ring.rank - 1, ring.rank, ring.rank + 1) if count
+                    for sep in ",;" for prefix in ("", "w:")}
+        literals |= {sep.join([part] * ring.rank) for part in EDGE_COMPONENTS + NON_LITERALS
+                     for sep in ",;"}
+        for literal in literals:
+            read = ring._decimal_table([literal]) is not None
+            assert (re.fullmatch(pattern, literal) is not None) == read, (ring_id, literal)
+
+
 def test_the_options_of_each_subcommand_are_the_parser_s():
     import argparse
 
